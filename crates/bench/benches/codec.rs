@@ -41,7 +41,8 @@ fn bench_codec(c: &mut Criterion) {
 
 fn bench_crc(c: &mut Criterion) {
     let mut group = c.benchmark_group("crc32");
-    for size in [1usize << 10, 64 << 10, 1 << 20] {
+    // 256 B, 4 KiB and 64 KiB are the object sizes `mesh_mixed` checkpoints.
+    for size in [256usize, 1 << 10, 4 << 10, 64 << 10, 1 << 20] {
         let data = vec![0x5Au8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {

@@ -31,7 +31,7 @@ use eden_kernel::{
 };
 use eden_obs::TraceSampling;
 use eden_store::MemStore;
-use eden_transport::{Endpoint, TcpMesh, TcpTuning};
+use eden_transport::{TcpMesh, TcpTuning};
 use eden_wire::{Status, Value};
 
 use crate::artifact_path;

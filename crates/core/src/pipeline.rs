@@ -80,9 +80,7 @@ impl PipelinedClient {
     /// relative to other outstanding calls. Fails only when the
     /// transport refuses the frame outright.
     pub fn call(&self, op: &str, args: &[Value]) -> Result<PendingCall<'_>, Status> {
-        let ticket = self
-            .node
-            .pipeline_send(self.dst(), self.cap, op, args)?;
+        let ticket = self.node.pipeline_send(self.dst(), self.cap, op, args)?;
         Ok(PendingCall {
             client: self,
             ticket: Some(ticket),
@@ -115,7 +113,10 @@ impl PendingCall<'_> {
     /// The invocation id this call is riding (its at-most-once key on
     /// the serving kernel, scoped to this node's id).
     pub fn inv_id(&self) -> u64 {
-        self.ticket.as_ref().expect("ticket present until wait").inv_id
+        self.ticket
+            .as_ref()
+            .expect("ticket present until wait")
+            .inv_id
     }
 
     /// Waits for the reply, retransmitting the request (same `inv_id`;
@@ -123,13 +124,10 @@ impl PendingCall<'_> {
     /// answer the client re-aims at the node that replied.
     pub fn wait(mut self, budget: Duration) -> (Status, Vec<Value>) {
         let ticket = self.ticket.take().expect("wait consumes the ticket");
-        let (status, results, from) = self.client.node.pipeline_wait(
-            &ticket,
-            self.client.cap,
-            &self.op,
-            &self.args,
-            budget,
-        );
+        let (status, results, from) =
+            self.client
+                .node
+                .pipeline_wait(&ticket, self.client.cap, &self.op, &self.args, budget);
         if !matches!(status, Status::NoSuchObject | Status::Timeout) {
             *self.client.dst.lock() = from;
         }

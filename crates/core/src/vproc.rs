@@ -49,6 +49,10 @@ thread_local! {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// One entry of a [`VirtualProcessorPool::submit_batch`]: the job and the
+/// trace context it runs under.
+pub type BatchTask = (Job, Option<TraceCtx>);
+
 struct Task {
     job: Job,
     enqueued_ns: u64,
@@ -247,10 +251,7 @@ impl VirtualProcessorPool {
     /// `submit_traced` would have returned for the i-th task (tasks past
     /// the queue cap shed with `Overloaded`; the caller owes each
     /// rejected invocation its backpressure reply).
-    pub fn submit_batch(
-        &self,
-        tasks: Vec<(Box<dyn FnOnce() + Send + 'static>, Option<TraceCtx>)>,
-    ) -> Vec<Result<(), SubmitError>> {
+    pub fn submit_batch(&self, tasks: Vec<BatchTask>) -> Vec<Result<(), SubmitError>> {
         if tasks.is_empty() {
             return Vec::new();
         }

@@ -1,4 +1,4 @@
-//! An append-only, CRC-checked, versioned checkpoint log on disk.
+//! An append-only, CRC-verified, versioned checkpoint log on disk.
 //!
 //! This is the reproduction's "reliable storage medium" (§4.4). The design
 //! is a classic write-ahead log:
@@ -13,6 +13,11 @@
 //! * Opening a store scans the log, rebuilding the in-memory index.
 //!   A record with a bad magic, a bad CRC, or a truncated payload ends the
 //!   scan and the tail is truncated — the torn-write recovery rule.
+//! * Every read is verified: the index keeps each record's CRC (computed
+//!   once, by `put` or by the recovery scan), and a payload that no
+//!   longer matches it is reported as [`StoreError::Corrupt`] rather than
+//!   handed to reincarnation. The slicing-by-16 kernel in [`crate::crc`]
+//!   makes the check cheap enough to run on every checkpoint and read.
 //! * Deletions append a tombstone record (`tomb = 1`), so the log remains
 //!   append-only; `compact` rewrites live records to a fresh log.
 
@@ -43,9 +48,12 @@ pub enum SyncPolicy {
     Never,
 }
 
+/// Where one record's payload lives, and the CRC it must match on read.
+#[derive(Clone, Copy)]
 struct Indexed {
     offset: u64,
     len: u32,
+    crc: u32,
 }
 
 /// Per-object version index rebuilt by the recovery scan.
@@ -176,6 +184,7 @@ impl DiskStore {
                         Indexed {
                             offset: payload_start as u64,
                             len: plen as u32,
+                            crc,
                         },
                     );
                 }
@@ -189,6 +198,21 @@ impl DiskStore {
         Ok((index, off as u64))
     }
 
+    /// Encodes one log record around `payload`, whose CRC is `crc`.
+    fn record(name: ObjName, version: u64, tomb: u8, crc: u32, payload: &[u8]) -> Vec<u8> {
+        let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
+        rec.extend_from_slice(&MAGIC.to_le_bytes());
+        rec.extend_from_slice(&name.to_u128().to_le_bytes());
+        rec.extend_from_slice(&version.to_le_bytes());
+        rec.push(tomb);
+        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rec.extend_from_slice(&crc.to_le_bytes());
+        rec.extend_from_slice(payload);
+        rec
+    }
+
+    /// Appends one record, computing the payload CRC exactly once, and
+    /// returns where the payload landed together with that CRC.
     fn append(
         inner: &mut Inner,
         sync: SyncPolicy,
@@ -197,15 +221,9 @@ impl DiskStore {
         version: u64,
         tomb: u8,
         payload: &[u8],
-    ) -> Result<u64, StoreError> {
-        let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
-        rec.extend_from_slice(&MAGIC.to_le_bytes());
-        rec.extend_from_slice(&name.to_u128().to_le_bytes());
-        rec.extend_from_slice(&version.to_le_bytes());
-        rec.push(tomb);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
+    ) -> Result<Indexed, StoreError> {
+        let crc = crc32(payload);
+        let rec = Self::record(name, version, tomb, crc, payload);
         let write_start = now_ns();
         inner.file.write_all(&rec)?;
         let write_end = now_ns();
@@ -220,17 +238,31 @@ impl DiskStore {
             obs.histogram("store.write")
                 .record(write_end.saturating_sub(write_start));
         }
-        let payload_offset = inner.end + HEADER_LEN as u64;
+        let offset = inner.end + HEADER_LEN as u64;
         inner.end += rec.len() as u64;
-        Ok(payload_offset)
+        Ok(Indexed {
+            offset,
+            len: payload.len() as u32,
+            crc,
+        })
     }
 
-    fn read_at(inner: &mut Inner, idx: &Indexed) -> Result<Bytes, StoreError> {
+    /// Reads the payload `idx` points at and checks it against the CRC
+    /// recorded when it was written.
+    fn read_at(
+        inner: &mut Inner,
+        name: ObjName,
+        version: u64,
+        idx: Indexed,
+    ) -> Result<Bytes, StoreError> {
         let mut payload = vec![0u8; idx.len as usize];
         // Appends use the cursor implicitly (O_APPEND), so an explicit seek
         // for reading is safe here.
         inner.file.seek(SeekFrom::Start(idx.offset))?;
         inner.file.read_exact(&mut payload)?;
+        if crc32(&payload) != idx.crc {
+            return Err(StoreError::Corrupt { name, version });
+        }
         Ok(Bytes::from(payload))
     }
 
@@ -246,41 +278,24 @@ impl DiskStore {
                 .create(true)
                 .truncate(true)
                 .open(&tmp_path)?;
-            // Gather (name, version, payload) triples, then rewrite.
+            // Gather (name, version, location) triples, then rewrite. Each
+            // payload is verified on the way out and keeps its stored CRC.
             let entries: Vec<(ObjName, u64, Indexed)> = inner
                 .index
                 .iter()
-                .flat_map(|(n, vs)| {
-                    vs.iter().map(|(v, i)| {
-                        (
-                            *n,
-                            *v,
-                            Indexed {
-                                offset: i.offset,
-                                len: i.len,
-                            },
-                        )
-                    })
-                })
+                .flat_map(|(n, vs)| vs.iter().map(|(v, i)| (*n, *v, *i)))
                 .collect();
-            let mut new_index: HashMap<ObjName, BTreeMap<u64, Indexed>> = HashMap::new();
+            let mut new_index: Index = HashMap::new();
             let mut new_end = 0u64;
             for (name, version, idx) in entries {
-                let payload = Self::read_at(&mut inner, &idx)?;
-                let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
-                rec.extend_from_slice(&MAGIC.to_le_bytes());
-                rec.extend_from_slice(&name.to_u128().to_le_bytes());
-                rec.extend_from_slice(&version.to_le_bytes());
-                rec.push(0);
-                rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-                rec.extend_from_slice(&payload);
+                let payload = Self::read_at(&mut inner, name, version, idx)?;
+                let rec = Self::record(name, version, 0, idx.crc, &payload);
                 tmp.write_all(&rec)?;
                 new_index.entry(name).or_default().insert(
                     version,
                     Indexed {
                         offset: new_end + HEADER_LEN as u64,
-                        len: payload.len() as u32,
+                        ..idx
                     },
                 );
                 new_end += rec.len() as u64;
@@ -312,7 +327,7 @@ impl CheckpointStore for DiskStore {
             .get(&name)
             .and_then(|v| v.keys().next_back().copied())
             .map_or(1, |v| v + 1);
-        let offset = Self::append(
+        let idx = Self::append(
             &mut inner,
             self.sync,
             obs.as_deref(),
@@ -322,13 +337,7 @@ impl CheckpointStore for DiskStore {
             image,
         )?;
         let versions = inner.index.entry(name).or_default();
-        versions.insert(
-            version,
-            Indexed {
-                offset,
-                len: image.len() as u32,
-            },
-        );
+        versions.insert(version, idx);
         if self.retain > 0 {
             while versions.len() > self.retain {
                 let oldest = *versions.keys().next().expect("nonempty");
@@ -340,34 +349,27 @@ impl CheckpointStore for DiskStore {
 
     fn latest(&self, name: ObjName) -> Result<Option<(u64, Bytes)>, StoreError> {
         let mut inner = self.inner.lock();
-        let Some((version, idx)) = inner.index.get(&name).and_then(|v| {
-            v.iter().next_back().map(|(ver, i)| {
-                (
-                    *ver,
-                    Indexed {
-                        offset: i.offset,
-                        len: i.len,
-                    },
-                )
-            })
-        }) else {
+        let Some((version, idx)) = inner
+            .index
+            .get(&name)
+            .and_then(|v| v.iter().next_back().map(|(ver, i)| (*ver, *i)))
+        else {
             return Ok(None);
         };
-        let payload = Self::read_at(&mut inner, &idx)?;
+        let payload = Self::read_at(&mut inner, name, version, idx)?;
         Ok(Some((version, payload)))
     }
 
     fn get(&self, name: ObjName, version: u64) -> Result<Option<Bytes>, StoreError> {
         let mut inner = self.inner.lock();
-        let Some(idx) = inner.index.get(&name).and_then(|v| {
-            v.get(&version).map(|i| Indexed {
-                offset: i.offset,
-                len: i.len,
-            })
-        }) else {
+        let Some(idx) = inner
+            .index
+            .get(&name)
+            .and_then(|v| v.get(&version).copied())
+        else {
             return Ok(None);
         };
-        Ok(Some(Self::read_at(&mut inner, &idx)?))
+        Ok(Some(Self::read_at(&mut inner, name, version, idx)?))
     }
 
     fn versions(&self, name: ObjName) -> Result<Vec<u64>, StoreError> {
@@ -497,6 +499,41 @@ mod tests {
 
         let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
         assert_eq!(&store.latest(a).unwrap().unwrap().1[..], b"first");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn damaged_record_fails_its_read_and_spares_the_rest() {
+        let path = temp_log();
+        let g = gen();
+        let (a, b, c) = (g.next_name(), g.next_name(), g.next_name());
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        store.put(a, b"alpha-1").unwrap();
+        store.put(b, b"beta").unwrap();
+        store.put(a, b"alpha-2").unwrap();
+        store.put(c, b"gamma").unwrap();
+
+        // Damage one byte of `a` v2's payload, mid-log, behind the open
+        // store's back.
+        let contents = std::fs::read(&path).unwrap();
+        let at = contents
+            .windows(7)
+            .position(|w| w == b"alpha-2")
+            .expect("payload is in the log");
+        let mut other = OpenOptions::new().write(true).open(&path).unwrap();
+        other.seek(SeekFrom::Start(at as u64 + 3)).unwrap();
+        other.write_all(&[contents[at + 3] ^ 0x01]).unwrap();
+        drop(other);
+
+        let corrupt = StoreError::Corrupt {
+            name: a,
+            version: 2,
+        };
+        assert_eq!(store.latest(a), Err(corrupt.clone()));
+        assert_eq!(store.get(a, 2), Err(corrupt));
+        assert_eq!(&store.get(a, 1).unwrap().unwrap()[..], b"alpha-1");
+        assert_eq!(&store.latest(b).unwrap().unwrap().1[..], b"beta");
+        assert_eq!(&store.latest(c).unwrap().unwrap().1[..], b"gamma");
         std::fs::remove_file(&path).ok();
     }
 

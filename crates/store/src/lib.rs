@@ -10,9 +10,12 @@
 //!
 //! * [`MemStore`] — a volatile store for tests and benchmarks that do not
 //!   exercise durability.
-//! * [`DiskStore`] — an append-only, CRC-checked, versioned log with
-//!   recovery that truncates torn tails; the reproduction's equivalent of
-//!   the file-server node's 300 MB disk (§3).
+//! * [`DiskStore`] — an append-only, versioned log with recovery that
+//!   truncates torn tails; the reproduction's equivalent of the
+//!   file-server node's 300 MB disk (§3). Every record carries a CRC-32
+//!   (slicing-by-16, [`crc`]) that is checked on every read, so a damaged
+//!   record surfaces as [`StoreError::Corrupt`] instead of feeding
+//!   reincarnation.
 //! * [`ReplicatedStore`] — a k-way replicated composite implementing the
 //!   §4.4 notion of *reliability levels*: "Different reliability levels may
 //!   cause different actions when a checkpoint is issued."

@@ -198,7 +198,11 @@ impl TcpMesh {
                         let (conn_tx, conn_rx) = unbounded();
                         let reader_inner = accept_inner.clone();
                         let spawned = std::thread::Builder::new()
-                            .name(format!("eden-tcp-rdr-{}-{}", reader_inner.node, readers.len()))
+                            .name(format!(
+                                "eden-tcp-rdr-{}-{}",
+                                reader_inner.node,
+                                readers.len()
+                            ))
                             .spawn(move || reader_loop(&reader_inner, &conn_rx));
                         if let Ok(handle) = spawned {
                             accept_inner.reader_threads.lock().push(handle);
@@ -465,7 +469,9 @@ impl Endpoint for TcpMesh {
         }
         let payload: Bytes =
             SCRATCH.with(|scratch| frame.encode_reusing(&mut scratch.borrow_mut()));
-        self.inner.stats.record_send(payload.len() + LEN_PREFIX_BYTES);
+        self.inner
+            .stats
+            .record_send(payload.len() + LEN_PREFIX_BYTES);
         match frame.dst {
             Dest::Node(dst) => self
                 .inner

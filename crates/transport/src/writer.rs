@@ -30,10 +30,12 @@
 //!   observe any of this: frames to an unreachable peer simply shed at
 //!   the bounded queue once it fills.
 //!
-//! * **Shutdown drain.** `shutdown()` flips the closed flag; a
-//!   connected writer drains and flushes what is queued, a
-//!   disconnected one sheds the remainder (counted), and both exit
-//!   promptly enough to be joined.
+//! * **Shutdown drain.** A connected writer blocks on its queue and
+//!   costs nothing while idle. `shutdown()` flips the closed flag and
+//!   drops every queue's sender: a connected writer flushes what is
+//!   queued and exits when the queue reports it is disconnected; a
+//!   disconnected one sheds the remainder (counted). Both exit promptly
+//!   enough to be joined.
 //!
 //! [`TcpMesh`]: crate::TcpMesh
 //! [`Endpoint`]: crate::Endpoint
@@ -47,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use eden_capability::NodeId;
 use eden_obs::trace::stage;
 use eden_obs::{now_ns, ObsRegistry, TraceCtx};
@@ -98,8 +100,8 @@ impl Default for TcpTuning {
     }
 }
 
-/// Longest nap a parked writer takes, so shutdown and dial retries are
-/// both observed promptly.
+/// Longest single nap of a writer waiting out its dial backoff, so
+/// shutdown is observed promptly even under a long backoff.
 const WRITER_NAP: Duration = Duration::from_millis(25);
 
 /// One frame waiting in a peer queue: the encoded payload plus what the
@@ -195,6 +197,12 @@ impl SendPipeline {
 
     fn enqueue(self: &Arc<Self>, dst: NodeId, payload: Bytes, trace: Option<TraceCtx>) {
         let mut writers = self.writers.lock();
+        // Checked under the lock `shutdown` drains the table with, so no
+        // writer is created after shutdown has collected the ones to join.
+        if self.closed.load(Ordering::Acquire) {
+            self.stats.record_drop();
+            return;
+        }
         // Exactly one writer (and so one outbound connection) per peer,
         // created under this lock: concurrent first-sends to a cold
         // peer cannot race two dials (the seed duplicate-dial leak).
@@ -249,14 +257,16 @@ impl SendPipeline {
     /// Drains and joins every writer. Idempotent.
     pub(crate) fn shutdown(&self) {
         self.closed.store(true, Ordering::Release);
-        let writers: Vec<PeerWriter> = {
-            let mut map = self.writers.lock();
-            map.drain().map(|(_, w)| w).collect()
-        };
-        for mut w in writers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
+        // Keeping only the handles drops every queue's sender before the
+        // first join, so all writers drain their queues concurrently.
+        let handles: Vec<JoinHandle<()>> = self
+            .writers
+            .lock()
+            .drain()
+            .filter_map(|(_, w)| w.handle)
+            .collect();
+        for h in handles {
+            let _ = h.join();
         }
     }
 
@@ -288,9 +298,8 @@ fn writer_loop(
     let mut last_dial: Option<(u64, u64)> = None;
     let mut batch = BytesMut::with_capacity(tuning.max_batch_bytes.min(64 << 10));
     loop {
-        let closing = pipe.closed.load(Ordering::Acquire);
         let Some(stream) = conn.as_mut() else {
-            if closing {
+            if pipe.closed.load(Ordering::Acquire) {
                 // Nothing to flush to: shed the remainder, counted.
                 let mut shed = 0i64;
                 while rx.try_recv().is_ok() {
@@ -345,29 +354,12 @@ fn writer_loop(
             continue;
         };
 
-        // Connected: wait briefly for the head of the next burst. When
-        // closing, the graceful drain ends on a `try_recv` probe — not
-        // on `is_empty`, whose counter is only approximate under races.
-        let first = match rx.recv_timeout(WRITER_NAP) {
-            Ok(f) => f,
-            Err(RecvTimeoutError::Timeout) => {
-                if closing {
-                    match rx.try_recv() {
-                        Ok(f) => f, // A late frame: flush it below.
-                        Err(_) => {
-                            // Graceful drain complete.
-                            pipe.with_obs(|obs| obs.gauge("tcp.connected_peers").dec());
-                            return;
-                        }
-                    }
-                } else {
-                    continue;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                pipe.with_obs(|obs| obs.gauge("tcp.connected_peers").dec());
-                return;
-            }
+        // Connected: block for the head of the next burst. Shutdown drops
+        // the sender, and `recv` still hands over every queued frame
+        // before it reports the disconnect: the graceful drain.
+        let Ok(first) = rx.recv() else {
+            pipe.with_obs(|obs| obs.gauge("tcp.connected_peers").dec());
+            return;
         };
         // Coalesce everything pending (up to the byte budget) into one
         // buffer: a single write syscall for the whole burst.

@@ -1,5 +1,6 @@
 //! Integration tests for the TCP send pipeline: duplicate-dial
-//! regression, slow-peer isolation, and full-queue shedding.
+//! regression, slow-peer isolation, full-queue shedding, and the
+//! shutdown drain.
 //!
 //! Dead/slow peers are simulated with the *backlog trick*: bind a
 //! listener, never accept, and pre-fill its accept backlog with held
@@ -156,4 +157,30 @@ fn closed_endpoint_still_errors() {
         meshes[0].send(Frame::to(NodeId(0), NodeId(1), ping(0))),
         Err(TransportError::Closed)
     );
+}
+
+#[test]
+fn shutdown_flushes_every_frame_queued_on_a_connected_writer() {
+    let meshes = TcpMesh::bind_local_cluster(2).expect("cluster");
+    let (a, b) = (&meshes[0], &meshes[1]);
+    // Connect first: a writer still dialing at shutdown sheds its queue.
+    a.send(Frame::to(NodeId(0), NodeId(1), ping(0))).unwrap();
+    b.recv_timeout(Duration::from_secs(2))
+        .expect("recv")
+        .expect("first frame before timeout");
+
+    // Fewer frames than the queue holds, so none shed at enqueue.
+    const N: u64 = 500;
+    for i in 1..=N {
+        a.send(Frame::to(NodeId(0), NodeId(1), ping(i))).unwrap();
+    }
+    a.shutdown();
+    for i in 1..=N {
+        let frame = b
+            .recv_timeout(Duration::from_secs(2))
+            .expect("recv")
+            .unwrap_or_else(|| panic!("frame {i} of {N} lost at shutdown"));
+        assert_eq!(frame.msg, ping(i), "frames arrive in send order");
+    }
+    assert_eq!(a.stats().frames_dropped, 0);
 }

@@ -50,7 +50,11 @@ fn sixty_four_connections_share_a_fixed_reader_pool() {
     let mut conns = Vec::with_capacity(CONNECTIONS);
     for i in 0..CONNECTIONS {
         let mut s = TcpStream::connect(addr).expect("connect");
-        let frame = Frame::to(NodeId((i + 1) as u16), NodeId(0), Message::Ping { token: i as u64 });
+        let frame = Frame::to(
+            NodeId((i + 1) as u16),
+            NodeId(0),
+            Message::Ping { token: i as u64 },
+        );
         let payload = frame.encode_to_bytes();
         s.write_all(&(payload.len() as u32).to_le_bytes())
             .expect("write len");
