@@ -28,8 +28,22 @@
 //! * the **lifecycle machinery**: checkpoint / checksite / crash /
 //!   reincarnation (§4.4), move (§4.3), freeze + replica caching (§4.3);
 //! * a **receive loop** servicing the kernel-to-kernel protocol.
+//!
+//! Two mechanisms carry the traffic:
+//!
+//! * **one request/reply engine**: every kernel-to-kernel request —
+//!   invocation (blocking or pipelined), directory query, checkpoint
+//!   write, move transfer, replica or checkpoint fetch, ping — is
+//!   registered in one reply registry, sent, and awaited inside
+//!   [`VirtualProcessorPool::blocking`]. A blocking remote invocation is
+//!   a pipelined call's send followed at once by its wait;
+//! * **one dispatch path**: `pump` moves ready invocations to running
+//!   under the coordinator lock and returns them, and `dispatch` submits
+//!   them as one pool batch once the lock is released. One routine
+//!   releases a finished or refused invocation, and completes a
+//!   requested crash or destroy once nothing runs.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,37 +72,26 @@ use crate::object::{
 use crate::repr::Representation;
 use crate::sync::EdenSemaphore;
 use crate::types::TypeRegistry;
-use crate::vproc::{SubmitError, VirtualProcessorPool, VprocStats};
+use crate::vproc::{BatchTask, SubmitError, VirtualProcessorPool, VprocStats};
 use crate::waiter::{LocationAnswer, QueryCollector, Waiter};
 
 thread_local! {
     /// Whether the current thread holds a virtual-processor token (set
     /// inside invocation processes so nested invokes know to yield it).
     static HOLDS_VPROC: Cell<bool> = const { Cell::new(false) };
-
-    /// Active deferred-dispatch collector. Set by the receive loop while
-    /// it handles a multi-frame batch: `pump` pushes ready invocations
-    /// here instead of submitting each to the pool individually, and the
-    /// whole batch is enqueued under one pool lock/notify afterwards
-    /// (`Node::flush_dispatch_batch`). `None` everywhere else, so worker
-    /// threads and single-frame handling keep the direct submit path.
-    static DISPATCH_BUF: RefCell<Option<Vec<DeferredDispatch>>> = const { RefCell::new(None) };
 }
 
 /// How many frames the receive loop asks the transport for per wakeup.
 const RECV_BATCH_MAX: usize = 128;
 
-/// One invocation dispatch deferred by `pump` into the receive loop's
-/// batch. Carries the pool job plus everything needed to undo the
-/// coordinator bookkeeping and shed the invocation if the pool rejects
-/// this slot of the batch.
-struct DeferredDispatch {
-    job: Box<dyn FnOnce() + Send + 'static>,
-    dispatch_ctx: Option<TraceCtx>,
-    slot: Arc<ObjectSlot>,
-    class: String,
-    sink: ReplySink,
-    reply_trace: Option<TraceCtx>,
+/// An invocation `pump` moved to running, awaiting `Node::dispatch`.
+type Ready = (Arc<ObjectSlot>, PendingInvocation);
+
+/// The teardown `pump` found due: a crash or destroy was requested and
+/// no invocation runs any more.
+enum Teardown {
+    Crash,
+    Destroy,
 }
 
 /// Kernel tuning parameters.
@@ -223,26 +226,60 @@ pub fn node_object_cap(node: NodeId) -> Capability {
     Capability::with_rights(node_object_name(node), Rights::READ)
 }
 
-/// Replies the receive loop can rendezvous to a waiting requester.
-pub(crate) enum ReplyMsg {
-    Invoke(Status, Vec<Value>, NodeId),
-    MoveAck(bool, String),
-    CkptAck(bool, u64),
-    CkptData(Option<ObjectImage>),
-    Replica(Option<ObjectImage>),
-    DirAnswer(Option<NodeId>, DirState),
-    Pong,
+/// One entry of the reply registry.
+struct Registered {
+    waiter: Arc<Waiter<Frame>>,
+    /// `(start_ns, trace_id)` of an invocation; the watchdog reports
+    /// those older than [`NodeConfig::slow_invocation_budget`]. `None`
+    /// for every other kind of request.
+    invocation: Option<(u64, u64)>,
 }
 
-/// One pipelined request in flight: the registered reply waiter plus
-/// what `Node::pipeline_wait` needs to retransmit and to attribute the
-/// exchange (see `crate::pipeline::PipelinedClient`).
-pub(crate) struct PipelineTicket {
-    pub(crate) inv_id: u64,
+/// A request registered in the reply registry and sent: what
+/// `Node::await_reply` needs to wait for it, retransmit it and
+/// attribute the exchange. Dropping it unregisters the request.
+pub(crate) struct Ticket {
+    pub(crate) id: u64,
     pub(crate) dst: NodeId,
-    pub(crate) waiter: Arc<Waiter<ReplyMsg>>,
     pub(crate) start_ns: u64,
+    /// The trace context riding the request frame.
     pub(crate) trace: Option<TraceCtx>,
+    waiter: Arc<Waiter<Frame>>,
+    node: Node,
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.node.inner.pending.lock().remove(&self.id);
+    }
+}
+
+/// The status invocations queued on a failed reincarnation receive.
+fn reincarnation_failed(reason: impl std::fmt::Display) -> Status {
+    Status::AppError {
+        code: -2,
+        message: format!("reincarnation failed: {reason}"),
+    }
+}
+
+/// Whether a remote kernel's `status` ends the location search. Every
+/// status but `NoSuchObject` and `Timeout` is an *answer* from the
+/// object's real home — enumerated (not `_`) so a new wire status
+/// forces a decision about whether it ends the search.
+pub(crate) fn ends_search(status: &Status) -> bool {
+    match status {
+        Status::NoSuchObject | Status::Timeout => false,
+        Status::Ok
+        | Status::NoSuchOperation(_)
+        | Status::RightsViolation { .. }
+        | Status::ObjectCrashed
+        | Status::Frozen
+        | Status::TypeError(_)
+        | Status::NodeUnreachable
+        | Status::Destroyed
+        | Status::AppError { .. }
+        | Status::Overloaded => true,
+    }
 }
 
 /// At-most-once bookkeeping for remotely served invocations: requests
@@ -295,7 +332,8 @@ pub(crate) struct NodeInner {
     /// machine: the receive loop ticks it and feeds it frames; no thread
     /// of its own.
     directory: Option<Mutex<DirectoryService>>,
-    pending: Mutex<HashMap<u64, Arc<Waiter<ReplyMsg>>>>,
+    /// The reply registry: every request awaiting its reply, by id.
+    pending: Mutex<HashMap<u64, Registered>>,
     store: Arc<dyn CheckpointStore>,
     endpoint: Arc<dyn Endpoint>,
     gate: EdenSemaphore,
@@ -306,10 +344,6 @@ pub(crate) struct NodeInner {
     obs: Arc<ObsRegistry>,
     last_move_rejection: Mutex<Option<String>>,
     recv_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Remote invocations currently awaiting a reply:
-    /// `inv_id -> (start_ns, trace_id)`. The watchdog walks this to
-    /// report invocations past [`NodeConfig::slow_invocation_budget`].
-    inflight: Mutex<HashMap<u64, (u64, u64)>>,
     /// The most recent watchdog diagnostic snapshot, if any stall has
     /// ever been detected on this node (scraped via `get_watchdog`).
     watchdog_snapshot: Mutex<Option<String>>,
@@ -433,7 +467,6 @@ impl Node {
             obs,
             last_move_rejection: Mutex::new(None),
             recv_thread: Mutex::new(None),
-            inflight: Mutex::new(HashMap::new()),
             watchdog_snapshot: Mutex::new(None),
             watchdog_thread: Mutex::new(None),
         });
@@ -693,27 +726,18 @@ impl Node {
             let (holder, state) = dir.lock().answer_query(name);
             (state == DirState::Hit).then_some(holder).flatten()
         } else {
-            let query_id = self.fresh_id();
-            let waiter = Arc::new(Waiter::new());
-            self.inner.pending.lock().insert(query_id, waiter.clone());
-            let _ = self.inner.endpoint.send(Frame::to(
-                self.inner.id,
-                home,
-                Message::DirQuery {
-                    query_id,
-                    name,
-                    reply_to: self.inner.id,
-                },
-            ));
             let budget = self
                 .inner
                 .config
                 .locate_window
                 .min(deadline.saturating_duration_since(Instant::now()));
-            let result = self.inner.vprocs.blocking(|| waiter.wait(budget));
-            self.inner.pending.lock().remove(&query_id);
-            match result {
-                Some(ReplyMsg::DirAnswer(holder, state)) => {
+            let reply = self.request(home, budget, |query_id| Message::DirQuery {
+                query_id,
+                name,
+                reply_to: self.inner.id,
+            });
+            match reply {
+                Some(Message::DirAnswer { holder, state, .. }) => {
                     (state == DirState::Hit).then_some(holder).flatten()
                 }
                 // Home unreachable or the answer was lost: treat as a
@@ -880,45 +904,60 @@ impl Node {
         // Fast path: active (or replica) on this node. The lookup is
         // bound first so the table's read guard drops before the
         // invocation blocks (an `if let` scrutinee guard would be held
-        // across the wait and deadlock crash/move teardown).
-        let local = self.inner.objects.read().get(&name).cloned();
-        if let Some(slot) = local {
+        // across the wait and deadlock crash/move teardown). A slot torn
+        // down between the lookup and the enqueue hands the invocation
+        // back, and the lookup runs again.
+        loop {
+            let local = self.inner.objects.read().get(&name).cloned();
+            let slot = match local {
+                Some(slot) => slot,
+                None => {
+                    if self.inner.destroyed.lock().contains(&name) {
+                        return (Status::Destroyed, Vec::new());
+                    }
+                    // Passive here: reincarnate locally — but only when
+                    // we have not moved the object away. An object's
+                    // checkpoints legitimately stay at its checksite after
+                    // a move (§4.4), so a forwarding address must win over
+                    // the local checkpoint or the source node would
+                    // resurrect a stale twin.
+                    if self.inner.location.forwards.read().contains_key(&name) {
+                        break;
+                    }
+                    match self.activate_passive_local(name) {
+                        Ok(slot) => slot,
+                        Err(Status::Overloaded) => return (Status::Overloaded, Vec::new()),
+                        Err(_) => break,
+                    }
+                }
+            };
             self.inner.metrics.bump_local();
-            return self.invoke_on_slot(&slot, cap, op, args, deadline, ctx);
-        }
-        if self.inner.destroyed.lock().contains(&name) {
-            return (Status::Destroyed, Vec::new());
-        }
-        // Passive here: reincarnate locally — but only when we have not
-        // moved the object away. An object's checkpoints legitimately
-        // stay at its checksite after a move (§4.4), so a forwarding
-        // address must win over the local checkpoint or the source node
-        // would resurrect a stale twin.
-        let moved_away = self.inner.location.forwards.read().contains_key(&name);
-        if !moved_away {
-            if let Some(slot) = self.activate_passive_local(name) {
-                self.inner.metrics.bump_local();
-                return self.invoke_on_slot(&slot, cap, op, args, deadline, ctx);
+            if let Some(answer) = self.invoke_on_slot(&slot, cap, op, args, deadline, ctx) {
+                return answer;
             }
         }
 
-        // Remote: try hints in order, then broadcast.
+        let (status, results, _) = self.search(cap, op, args, deadline, ctx, HashSet::new());
+        (status, results)
+    }
+
+    /// The location search for a remote holder: invokes each of the
+    /// [`hints`](Self::hints), then the directory's registered holder,
+    /// then — unless disabled — each holder a `WhereIs` broadcast finds,
+    /// skipping nodes in `tried`. Returns the answer and the node that
+    /// gave it; `NoSuchObject` when nobody holds the object.
+    pub(crate) fn search(
+        &self,
+        cap: Capability,
+        op: &str,
+        args: &[Value],
+        deadline: Instant,
+        ctx: Option<TraceCtx>,
+        mut tried: HashSet<NodeId>,
+    ) -> (Status, Vec<Value>, NodeId) {
+        let name = cap.name();
         let hint_start = now_ns();
-        let peers = self.inner.endpoint.peers();
-        let mut tried = HashSet::new();
-        let mut candidates: Vec<(NodeId, bool)> = Vec::new(); // (node, from_cache)
-        if let Some(&fwd) = self.inner.location.forwards.read().get(&name) {
-            candidates.push((fwd, false));
-        }
-        if self.inner.config.enable_location_cache {
-            if let Some(hint) = self.inner.location.cache.lock().get(&name).copied() {
-                candidates.push((hint, true));
-            }
-        }
-        let birth = name.birth_node();
-        if birth != self.inner.id && peers.contains(&birth) {
-            candidates.push((birth, false));
-        }
+        let hints = self.hints(name);
         if let Some(t) = ctx {
             // Hint assembly (forwarding table + LRU cache + birth hint):
             // usually nanoseconds, but visible in the report when lock
@@ -931,104 +970,50 @@ impl Node {
                 now_ns(),
             );
         }
-
-        for (candidate, from_cache) in candidates {
-            if candidate == self.inner.id || !tried.insert(candidate) {
-                continue;
+        let peers = self.inner.endpoint.peers();
+        let not_found = (Status::NoSuchObject, Vec::new(), self.inner.id);
+        // A hint or directory entry is hearsay: a candidate gossip has
+        // declared dead is skipped with its whole try budget, and a
+        // stale one falls through to the next source.
+        let mut hearsay = |candidate: NodeId, from_cache: bool| {
+            if candidate == self.inner.id
+                || !tried.insert(candidate)
+                || !peers.contains(&candidate)
+                || self.peer_is_dead(candidate)
+            {
+                return None;
             }
-            if !peers.contains(&candidate) {
-                continue;
-            }
-            // Gossip already declared this candidate dead: skip the
-            // doomed probe and its whole try budget. The directory (and
-            // the broadcast fallback) find the survivor.
-            if self.peer_is_dead(candidate) {
-                continue;
-            }
-            let Some(budget) = self.try_budget(deadline) else {
-                return (Status::Timeout, Vec::new());
-            };
             if from_cache {
                 self.inner.metrics.bump_cache_hit();
             }
-            let (status, results, from) = self.remote_invoke(candidate, cap, op, args, budget, ctx);
-            match status {
-                Status::NoSuchObject | Status::Timeout => {
-                    if from_cache {
-                        self.inner.location.cache.lock().remove(&name);
-                    }
-                    continue;
-                }
-                // Every other status is an *answer* from the object's
-                // real home — enumerated (not `_`) so a new wire status
-                // forces a decision about whether it ends the search.
-                Status::Ok
-                | Status::NoSuchOperation(_)
-                | Status::RightsViolation { .. }
-                | Status::ObjectCrashed
-                | Status::Frozen
-                | Status::TypeError(_)
-                | Status::NodeUnreachable
-                | Status::Destroyed
-                | Status::AppError { .. }
-                | Status::Overloaded => {
-                    // Cache the node that *answered*: after a forwarding
-                    // chain that is the object's real home.
-                    if self.inner.config.enable_location_cache {
-                        self.cache_insert(name, from);
-                    }
-                    return (status, results);
-                }
+            let answer = self.attempt(candidate, cap, op, args, deadline, ctx);
+            if answer.is_none() && from_cache {
+                self.inner.location.cache.lock().remove(&name);
+            }
+            answer
+        };
+        for (candidate, from_cache) in hints {
+            if let Some(answer) = hearsay(candidate, from_cache) {
+                return answer;
             }
         }
-
         // Directory lookup: one message to the object's home node names
         // the registered holder, where the seed paid a broadcast plus
         // the locate window.
         if self.inner.directory.is_some() {
-            if let Some(holder) = self.directory_locate_before(name, deadline, ctx) {
-                if holder != self.inner.id
-                    && peers.contains(&holder)
-                    && !self.peer_is_dead(holder)
-                    && tried.insert(holder)
-                {
-                    let Some(budget) = self.try_budget(deadline) else {
-                        return (Status::Timeout, Vec::new());
-                    };
-                    let (status, results, from) =
-                        self.remote_invoke(holder, cap, op, args, budget, ctx);
-                    match status {
-                        // A stale registration (the holder moved or
-                        // crashed since it registered): fall through to
-                        // the broadcast safety net.
-                        Status::NoSuchObject | Status::Timeout => {}
-                        Status::Ok
-                        | Status::NoSuchOperation(_)
-                        | Status::RightsViolation { .. }
-                        | Status::ObjectCrashed
-                        | Status::Frozen
-                        | Status::TypeError(_)
-                        | Status::NodeUnreachable
-                        | Status::Destroyed
-                        | Status::AppError { .. }
-                        | Status::Overloaded => {
-                            if self.inner.config.enable_location_cache {
-                                self.cache_insert(name, from);
-                            }
-                            return (status, results);
-                        }
-                    }
-                }
+            let holder = self.directory_locate_before(name, deadline, ctx);
+            if let Some(answer) = holder.and_then(|h| hearsay(h, false)) {
+                return answer;
             }
             if !self.inner.config.enable_broadcast_fallback {
                 // Directory-only mode (experiments): a miss is final.
-                return (Status::NoSuchObject, Vec::new());
+                return not_found;
             }
         }
 
         // Broadcast search.
         if Instant::now() >= deadline {
-            return (Status::Timeout, Vec::new());
+            return (Status::Timeout, Vec::new(), self.inner.id);
         }
         let where_is_start = now_ns();
         let answers = self.locate_broadcast(name);
@@ -1059,30 +1044,36 @@ impl Node {
             if holder == self.inner.id || tried.contains(&holder) {
                 continue;
             }
-            let Some(budget) = self.try_budget(deadline) else {
-                return (Status::Timeout, Vec::new());
-            };
-            let (status, results, from) = self.remote_invoke(holder, cap, op, args, budget, ctx);
-            match status {
-                Status::NoSuchObject | Status::Timeout => continue,
-                Status::Ok
-                | Status::NoSuchOperation(_)
-                | Status::RightsViolation { .. }
-                | Status::ObjectCrashed
-                | Status::Frozen
-                | Status::TypeError(_)
-                | Status::NodeUnreachable
-                | Status::Destroyed
-                | Status::AppError { .. }
-                | Status::Overloaded => {
-                    if self.inner.config.enable_location_cache {
-                        self.cache_insert(name, from);
-                    }
-                    return (status, results);
-                }
+            if let Some(answer) = self.attempt(holder, cap, op, args, deadline, ctx) {
+                return answer;
             }
         }
-        (Status::NoSuchObject, Vec::new())
+        not_found
+    }
+
+    /// One remote attempt of the location search at `dst`. `Some` ends
+    /// the search: an answer from the object's home (see
+    /// [`ends_search`]), or `Timeout` once the deadline has passed.
+    fn attempt(
+        &self,
+        dst: NodeId,
+        cap: Capability,
+        op: &str,
+        args: &[Value],
+        deadline: Instant,
+        trace: Option<TraceCtx>,
+    ) -> Option<(Status, Vec<Value>, NodeId)> {
+        let now = Instant::now();
+        if now >= deadline {
+            return Some((Status::Timeout, Vec::new(), dst));
+        }
+        let budget = (deadline - now).min(self.inner.config.remote_try_timeout);
+        // A blocking remote invocation: the send, then at once the wait.
+        let answer = match self.send_invoke(dst, cap, op, args, trace) {
+            Ok(ticket) => self.await_invoke(ticket, cap, op, args, budget),
+            Err(status) => (status, Vec::new(), dst),
+        };
+        ends_search(&answer.0).then_some(answer)
     }
 
     /// Serves an invocation on this kernel's reserved telemetry object
@@ -1177,16 +1168,9 @@ impl Node {
         }
     }
 
-    /// Remaining time for one candidate attempt, if any remains.
-    fn try_budget(&self, deadline: Instant) -> Option<Duration> {
-        let now = Instant::now();
-        if now >= deadline {
-            return None;
-        }
-        Some((deadline - now).min(self.inner.config.remote_try_timeout))
-    }
-
     /// Validates and enqueues an invocation on a local slot, then waits.
+    /// `None` when the invocation was rerouted because the slot left the
+    /// object table.
     fn invoke_on_slot(
         &self,
         slot: &Arc<ObjectSlot>,
@@ -1195,32 +1179,30 @@ impl Node {
         args: &[Value],
         deadline: Instant,
         ctx: Option<TraceCtx>,
-    ) -> (Status, Vec<Value>) {
+    ) -> Option<(Status, Vec<Value>)> {
         let start_ns = now_ns();
-        let waiter: Arc<Waiter<(Status, Vec<Value>)>> = Arc::new(Waiter::new());
+        let waiter = Arc::new(Waiter::new());
         let pending =
             match self.validate(slot, cap, op, args, ReplySink::Local(waiter.clone()), ctx) {
                 Ok(p) => p,
-                Err(status) => return (status, Vec::new()),
+                Err(status) => return Some((status, Vec::new())),
             };
-        self.enqueue(slot, pending);
-        let now = Instant::now();
-        let budget = if deadline > now {
-            deadline - now
-        } else {
-            Duration::ZERO
-        };
+        let mut ready = Vec::new();
+        self.enqueue(slot, pending, &mut ready);
+        self.dispatch(ready);
+        let budget = deadline.saturating_duration_since(Instant::now());
         // A pool worker waiting here (async or nested invocation) yields
         // its place: the reply it waits for may itself need a worker.
         let outcome = match self.inner.vprocs.blocking(|| waiter.wait(budget)) {
-            Some((status, results)) => (status, results),
+            Some(Some(answer)) => answer,
+            Some(None) => return None, // Rerouted: look the object up again.
             None => (Status::Timeout, Vec::new()),
         };
         self.inner
             .obs
             .histogram("invoke.local")
             .record(now_ns().saturating_sub(start_ns));
-        outcome
+        Some(outcome)
     }
 
     /// Builds a validated [`PendingInvocation`], or the failure status.
@@ -1255,25 +1237,57 @@ impl Node {
         })
     }
 
-    /// Queues an invocation at the coordinator and pumps dispatch.
-    fn enqueue(&self, slot: &Arc<ObjectSlot>, pending: PendingInvocation) {
-        let mut coord = slot.coord.lock();
-        self.inner.obs.gauge("coord.queue_depth").inc();
-        if coord.status == ObjStatus::Crashed {
-            // Teardown is in progress; the invocation rides along and is
+    /// Queues an invocation at the coordinator and pumps it; the
+    /// invocations that became ready go to `ready` for
+    /// [`dispatch`](Self::dispatch). A retired coordinator — its slot was
+    /// looked up just before a crash, destroy or move took the object
+    /// out of the table — hands the invocation to
+    /// [`reroute`](Self::reroute) instead.
+    fn enqueue(&self, slot: &Arc<ObjectSlot>, pending: PendingInvocation, ready: &mut Vec<Ready>) {
+        let bounced = self.coordinate(slot, ready, |coord| {
+            if coord.retired {
+                return Some(pending);
+            }
+            self.inner.obs.gauge("coord.queue_depth").inc();
+            // During a teardown the invocation rides along and is
             // rerouted (or refused) by the teardown path.
+            if coord.status != ObjStatus::Crashed
+                && (!coord.queue.is_empty() || coord.status != ObjStatus::Active)
+            {
+                self.inner.metrics.bump_class_queued();
+            }
             coord.queue.push_back(pending);
-            return;
+            None
+        });
+        if let Some(pending) = bounced {
+            self.reroute(pending, ready);
         }
-        coord.queue.push_back(pending);
-        if coord.queue.len() > 1 || coord.status != ObjStatus::Active {
-            self.inner.metrics.bump_class_queued();
-        }
-        self.pump(slot, &mut coord);
     }
 
-    /// Drains the coordinator queue, keeping the queue-depth gauge true.
+    /// Routes again an invocation whose slot left the object table: a
+    /// remote request as if it had just arrived (after a move that
+    /// forwards it), while a local invoker looks the object up again.
+    fn reroute(&self, pending: PendingInvocation, ready: &mut Vec<Ready>) {
+        match pending.sink {
+            ReplySink::Remote { inv_id, reply_to } => self.route(
+                inv_id,
+                pending.presented,
+                pending.operation,
+                pending.args,
+                reply_to,
+                self.inner.config.hop_limit,
+                pending.trace,
+                ready,
+            ),
+            ReplySink::Local(waiter) => waiter.complete(None),
+        }
+    }
+
+    /// Drains the coordinator queue for good, keeping the queue-depth
+    /// gauge true: the slot has left the object table, so the
+    /// coordinator retires and later enqueues bounce.
     fn drain_queue(&self, coord: &mut CoordState) -> Vec<PendingInvocation> {
+        coord.retired = true;
         let queued: Vec<PendingInvocation> = coord.queue.drain(..).collect();
         self.inner
             .obs
@@ -1282,15 +1296,61 @@ impl Node {
         queued
     }
 
-    /// The coordinator's dispatch rule: scan the queue for invocations
-    /// whose class has spare capacity; spawn an invocation process for
-    /// each (§4.2).
-    fn pump(&self, slot: &Arc<ObjectSlot>, coord: &mut CoordState) {
+    /// Drives `slot`'s coordinator: applies `f` to its state and pumps
+    /// it under the coordinator lock, appending the invocations that
+    /// became ready to `ready`; then, with the lock released, carries
+    /// out a teardown the pump found due.
+    fn coordinate<R>(
+        &self,
+        slot: &Arc<ObjectSlot>,
+        ready: &mut Vec<Ready>,
+        f: impl FnOnce(&mut CoordState) -> R,
+    ) -> R {
+        let mut coord = slot.coord.lock();
+        let r = f(&mut coord);
+        let teardown = self.pump(slot, &mut coord, ready);
+        drop(coord);
+        match teardown {
+            Some(Teardown::Crash) => self.finish_crash(slot),
+            Some(Teardown::Destroy) => self.finish_destroy(slot),
+            None => {}
+        }
+        r
+    }
+
+    /// [`coordinate`](Self::coordinate), then dispatches what became
+    /// ready.
+    fn pump_with<R>(&self, slot: &Arc<ObjectSlot>, f: impl FnOnce(&mut CoordState) -> R) -> R {
+        let mut ready = Vec::new();
+        let r = self.coordinate(slot, &mut ready, f);
+        self.dispatch(ready);
+        r
+    }
+
+    /// The coordinator's dispatch rule (§4.2), run under the coordinator
+    /// lock: moves each queued invocation whose class has spare capacity
+    /// to running and appends it to `ready`. Once nothing runs, a
+    /// requested crash or destroy is reported due and a requested move
+    /// starts instead.
+    fn pump(
+        &self,
+        slot: &Arc<ObjectSlot>,
+        coord: &mut CoordState,
+        ready: &mut Vec<Ready>,
+    ) -> Option<Teardown> {
         if coord.status != ObjStatus::Active {
-            return;
+            return None;
         }
         if coord.crash_requested || coord.destroy_requested {
-            return;
+            if coord.running > 0 {
+                return None;
+            }
+            coord.status = ObjStatus::Crashed;
+            return Some(if coord.crash_requested {
+                Teardown::Crash
+            } else {
+                Teardown::Destroy
+            });
         }
         if let Some(dst) = coord.pending_move {
             if coord.running == 0 {
@@ -1310,98 +1370,94 @@ impl Node {
                     coord.pending_move = Some(dst);
                 }
             }
-            return; // No dispatch while a move is pending.
+            return None; // No dispatch while a move is pending.
         }
         let mut i = 0;
-        while i < coord.queue.len() {
-            if coord.running >= self.inner.config.max_processes_per_object {
-                break;
+        while i < coord.queue.len() && coord.running < self.inner.config.max_processes_per_object {
+            let next = &coord.queue[i].resolved;
+            let in_service = coord
+                .class_in_service
+                .get(&next.op.class)
+                .copied()
+                .unwrap_or(0);
+            if in_service >= next.limit {
+                i += 1;
+                continue;
             }
-            let class = coord.queue[i].resolved.op.class.clone();
-            let limit = coord.queue[i].resolved.limit;
-            let in_service = coord.class_in_service.get(&class).copied().unwrap_or(0);
-            if in_service < limit {
-                let pending = coord.queue.remove(i).expect("index in bounds");
-                coord.running += 1;
-                self.inner.obs.gauge("coord.queue_depth").dec();
-                self.inner
-                    .obs
-                    .gauge(&format!("class.in_service.{class}"))
-                    .inc();
-                *coord.class_in_service.entry(class.clone()).or_insert(0) += 1;
+            let mut pending = coord.queue.remove(i).expect("index in bounds");
+            let class = &pending.resolved.op.class;
+            coord.running += 1;
+            self.inner.obs.gauge("coord.queue_depth").dec();
+            self.inner
+                .obs
+                .gauge(&format!("class.in_service.{class}"))
+                .inc();
+            *coord.class_in_service.entry(class.clone()).or_insert(0) += 1;
+            // Close the coordinator-residency gap retroactively:
+            // `dispatch` covers enqueue → this dispatch decision. The
+            // invocation's remaining spans (the pool's `vproc-wait`, then
+            // `execute`) parent on it, so the three intervals tile the
+            // queue time without overlap.
+            let enqueue_ns = pending.enqueue_ns;
+            pending.trace = pending.trace.map(|t| {
+                self.inner.obs.record_span_staged(
+                    "dispatch",
+                    stage::DISPATCH,
+                    t,
+                    enqueue_ns,
+                    now_ns(),
+                )
+            });
+            ready.push((slot.clone(), pending));
+        }
+        None
+    }
+
+    /// Submits invocations `pump` moved to running as one pool batch:
+    /// one pool lock and one wakeup however many there are. A dispatch
+    /// the pool refuses is shed with `Overloaded` and released like a
+    /// finished invocation, which may ready the next one.
+    fn dispatch(&self, mut ready: Vec<Ready>) {
+        while !ready.is_empty() {
+            let mut shed = Vec::with_capacity(ready.len());
+            let mut tasks: Vec<BatchTask> = Vec::with_capacity(ready.len());
+            for (slot, pending) in ready.drain(..) {
+                let class = pending.resolved.op.class.clone();
+                shed.push((slot.clone(), class, pending.sink.clone(), pending.trace));
                 let node = self.clone();
-                let task_slot = slot.clone();
-                let sink = pending.sink.clone();
                 let trace = pending.trace;
-                // Close the coordinator-residency gap retroactively:
-                // `dispatch` covers enqueue → this dispatch decision.
-                // The invocation's remaining spans (the pool's
-                // `vproc-wait`, then `execute`) parent on it, so the
-                // three intervals tile the queue time without overlap.
-                let mut pending = pending;
-                let dispatch_ctx = trace.map(|t| {
-                    self.inner.obs.record_span_staged(
-                        "dispatch",
-                        stage::DISPATCH,
-                        t,
-                        pending.enqueue_ns,
-                        now_ns(),
-                    )
-                });
-                pending.trace = dispatch_ctx;
-                let mut job: Option<Box<dyn FnOnce() + Send + 'static>> =
-                    Some(Box::new(move || node.run_invocation(task_slot, pending)));
-                // While the receive loop is working through a frame
-                // batch, hand the dispatch to its collector instead of
-                // the pool: the whole batch is then submitted under one
-                // pool lock/notify, and the collector owns the undo for
-                // any per-task Overloaded verdict.
-                let deferred = DISPATCH_BUF.with(|buf| {
-                    let mut b = buf.borrow_mut();
-                    if let Some(list) = b.as_mut() {
-                        list.push(DeferredDispatch {
-                            job: job.take().expect("job not yet consumed"),
-                            dispatch_ctx,
-                            slot: slot.clone(),
-                            class: class.clone(),
-                            sink: sink.clone(),
-                            reply_trace: trace,
-                        });
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if deferred {
-                    // Accounted as a process at flush time if accepted.
-                } else if self
-                    .inner
-                    .vprocs
-                    .submit_traced(job.take().expect("job not yet consumed"), dispatch_ctx)
-                    .is_ok()
-                {
+                tasks.push((Box::new(move || node.run_invocation(slot, pending)), trace));
+            }
+            let verdicts = self.inner.vprocs.submit_batch(tasks);
+            for (verdict, (slot, class, sink, trace)) in verdicts.into_iter().zip(shed) {
+                if verdict.is_ok() {
                     self.inner.metrics.bump_process();
                 } else {
-                    // Pool saturated: undo the dispatch bookkeeping and
-                    // shed this invocation with the backpressure status.
-                    coord.running -= 1;
-                    self.inner
-                        .obs
-                        .gauge(&format!("class.in_service.{class}"))
-                        .dec();
-                    if let Some(n) = coord.class_in_service.get_mut(&class) {
-                        *n -= 1;
-                        if *n == 0 {
-                            coord.class_in_service.remove(&class);
-                        }
-                    }
                     self.send_reply(sink, Status::Overloaded, Vec::new(), trace);
-                    break; // The queue is full; later pumps retry the rest.
+                    self.release(&slot, &class, &mut ready);
                 }
-            } else {
-                i += 1;
             }
         }
+    }
+
+    /// Releases one running invocation of `class` — finished, or refused
+    /// by the pool — and pumps the coordinator: the next dispatches go
+    /// to `ready`, and once nothing runs a requested crash or destroy
+    /// completes (or a requested move starts).
+    fn release(&self, slot: &Arc<ObjectSlot>, class: &str, ready: &mut Vec<Ready>) {
+        self.coordinate(slot, ready, |coord| {
+            coord.running -= 1;
+            self.inner
+                .obs
+                .gauge(&format!("class.in_service.{class}"))
+                .dec();
+            if let Some(n) = coord.class_in_service.get_mut(class) {
+                *n -= 1;
+                if *n == 0 {
+                    coord.class_in_service.remove(class);
+                }
+            }
+        });
     }
 
     /// The body of one invocation process.
@@ -1456,38 +1512,9 @@ impl Node {
             ),
         };
         self.send_reply(pending.sink, status, results, exec_ctx);
-
-        // Completion bookkeeping: release the class slot, then either
-        // finish a requested crash/destroy or pump the next dispatch.
-        let class = pending.resolved.op.class;
-        let mut coord = slot.coord.lock();
-        coord.running -= 1;
-        self.inner
-            .obs
-            .gauge(&format!("class.in_service.{class}"))
-            .dec();
-        if let Some(n) = coord.class_in_service.get_mut(&class) {
-            *n -= 1;
-            if *n == 0 {
-                coord.class_in_service.remove(&class);
-            }
-        }
-        if coord.running == 0 {
-            slot.quiesce_cv.notify_all();
-            if coord.crash_requested {
-                coord.status = ObjStatus::Crashed;
-                drop(coord);
-                self.finish_crash(&slot);
-                return;
-            }
-            if coord.destroy_requested {
-                coord.status = ObjStatus::Crashed;
-                drop(coord);
-                self.finish_destroy(&slot);
-                return;
-            }
-        }
-        self.pump(&slot, &mut coord);
+        let mut ready = Vec::new();
+        self.release(&slot, &pending.resolved.op.class, &mut ready);
+        self.dispatch(ready);
     }
 
     fn send_reply(
@@ -1498,7 +1525,7 @@ impl Node {
         trace: Option<TraceCtx>,
     ) {
         match sink {
-            ReplySink::Local(waiter) => waiter.complete((status, results)),
+            ReplySink::Local(waiter) => waiter.complete(Some((status, results))),
             ReplySink::Remote { inv_id, reply_to } => {
                 self.inner.served.lock().record_done(
                     (reply_to, inv_id),
@@ -1519,246 +1546,149 @@ impl Node {
                 }
                 let _ = self.inner.endpoint.send(frame);
             }
-            ReplySink::Discard => {}
         }
     }
 
-    /// Sends one invocation to `dst` and waits for its reply. The third
-    /// element is the node that actually answered — after a forwarding
-    /// chain this is the object's true home, which the caller caches so
-    /// the chain is paid only once.
-    fn remote_invoke(
-        &self,
-        dst: NodeId,
-        cap: Capability,
-        op: &str,
-        args: &[Value],
-        budget: Duration,
-        parent: Option<TraceCtx>,
-    ) -> (Status, Vec<Value>, NodeId) {
-        self.inner.metrics.bump_remote_sent();
-        let start_ns = now_ns();
-        // The `client-send` span covers the whole request/reply exchange;
-        // its context rides the request frame so the serving kernel's
-        // spans join the same trace. No parent means the invocation was
-        // sampled out — no span opens and the frame carries no context.
-        let span = parent.map(|p| self.inner.obs.child_span("client-send", p));
-        let send_ctx = span.as_ref().map(|s| s.ctx());
-        let inv_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(inv_id, waiter.clone());
-        self.inner
-            .inflight
-            .lock()
-            .insert(inv_id, (start_ns, send_ctx.map_or(0, |c| c.trace_id)));
-        let request = || {
-            let mut frame = Frame::to(
-                self.inner.id,
-                dst,
-                Message::InvokeRequest {
-                    inv_id,
-                    target: cap,
-                    operation: op.to_string(),
-                    args: args.to_vec(),
-                    reply_to: self.inner.id,
-                    hops: self.inner.config.hop_limit,
-                },
-            );
-            if let Some(t) = send_ctx {
-                frame = frame.with_trace(t);
-            }
-            frame
-        };
-        let sent = self.inner.endpoint.send(request());
-        if sent.is_err() {
-            self.inner.pending.lock().remove(&inv_id);
-            self.inner.inflight.lock().remove(&inv_id);
-            return (Status::NodeUnreachable, Vec::new(), dst);
-        }
-        // Wait in retransmission-sized slices: an unanswered request is
-        // re-sent with the same id, and the server dedupes (at-most-once
-        // execution; a lost reply is replayed from its reply cache). The
-        // wait is a blocking scope: a pool worker parked here (async
-        // invoke, redelivery) must not starve runnable local tasks.
-        let result = self.inner.vprocs.blocking(|| {
-            if !self.inner.config.enable_retransmission {
-                waiter.wait(budget)
-            } else {
-                let deadline = Instant::now() + budget;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break None;
-                    }
-                    let slice = self.inner.config.retransmit_interval.min(deadline - now);
-                    if let Some(reply) = waiter.wait(slice) {
-                        break Some(reply);
-                    }
-                    if Instant::now() >= deadline {
-                        break None;
-                    }
-                    self.inner
-                        .obs
-                        .recorder()
-                        .record(KernelEvent::Retransmit { inv_id, dst: dst.0 });
-                    // Non-blocking even over TCP: the transport's send
-                    // pipeline enqueues to a per-peer writer, so a dead
-                    // or slow destination cannot stall this retransmit
-                    // slice (the frame sheds at the bounded queue).
-                    let _ = self.inner.endpoint.send(request());
-                }
-            }
-        });
-        self.inner.pending.lock().remove(&inv_id);
-        self.inner.inflight.lock().remove(&inv_id);
-        if let Some(s) = span {
-            s.finish();
-        }
-        self.inner
-            .obs
-            .histogram("invoke.remote")
-            .record(now_ns().saturating_sub(start_ns));
-        match result {
-            Some(ReplyMsg::Invoke(status, results, from)) => (status, results, from),
-            _ => {
-                self.inner
-                    .obs
-                    .recorder()
-                    .record(KernelEvent::RemoteTimeout { dst: dst.0 });
-                (Status::Timeout, Vec::new(), dst)
-            }
-        }
-    }
-
-    // ================= Pipelined invocation support =================
+    // ================= The request/reply engine =================
     //
-    // The public face is `PipelinedClient` (see `crate::pipeline`); the
-    // methods here are the halves of `remote_invoke` split apart so many
-    // requests can be in flight on one connection at once: a
-    // non-blocking send that registers the reply waiter, and a wait that
-    // can be called later — in any order across calls, because replies
-    // rendezvous by `inv_id`.
+    // Replies rendezvous by id, so a caller may hold many tickets and
+    // harvest them in any order; that is all a `PipelinedClient` is.
 
-    /// Sends one invocation request to `dst` without waiting for the
-    /// reply. The returned ticket holds the registered waiter; complete
-    /// it with [`pipeline_wait`](Self::pipeline_wait) or release it with
-    /// [`pipeline_abandon`](Self::pipeline_abandon). Fails only when the
+    /// Registers a reply waiter under a fresh id and sends `msg(id)` to
+    /// `dst`, with `trace` on the frame; `invocation` also registers the
+    /// request for the watchdog's slow-invocation probe. `None` when the
     /// transport refuses the frame outright.
-    pub(crate) fn pipeline_send(
+    fn send_request(
         &self,
         dst: NodeId,
-        cap: Capability,
-        op: &str,
-        args: &[Value],
-    ) -> std::result::Result<PipelineTicket, Status> {
-        self.inner.metrics.bump_remote_sent();
-        let start_ns = now_ns();
-        // Tracing: the frame carries the *root* context (the span guard
-        // cannot outlive this call), and `pipeline_wait` records the
-        // `client-send` exchange span under it retroactively. The root
-        // span itself closes here, so in a rendered trace it marks the
-        // issue point while its children carry the durations.
-        let trace = self
-            .inner
-            .obs
-            .sampled_root_span("invoke", op)
-            .map(|s| s.ctx());
-        let inv_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(inv_id, waiter.clone());
-        self.inner
-            .inflight
-            .lock()
-            .insert(inv_id, (start_ns, trace.map_or(0, |c| c.trace_id)));
-        let ticket = PipelineTicket {
-            inv_id,
+        trace: Option<TraceCtx>,
+        invocation: bool,
+        msg: impl FnOnce(u64) -> Message,
+    ) -> Option<Ticket> {
+        let ticket = Ticket {
+            id: self.fresh_id(),
             dst,
-            waiter,
-            start_ns,
+            start_ns: now_ns(),
             trace,
+            waiter: Arc::new(Waiter::new()),
+            node: self.clone(),
         };
+        let entry = Registered {
+            waiter: ticket.waiter.clone(),
+            invocation: invocation.then(|| (ticket.start_ns, trace.map_or(0, |t| t.trace_id))),
+        };
+        self.inner.pending.lock().insert(ticket.id, entry);
         if self
             .inner
             .endpoint
-            .send(self.pipeline_request(&ticket, cap, op, args))
+            .send(self.request_frame(&ticket, msg(ticket.id)))
             .is_err()
         {
-            self.pipeline_abandon(inv_id);
-            return Err(Status::NodeUnreachable);
+            return None;
         }
-        Ok(ticket)
+        Some(ticket)
     }
 
-    /// Builds the request frame for `ticket` (also used to retransmit —
-    /// same `inv_id`, so the serving kernel dedupes).
-    fn pipeline_request(
+    fn request_frame(&self, ticket: &Ticket, msg: Message) -> Frame {
+        let frame = Frame::to(self.inner.id, ticket.dst, msg);
+        match ticket.trace {
+            Some(t) => frame.with_trace(t),
+            None => frame,
+        }
+    }
+
+    /// Waits up to `budget` for `ticket`'s reply. The wait is a blocking
+    /// scope: a pool worker parked here (async
+    /// invoke, redelivery, move) must not starve runnable local tasks.
+    /// With `resend`, an unanswered request is re-sent every retransmit
+    /// interval under the same id; the server dedupes (at-most-once
+    /// execution; a lost reply is replayed from its reply cache).
+    fn await_reply(
         &self,
-        ticket: &PipelineTicket,
+        ticket: &Ticket,
+        budget: Duration,
+        resend: Option<&dyn Fn(u64) -> Message>,
+    ) -> Option<Frame> {
+        let deadline = Instant::now() + budget;
+        let reply = self.inner.vprocs.blocking(|| loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let slice = match resend {
+                Some(_) => left.min(self.inner.config.retransmit_interval),
+                None => left,
+            };
+            if let Some(reply) = ticket.waiter.wait(slice) {
+                break Some(reply);
+            }
+            let Some(msg) = resend.filter(|_| Instant::now() < deadline) else {
+                break None;
+            };
+            self.inner.obs.recorder().record(KernelEvent::Retransmit {
+                inv_id: ticket.id,
+                dst: ticket.dst.0,
+            });
+            // Non-blocking even over TCP: the transport's send pipeline
+            // enqueues to a per-peer writer, so a dead or slow
+            // destination cannot stall this retransmit slice (the frame
+            // sheds at the bounded queue).
+            let _ = self
+                .inner
+                .endpoint
+                .send(self.request_frame(ticket, msg(ticket.id)));
+        });
+        reply
+    }
+
+    /// One request/reply exchange without retransmission.
+    fn request(
+        &self,
+        dst: NodeId,
+        budget: Duration,
+        msg: impl FnOnce(u64) -> Message,
+    ) -> Option<Message> {
+        let ticket = self.send_request(dst, None, false, msg)?;
+        self.await_reply(&ticket, budget, None)
+            .map(|reply| reply.msg)
+    }
+
+    /// The send half of every remote invocation, blocking or pipelined:
+    /// sends `op` on `cap` to `dst` with `trace` on the frame. Fails only
+    /// when the transport refuses the frame outright.
+    pub(crate) fn send_invoke(
+        &self,
+        dst: NodeId,
         cap: Capability,
         op: &str,
         args: &[Value],
-    ) -> Frame {
-        let mut frame = Frame::to(
-            self.inner.id,
-            ticket.dst,
-            Message::InvokeRequest {
-                inv_id: ticket.inv_id,
-                target: cap,
-                operation: op.to_string(),
-                args: args.to_vec(),
-                reply_to: self.inner.id,
-                hops: self.inner.config.hop_limit,
-            },
-        );
-        if let Some(t) = ticket.trace {
-            frame = frame.with_trace(t);
-        }
-        frame
+        trace: Option<TraceCtx>,
+    ) -> std::result::Result<Ticket, Status> {
+        self.inner.metrics.bump_remote_sent();
+        self.send_request(dst, trace, true, |id| self.invoke_msg(id, cap, op, args))
+            .ok_or(Status::NodeUnreachable)
     }
 
-    /// Waits for the reply to a pipelined request, retransmitting on the
-    /// configured interval exactly like `remote_invoke`. Consumes the
-    /// ticket's registration; the third element is the node that
-    /// actually answered (cached so a forwarding chain is paid once).
-    pub(crate) fn pipeline_wait(
+    /// The wait half of every remote invocation: waits up to `budget`,
+    /// retransmitting on the configured interval, records the exchange
+    /// as a `client-send` span and in `invoke.remote`, and caches the
+    /// node that answered — after a forwarding chain that is the
+    /// object's real home, so the chain is paid once. Returns the answer
+    /// and that node (`Timeout` and `ticket.dst` when no reply came).
+    pub(crate) fn await_invoke(
         &self,
-        ticket: &PipelineTicket,
+        ticket: Ticket,
         cap: Capability,
         op: &str,
         args: &[Value],
         budget: Duration,
     ) -> (Status, Vec<Value>, NodeId) {
-        let result = self.inner.vprocs.blocking(|| {
-            if !self.inner.config.enable_retransmission {
-                ticket.waiter.wait(budget)
-            } else {
-                let deadline = Instant::now() + budget;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break None;
-                    }
-                    let slice = self.inner.config.retransmit_interval.min(deadline - now);
-                    if let Some(reply) = ticket.waiter.wait(slice) {
-                        break Some(reply);
-                    }
-                    if Instant::now() >= deadline {
-                        break None;
-                    }
-                    self.inner.obs.recorder().record(KernelEvent::Retransmit {
-                        inv_id: ticket.inv_id,
-                        dst: ticket.dst.0,
-                    });
-                    let _ = self
-                        .inner
-                        .endpoint
-                        .send(self.pipeline_request(ticket, cap, op, args));
-                }
-            }
-        });
-        self.pipeline_abandon(ticket.inv_id);
+        let resend = |id| self.invoke_msg(id, cap, op, args);
+        let resend: Option<&dyn Fn(u64) -> Message> =
+            self.inner.config.enable_retransmission.then_some(&resend);
+        let reply = self.await_reply(&ticket, budget, resend);
         let end_ns = now_ns();
         if let Some(t) = ticket.trace {
+            // Recorded retroactively, since a pipelined ticket outlives
+            // any span guard; the serving kernel's spans parent on the
+            // same context, carried by the request frame.
             self.inner
                 .obs
                 .record_span("client-send", t, ticket.start_ns, end_ns);
@@ -1767,11 +1697,14 @@ impl Node {
             .obs
             .histogram("invoke.remote")
             .record(end_ns.saturating_sub(ticket.start_ns));
-        match result {
-            Some(ReplyMsg::Invoke(status, results, from)) => {
-                if self.inner.config.enable_location_cache
-                    && !matches!(status, Status::NoSuchObject | Status::Timeout)
-                {
+        match reply.map(|frame| (frame.src, frame.msg)) {
+            Some((
+                from,
+                Message::InvokeReply {
+                    status, results, ..
+                },
+            )) => {
+                if self.inner.config.enable_location_cache && ends_search(&status) {
                     self.cache_insert(cap.name(), from);
                 }
                 (status, results, from)
@@ -1786,25 +1719,32 @@ impl Node {
         }
     }
 
-    /// Unregisters a pipelined request's reply waiter (wait completed,
-    /// send failed, or the pending call was dropped unharvested).
-    pub(crate) fn pipeline_abandon(&self, inv_id: u64) {
-        self.inner.pending.lock().remove(&inv_id);
-        self.inner.inflight.lock().remove(&inv_id);
+    fn invoke_msg(&self, inv_id: u64, cap: Capability, op: &str, args: &[Value]) -> Message {
+        Message::InvokeRequest {
+            inv_id,
+            target: cap,
+            operation: op.to_string(),
+            args: args.to_vec(),
+            reply_to: self.inner.id,
+            hops: self.inner.config.hop_limit,
+        }
     }
 
-    /// Best current destination guess for `name`: forwarding address,
-    /// then hint cache, then the birth node baked into the name.
-    pub(crate) fn pipeline_default_dst(&self, name: ObjName) -> NodeId {
+    /// Where `name` may be, best guess first, each with whether the
+    /// guess came from the hint cache: the forwarding address, the
+    /// cached hint, then the birth node baked into the name.
+    pub(crate) fn hints(&self, name: ObjName) -> Vec<(NodeId, bool)> {
+        let mut hints = Vec::with_capacity(3);
         if let Some(&fwd) = self.inner.location.forwards.read().get(&name) {
-            return fwd;
+            hints.push((fwd, false));
         }
         if self.inner.config.enable_location_cache {
             if let Some(hint) = self.inner.location.cache.lock().get(&name).copied() {
-                return hint;
+                hints.push((hint, true));
             }
         }
-        name.birth_node()
+        hints.push((name.birth_node(), false));
+        hints
     }
 
     /// The default per-exchange reply budget for pipelined calls.
@@ -1924,29 +1864,20 @@ impl Node {
             self.dir_register(name, self.inner.id, DirRegisterKind::Checkpoint);
             return Ok(version);
         }
-        let req_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(req_id, waiter.clone());
-        let _ = self.inner.endpoint.send(Frame::to(
-            self.inner.id,
-            site,
-            Message::CheckpointPut {
-                req_id,
-                name,
-                image: image.clone(),
-                reply_to: self.inner.id,
-            },
-        ));
-        let result = self
-            .inner
-            .vprocs
-            .blocking(|| waiter.wait(self.inner.config.remote_try_timeout));
-        self.inner.pending.lock().remove(&req_id);
-        match result {
-            Some(ReplyMsg::CkptAck(true, version)) => Ok(version),
-            Some(ReplyMsg::CkptAck(false, _)) => Err(EdenError::Store(eden_store::StoreError::Io(
-                format!("checksite {site} refused the checkpoint"),
-            ))),
+        let budget = self.inner.config.remote_try_timeout;
+        let reply = self.request(site, budget, |req_id| Message::CheckpointPut {
+            req_id,
+            name,
+            image: image.clone(),
+            reply_to: self.inner.id,
+        });
+        match reply {
+            Some(Message::CheckpointAck {
+                ok: true, version, ..
+            }) => Ok(version),
+            Some(Message::CheckpointAck { ok: false, .. }) => Err(EdenError::Store(
+                eden_store::StoreError::Io(format!("checksite {site} refused the checkpoint")),
+            )),
             _ => Err(EdenError::Invoke(Status::NodeUnreachable)),
         }
     }
@@ -2013,24 +1944,12 @@ impl Node {
     /// invocations complete; queued invocations reincarnate the object
     /// from its last checkpoint if one exists.
     pub(crate) fn request_crash(&self, slot: &Arc<ObjectSlot>) {
-        let mut coord = slot.coord.lock();
-        coord.crash_requested = true;
-        if coord.running == 0 && coord.status == ObjStatus::Active {
-            coord.status = ObjStatus::Crashed;
-            drop(coord);
-            self.finish_crash(slot);
-        }
+        self.pump_with(slot, |coord| coord.crash_requested = true);
     }
 
-    /// Requests permanent destruction.
+    /// Requests permanent destruction, once running invocations complete.
     pub(crate) fn request_destroy(&self, slot: &Arc<ObjectSlot>) {
-        let mut coord = slot.coord.lock();
-        coord.destroy_requested = true;
-        if coord.running == 0 && coord.status == ObjStatus::Active {
-            coord.status = ObjStatus::Crashed;
-            drop(coord);
-            self.finish_destroy(slot);
-        }
+        self.pump_with(slot, |coord| coord.destroy_requested = true);
     }
 
     /// Destroys active state: the crash primitive's teardown half.
@@ -2050,14 +1969,26 @@ impl Node {
         }
         // The single-level-store illusion: invocations that arrived
         // during the crash reincarnate the object if it checkpointed.
-        if let Some(new_slot) = self.activate_passive_local(slot.name) {
-            for pending in queued {
-                self.enqueue(&new_slot, pending);
+        match self.activate_passive_local(slot.name) {
+            Ok(new_slot) => {
+                let mut ready = Vec::new();
+                for pending in queued {
+                    self.enqueue(&new_slot, pending, &mut ready);
+                }
+                self.dispatch(ready);
             }
-        } else {
-            for pending in queued {
-                let trace = pending.trace;
-                self.send_reply(pending.sink, Status::ObjectCrashed, Vec::new(), trace);
+            Err(status) => {
+                // Without a checkpoint the object is gone; a saturated
+                // pool leaves it passive, to reincarnate later.
+                let status = if status == Status::Overloaded {
+                    status
+                } else {
+                    Status::ObjectCrashed
+                };
+                for pending in queued {
+                    let trace = pending.trace;
+                    self.send_reply(pending.sink, status.clone(), Vec::new(), trace);
+                }
             }
         }
     }
@@ -2088,38 +2019,30 @@ impl Node {
         }
     }
 
-    /// Reincarnates `name` from a locally held checkpoint, if any.
+    /// Reincarnates `name` from a locally held checkpoint.
     ///
     /// Returns the (possibly still-reincarnating) slot; invocations may be
-    /// queued against it immediately.
-    fn activate_passive_local(&self, name: ObjName) -> Option<Arc<ObjectSlot>> {
-        let image = {
-            let (version, bytes) = self.inner.store.latest(name).ok()??;
-            let image = ObjectImage::decode_from_bytes(&bytes).ok()?;
-            (version, image)
-        };
-        let (version, image) = image;
-        if !self.inner.registry.has(&image.type_name) {
-            return None;
-        }
-        let slot = {
-            let mut objects = self.inner.objects.write();
-            if let Some(existing) = objects.get(&name) {
-                return Some(existing.clone()); // Raced with another activation.
-            }
-            let repr = Representation::from_image(&image);
-            let checksite = Self::parse_checksite(&repr, self.inner.id);
-            let slot = ObjectSlot::new(
-                name,
-                image.type_name.clone(),
-                repr,
-                ObjStatus::Reincarnating,
-                checksite,
-            );
-            slot.version.store(version, Ordering::Release);
-            slot.frozen.store(image.frozen, Ordering::Release);
-            objects.insert(name, slot.clone());
-            slot
+    /// queued against it immediately. Fails with `NoSuchObject` when no
+    /// usable checkpoint is held here, and with `Overloaded` when the
+    /// pool refuses the reincarnation.
+    fn activate_passive_local(
+        &self,
+        name: ObjName,
+    ) -> std::result::Result<Arc<ObjectSlot>, Status> {
+        let (version, image) = self
+            .inner
+            .store
+            .latest(name)
+            .ok()
+            .flatten()
+            .and_then(|(version, bytes)| {
+                Some((version, ObjectImage::decode_from_bytes(&bytes).ok()?))
+            })
+            .filter(|(_, image)| self.inner.registry.has(&image.type_name))
+            .ok_or(Status::NoSuchObject)?;
+        let slot = match self.install_image(name, &image, version) {
+            Ok(slot) => slot,
+            Err(existing) => return Ok(existing), // Raced with another activation.
         };
         let node = self.clone();
         let task_slot = slot.clone();
@@ -2131,10 +2054,37 @@ impl Node {
         {
             // Pool saturated: back out; the object stays passive and a
             // later invocation retries the reincarnation.
-            self.inner.objects.write().remove(&name);
-            return None;
+            self.fail_reincarnation(&slot, Status::Overloaded);
+            return Err(Status::Overloaded);
         }
-        Some(slot)
+        Ok(slot)
+    }
+
+    /// Puts a reincarnating slot built from `image` into the object
+    /// table; `Err` hands back the slot already there.
+    fn install_image(
+        &self,
+        name: ObjName,
+        image: &ObjectImage,
+        version: u64,
+    ) -> std::result::Result<Arc<ObjectSlot>, Arc<ObjectSlot>> {
+        let mut objects = self.inner.objects.write();
+        if let Some(existing) = objects.get(&name) {
+            return Err(existing.clone());
+        }
+        let repr = Representation::from_image(image);
+        let checksite = Self::parse_checksite(&repr, self.inner.id);
+        let slot = ObjectSlot::new(
+            name,
+            image.type_name.clone(),
+            repr,
+            ObjStatus::Reincarnating,
+            checksite,
+        );
+        slot.version.store(version, Ordering::Release);
+        slot.frozen.store(image.frozen, Ordering::Release);
+        objects.insert(name, slot.clone());
+        Ok(slot)
     }
 
     /// Runs the reincarnation condition handler, then opens the gate for
@@ -2143,7 +2093,7 @@ impl Node {
         let manager = match self.inner.registry.manager(&slot.type_name) {
             Some(m) => m,
             None => {
-                self.fail_reincarnation(&slot, "type manager vanished");
+                self.fail_reincarnation(&slot, reincarnation_failed("type manager vanished"));
                 return;
             }
         };
@@ -2160,30 +2110,22 @@ impl Node {
                         version: slot.checkpoint_version(),
                     });
                 self.dir_register(slot.name, self.inner.id, DirRegisterKind::Active);
-                let mut coord = slot.coord.lock();
-                coord.status = ObjStatus::Active;
-                self.pump(&slot, &mut coord);
+                self.pump_with(&slot, |coord| coord.status = ObjStatus::Active);
             }
             Err(e) => {
                 let status = e.into_status();
-                self.fail_reincarnation(&slot, &format!("{status}"));
+                self.fail_reincarnation(&slot, reincarnation_failed(status));
             }
         }
     }
 
-    fn fail_reincarnation(&self, slot: &Arc<ObjectSlot>, reason: &str) {
+    /// Takes a slot that never became active out of the table and
+    /// answers the invocations queued on it with `status`.
+    fn fail_reincarnation(&self, slot: &Arc<ObjectSlot>, status: Status) {
         self.inner.objects.write().remove(&slot.name);
         for pending in self.drain_queue(&mut slot.coord.lock()) {
             let trace = pending.trace;
-            self.send_reply(
-                pending.sink,
-                Status::AppError {
-                    code: -2,
-                    message: format!("reincarnation failed: {reason}"),
-                },
-                Vec::new(),
-                trace,
-            );
+            self.send_reply(pending.sink, status.clone(), Vec::new(), trace);
         }
     }
 
@@ -2199,13 +2141,13 @@ impl Node {
         if !self.inner.endpoint.peers().contains(&dst) {
             return Err(EdenError::BadRequest(format!("{dst} is not a known node")));
         }
-        let mut coord = slot.coord.lock();
-        if coord.status == ObjStatus::Moving || coord.pending_move.is_some() {
-            return Err(EdenError::BadRequest("move already in progress".into()));
-        }
-        coord.pending_move = Some(dst);
-        self.pump(slot, &mut coord);
-        Ok(())
+        self.pump_with(slot, |coord| {
+            if coord.status == ObjStatus::Moving || coord.pending_move.is_some() {
+                return Err(EdenError::BadRequest("move already in progress".into()));
+            }
+            coord.pending_move = Some(dst);
+            Ok(())
+        })
     }
 
     /// The kernel-level move operation, usable by policy objects holding
@@ -2237,26 +2179,15 @@ impl Node {
             let repr = slot.repr.read();
             repr.to_image(&slot.type_name, slot.is_frozen(), slot.checkpoint_version())
         };
-        let xfer_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(xfer_id, waiter.clone());
-        let _ = self.inner.endpoint.send(Frame::to(
-            self.inner.id,
-            dst,
-            Message::MoveTransfer {
-                xfer_id,
-                name: slot.name,
-                image,
-                reply_to: self.inner.id,
-            },
-        ));
-        let ack = self
-            .inner
-            .vprocs
-            .blocking(|| waiter.wait(self.inner.config.move_timeout));
-        self.inner.pending.lock().remove(&xfer_id);
+        let budget = self.inner.config.move_timeout;
+        let ack = self.request(dst, budget, |xfer_id| Message::MoveTransfer {
+            xfer_id,
+            name: slot.name,
+            image,
+            reply_to: self.inner.id,
+        });
         match ack {
-            Some(ReplyMsg::MoveAck(true, _reason)) => {
+            Some(Message::MoveAck { accepted: true, .. }) => {
                 self.inner.metrics.bump_move_out();
                 self.inner.obs.recorder().record(KernelEvent::MoveOut {
                     obj: slot.name.to_u128(),
@@ -2267,67 +2198,22 @@ impl Node {
                 self.inner.location.forwards.write().insert(slot.name, dst);
                 self.cache_insert(slot.name, dst);
                 let queued = self.drain_queue(&mut slot.coord.lock());
+                let mut ready = Vec::new();
                 for pending in queued {
-                    match pending.sink {
-                        ReplySink::Remote { inv_id, reply_to } => {
-                            self.inner.metrics.bump_forward();
-                            self.inner.obs.recorder().record(KernelEvent::Forward {
-                                obj: slot.name.to_u128(),
-                                dst: dst.0,
-                            });
-                            let mut frame = Frame::to(
-                                self.inner.id,
-                                dst,
-                                Message::InvokeRequest {
-                                    inv_id,
-                                    target: pending.presented,
-                                    operation: pending.operation,
-                                    args: pending.args,
-                                    reply_to,
-                                    hops: self.inner.config.hop_limit,
-                                },
-                            );
-                            if let Some(t) = pending.trace {
-                                frame = frame.with_trace(t);
-                            }
-                            let _ = self.inner.endpoint.send(frame);
-                        }
-                        ReplySink::Local(waiter) => {
-                            let node = self.clone();
-                            let task_waiter = waiter.clone();
-                            if self
-                                .inner
-                                .vprocs
-                                .submit(move || {
-                                    let (status, results, _from) = node.remote_invoke(
-                                        dst,
-                                        pending.presented,
-                                        &pending.operation,
-                                        &pending.args,
-                                        node.inner.config.remote_try_timeout,
-                                        pending.trace,
-                                    );
-                                    task_waiter.complete((status, results));
-                                })
-                                .is_err()
-                            {
-                                waiter.complete((Status::Overloaded, Vec::new()));
-                            }
-                        }
-                        ReplySink::Discard => {}
-                    }
+                    self.reroute(pending, &mut ready);
                 }
+                self.dispatch(ready);
             }
             other => {
                 // Rejected or timed out: resume in place. The rejection
                 // reason is recorded for introspection.
-                if let Some(ReplyMsg::MoveAck(false, reason)) = other {
+                if let Some(Message::MoveAck { reason, .. }) = other {
                     *self.inner.last_move_rejection.lock() = Some(reason);
                 }
-                let mut coord = slot.coord.lock();
-                coord.status = ObjStatus::Active;
-                coord.pending_move = None;
-                self.pump(&slot, &mut coord);
+                self.pump_with(&slot, |coord| {
+                    coord.status = ObjStatus::Active;
+                    coord.pending_move = None;
+                });
             }
         }
     }
@@ -2355,26 +2241,9 @@ impl Node {
             reject(&format!("type '{}' not registered here", image.type_name));
             return;
         }
-        let slot = {
-            let mut objects = self.inner.objects.write();
-            if objects.contains_key(&name) {
-                drop(objects);
-                reject("object already present");
-                return;
-            }
-            let repr = Representation::from_image(&image);
-            let checksite = Self::parse_checksite(&repr, self.inner.id);
-            let slot = ObjectSlot::new(
-                name,
-                image.type_name.clone(),
-                repr,
-                ObjStatus::Reincarnating,
-                checksite,
-            );
-            slot.version.store(image.version, Ordering::Release);
-            slot.frozen.store(image.frozen, Ordering::Release);
-            objects.insert(name, slot.clone());
-            slot
+        let Ok(slot) = self.install_image(name, &image, image.version) else {
+            reject("object already present");
+            return;
         };
         // The object's short-term state is rebuilt from scratch on the new
         // node: run the reincarnation condition handler.
@@ -2405,9 +2274,7 @@ impl Node {
                         reason: String::new(),
                     },
                 ));
-                let mut coord = slot.coord.lock();
-                coord.status = ObjStatus::Active;
-                self.pump(&slot, &mut coord);
+                self.pump_with(&slot, |coord| coord.status = ObjStatus::Active);
             }
             Err(e) => {
                 self.inner.objects.write().remove(&name);
@@ -2451,39 +2318,32 @@ impl Node {
                 ))
             };
         }
-        // Find the holder.
-        let mut holder = self.inner.location.cache.lock().get(&name).copied();
-        if holder.is_none() {
-            let peers = self.inner.endpoint.peers();
-            let birth = name.birth_node();
-            if peers.contains(&birth) {
-                holder = Some(birth);
-            }
-        }
-        let answers;
-        let candidates: Vec<NodeId> = match holder {
-            Some(h) => vec![h],
-            None => {
-                answers = self.locate_broadcast(name);
-                answers.iter().map(|a| a.holder).collect()
-            }
+        // Find the holder: the best hint a peer can take, else every
+        // node that answers a broadcast.
+        let peers = self.inner.endpoint.peers();
+        let hint = self
+            .hints(name)
+            .into_iter()
+            .find(|(h, _)| peers.contains(h));
+        let candidates: Vec<NodeId> = match hint {
+            Some((h, _)) => vec![h],
+            None => self
+                .locate_broadcast(name)
+                .iter()
+                .map(|a| a.holder)
+                .collect(),
         };
         for h in candidates {
-            let req_id = self.fresh_id();
-            let waiter = Arc::new(Waiter::new());
-            self.inner.pending.lock().insert(req_id, waiter.clone());
-            let _ = self.inner.endpoint.send(Frame::to(
-                self.inner.id,
-                h,
-                Message::ReplicaRequest {
-                    req_id,
-                    name,
-                    reply_to: self.inner.id,
-                },
-            ));
-            let result = waiter.wait(self.inner.config.remote_try_timeout);
-            self.inner.pending.lock().remove(&req_id);
-            if let Some(ReplyMsg::Replica(Some(image))) = result {
+            let budget = self.inner.config.remote_try_timeout;
+            let reply = self.request(h, budget, |req_id| Message::ReplicaRequest {
+                req_id,
+                name,
+                reply_to: self.inner.id,
+            });
+            if let Some(Message::ReplicaPush {
+                image: Some(image), ..
+            }) = reply
+            {
                 if !image.frozen {
                     return Err(EdenError::BadRequest("object is not frozen".into()));
                 }
@@ -2525,7 +2385,7 @@ impl Node {
             return Ok(()); // Already active here.
         }
         // Try the local store first.
-        if self.activate_passive_local(name).is_some() {
+        if self.activate_passive_local(name).is_ok() {
             return Ok(());
         }
         let answers = self.locate_broadcast(name);
@@ -2537,21 +2397,16 @@ impl Node {
         // Fetch from every passive holder; keep the newest image.
         let mut best: Option<ObjectImage> = None;
         for answer in answers.iter().filter(|a| a.state == HeldState::Passive) {
-            let req_id = self.fresh_id();
-            let waiter = Arc::new(Waiter::new());
-            self.inner.pending.lock().insert(req_id, waiter.clone());
-            let _ = self.inner.endpoint.send(Frame::to(
-                self.inner.id,
-                answer.holder,
-                Message::CheckpointFetch {
-                    req_id,
-                    name,
-                    reply_to: self.inner.id,
-                },
-            ));
-            let result = waiter.wait(self.inner.config.remote_try_timeout);
-            self.inner.pending.lock().remove(&req_id);
-            if let Some(ReplyMsg::CkptData(Some(image))) = result {
+            let budget = self.inner.config.remote_try_timeout;
+            let reply = self.request(answer.holder, budget, |req_id| Message::CheckpointFetch {
+                req_id,
+                name,
+                reply_to: self.inner.id,
+            });
+            if let Some(Message::CheckpointData {
+                image: Some(image), ..
+            }) = reply
+            {
                 if best
                     .as_ref()
                     .map(|b| image.version > b.version)
@@ -2570,10 +2425,9 @@ impl Node {
         // Persist the fetched image locally so this node can answer
         // passive queries and re-reincarnate after its own crashes.
         self.inner.store.put(name, &image.encode_to_bytes())?;
-        match self.activate_passive_local(name) {
-            Some(_) => Ok(()),
-            None => Err(EdenError::Invoke(Status::NoSuchObject)),
-        }
+        self.activate_passive_local(name)
+            .map(|_| ())
+            .map_err(EdenError::Invoke)
     }
 
     /// A point-in-time description of one locally active object.
@@ -2602,16 +2456,8 @@ impl Node {
 
     /// Pings `node`; `true` if it answered within `timeout`.
     pub fn ping(&self, node: NodeId, timeout: Duration) -> bool {
-        let token = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(token, waiter.clone());
-        let _ = self
-            .inner
-            .endpoint
-            .send(Frame::to(self.inner.id, node, Message::Ping { token }));
-        let result = waiter.wait(timeout);
-        self.inner.pending.lock().remove(&token);
-        matches!(result, Some(ReplyMsg::Pong))
+        let reply = self.request(node, timeout, |token| Message::Ping { token });
+        matches!(reply, Some(Message::Pong { .. }))
     }
 
     /// Stops the receive loop, tears down behaviors, drains the
@@ -2704,17 +2550,14 @@ impl Node {
                     });
                 }
             }
-            {
-                let inflight = self.inner.inflight.lock();
-                for (&inv_id, &(start_ns, trace)) in inflight.iter() {
-                    let age = now.saturating_sub(start_ns);
-                    if age >= budget_ns && due((3, inv_id)) {
-                        stalls.push(KernelEvent::SlowInvocation {
-                            inv_id,
-                            age_ms: age / 1_000_000,
-                            trace,
-                        });
-                    }
+            for (inv_id, start_ns, trace) in self.in_flight_invocations() {
+                let age = now.saturating_sub(start_ns);
+                if age >= budget_ns && due((3, inv_id)) {
+                    stalls.push(KernelEvent::SlowInvocation {
+                        inv_id,
+                        age_ms: age / 1_000_000,
+                        trace,
+                    });
                 }
             }
             if stalls.is_empty() {
@@ -2729,6 +2572,17 @@ impl Node {
             }
             *self.inner.watchdog_snapshot.lock() = Some(self.watchdog_snapshot_text(&stalls));
         }
+    }
+
+    /// The remote invocations awaiting a reply, as
+    /// `(inv_id, start_ns, trace_id)`.
+    fn in_flight_invocations(&self) -> Vec<(u64, u64, u64)> {
+        self.inner
+            .pending
+            .lock()
+            .iter()
+            .filter_map(|(&id, r)| r.invocation.map(|(start, trace)| (id, start, trace)))
+            .collect()
     }
 
     /// Renders one watchdog finding batch plus the node state needed to
@@ -2761,19 +2615,16 @@ impl Node {
                 age / 1_000_000
             );
         }
-        {
-            let inflight = self.inner.inflight.lock();
-            let oldest = inflight.iter().min_by_key(|(_, &(start, _))| start);
-            let _ = write!(s, "  inflight: {}", inflight.len());
-            if let Some((inv_id, &(start, trace))) = oldest {
-                let _ = write!(
-                    s,
-                    ", oldest inv={inv_id} age={} ms trace={trace:#x}",
-                    now_ns().saturating_sub(start) / 1_000_000
-                );
-            }
-            let _ = writeln!(s);
+        let inflight = self.in_flight_invocations();
+        let _ = write!(s, "  inflight: {}", inflight.len());
+        if let Some((inv_id, start, trace)) = inflight.iter().min_by_key(|i| i.1) {
+            let _ = write!(
+                s,
+                ", oldest inv={inv_id} age={} ms trace={trace:#x}",
+                now_ns().saturating_sub(*start) / 1_000_000
+            );
         }
+        let _ = writeln!(s);
         if let Some(span) = self
             .inner
             .obs
@@ -2830,86 +2681,25 @@ impl Node {
                 .endpoint
                 .recv_batch(RECV_BATCH_MAX, Duration::from_millis(50))
             {
-                Ok(batch) if batch.is_empty() => continue,
-                Ok(batch) => self.handle_frame_batch(batch),
+                // Frames are handled in arrival order (so replies, gossip
+                // and location traffic keep their ordering), and the
+                // invocations they make ready go to the pool as one
+                // batch: one lock and one wakeup for the whole batch.
+                Ok(batch) => {
+                    let mut ready = Vec::new();
+                    for frame in batch {
+                        self.handle_frame(frame, &mut ready);
+                    }
+                    self.dispatch(ready);
+                }
                 Err(_) => return,
             }
         }
     }
 
-    /// Handles one receive-loop batch. Frames are processed inline in
-    /// arrival order (so replies, gossip and location traffic keep their
-    /// ordering), but invocation dispatches that `pump` would have
-    /// submitted one-by-one are collected in [`DISPATCH_BUF`] and handed
-    /// to the pool as a single [`VirtualProcessorPool::submit_batch`] —
-    /// one lock/notify for the whole batch instead of one per frame.
-    fn handle_frame_batch(&self, frames: Vec<Frame>) {
-        if frames.len() == 1 {
-            for frame in frames {
-                self.handle_frame(frame);
-            }
-            return;
-        }
-        DISPATCH_BUF.with(|buf| *buf.borrow_mut() = Some(Vec::new()));
-        for frame in frames {
-            self.handle_frame(frame);
-        }
-        let deferred = DISPATCH_BUF
-            .with(|buf| buf.borrow_mut().take())
-            .unwrap_or_default();
-        self.flush_dispatch_batch(deferred);
-    }
-
-    /// Enqueues a batch of deferred invocation dispatches in one pool
-    /// transaction. A per-task `Overloaded` verdict undoes that task's
-    /// dispatch bookkeeping at its coordinator (exactly what `pump` does
-    /// inline on the non-batched path) and sheds the invocation with the
-    /// backpressure status.
-    fn flush_dispatch_batch(&self, deferred: Vec<DeferredDispatch>) {
-        if deferred.is_empty() {
-            return;
-        }
-        let mut tasks = Vec::with_capacity(deferred.len());
-        let mut undo_meta = Vec::with_capacity(deferred.len());
-        for d in deferred {
-            tasks.push((d.job, d.dispatch_ctx));
-            undo_meta.push((d.slot, d.class, d.sink, d.reply_trace));
-        }
-        let results = self.inner.vprocs.submit_batch(tasks);
-        for (result, (slot, class, sink, reply_trace)) in results.into_iter().zip(undo_meta) {
-            if result.is_ok() {
-                self.inner.metrics.bump_process();
-                continue;
-            }
-            {
-                let mut coord = slot.coord.lock();
-                coord.running -= 1;
-                self.inner
-                    .obs
-                    .gauge(&format!("class.in_service.{class}"))
-                    .dec();
-                if let Some(n) = coord.class_in_service.get_mut(&class) {
-                    *n -= 1;
-                    if *n == 0 {
-                        coord.class_in_service.remove(&class);
-                    }
-                }
-                if coord.running == 0 {
-                    slot.quiesce_cv.notify_all();
-                }
-            }
-            self.send_reply(sink, Status::Overloaded, Vec::new(), reply_trace);
-        }
-    }
-
-    fn complete_pending(&self, id: u64, msg: ReplyMsg) {
-        let waiter = self.inner.pending.lock().get(&id).cloned();
-        if let Some(w) = waiter {
-            w.complete(msg);
-        }
-    }
-
-    fn handle_frame(&self, frame: Frame) {
+    /// Handles one inbound frame; invocations it makes ready go to
+    /// `ready`.
+    fn handle_frame(&self, frame: Frame, ready: &mut Vec<Ready>) {
         let src = frame.src;
         let trace = frame.trace;
         match frame.msg {
@@ -2920,19 +2710,27 @@ impl Node {
                 args,
                 reply_to,
                 hops,
-            } => self.handle_invoke_request(inv_id, target, operation, args, reply_to, hops, trace),
-            Message::InvokeReply {
-                inv_id,
-                status,
-                results,
-            } => {
-                // Close the trace on the requester's side: a point span
-                // marking when the reply reached this kernel.
-                if let Some(ctx) = trace {
+            } => self.handle_invoke_request(
+                inv_id, target, operation, args, reply_to, hops, trace, ready,
+            ),
+            // A reply: it rendezvouses with its request by id.
+            Message::InvokeReply { inv_id: id, .. }
+            | Message::MoveAck { xfer_id: id, .. }
+            | Message::ReplicaPush { req_id: id, .. }
+            | Message::CheckpointAck { req_id: id, .. }
+            | Message::CheckpointData { req_id: id, .. }
+            | Message::Pong { token: id }
+            | Message::DirAnswer { query_id: id, .. } => {
+                if let (Message::InvokeReply { .. }, Some(ctx)) = (&frame.msg, trace) {
+                    // Close the trace on the requester's side: a point
+                    // span marking when the reply reached this kernel.
                     let t = now_ns();
                     self.inner.obs.record_span("reply", ctx, t, t);
                 }
-                self.complete_pending(inv_id, ReplyMsg::Invoke(status, results, src))
+                let waiter = self.inner.pending.lock().get(&id).map(|r| r.waiter.clone());
+                if let Some(waiter) = waiter {
+                    waiter.complete(frame);
+                }
             }
             Message::WhereIs {
                 query_id,
@@ -3018,11 +2816,6 @@ impl Node {
                     ));
                 }
             }
-            Message::MoveAck {
-                xfer_id,
-                accepted,
-                reason,
-            } => self.complete_pending(xfer_id, ReplyMsg::MoveAck(accepted, reason)),
             Message::ReplicaRequest {
                 req_id,
                 name,
@@ -3046,9 +2839,6 @@ impl Node {
                     },
                 ));
             }
-            Message::ReplicaPush { req_id, image, .. } => {
-                self.complete_pending(req_id, ReplyMsg::Replica(image))
-            }
             Message::CheckpointPut {
                 req_id,
                 name,
@@ -3070,11 +2860,6 @@ impl Node {
                     },
                 ));
             }
-            Message::CheckpointAck {
-                req_id,
-                ok,
-                version,
-            } => self.complete_pending(req_id, ReplyMsg::CkptAck(ok, version)),
             Message::CheckpointFetch {
                 req_id,
                 name,
@@ -3096,9 +2881,6 @@ impl Node {
                         image,
                     },
                 ));
-            }
-            Message::CheckpointData { req_id, image, .. } => {
-                self.complete_pending(req_id, ReplyMsg::CkptData(image))
             }
             Message::CheckpointDelete {
                 req_id,
@@ -3124,7 +2906,6 @@ impl Node {
                     Message::Pong { token },
                 ));
             }
-            Message::Pong { token } => self.complete_pending(token, ReplyMsg::Pong),
             Message::GossipPing {
                 seq,
                 reply_to,
@@ -3196,12 +2977,6 @@ impl Node {
                     },
                 ));
             }
-            Message::DirAnswer {
-                query_id,
-                holder,
-                state,
-                ..
-            } => self.complete_pending(query_id, ReplyMsg::DirAnswer(holder, state)),
         }
     }
 
@@ -3216,11 +2991,9 @@ impl Node {
         reply_to: NodeId,
         hops: u8,
         trace: Option<TraceCtx>,
+        ready: &mut Vec<Ready>,
     ) {
         self.inner.metrics.bump_remote_served();
-        let name = target.name();
-        let sink = ReplySink::Remote { inv_id, reply_to };
-
         // At-most-once: replay a cached reply for a retransmitted
         // request; drop retransmissions of requests still executing.
         // Check *and* admit under one lock acquisition — with pipelined
@@ -3249,6 +3022,27 @@ impl Node {
                 return;
             }
         }
+        self.route(
+            inv_id, target, operation, args, reply_to, hops, trace, ready,
+        );
+    }
+
+    /// Routes an admitted invocation request: serves it here, forwards
+    /// it along a forwarding address, or refuses it.
+    #[allow(clippy::too_many_arguments)]
+    fn route(
+        &self,
+        inv_id: u64,
+        target: Capability,
+        operation: String,
+        args: Vec<Value>,
+        reply_to: NodeId,
+        hops: u8,
+        trace: Option<TraceCtx>,
+        ready: &mut Vec<Ready>,
+    ) {
+        let name = target.name();
+        let sink = ReplySink::Remote { inv_id, reply_to };
 
         // Remote telemetry scrape of this kernel: no slot exists for
         // the sentinel name, so answer before the object-table lookup.
@@ -3276,13 +3070,20 @@ impl Node {
                 if self.inner.location.forwards.read().contains_key(&name) {
                     None
                 } else {
-                    self.activate_passive_local(name)
+                    match self.activate_passive_local(name) {
+                        Ok(slot) => Some(slot),
+                        Err(Status::Overloaded) => {
+                            self.send_reply(sink, Status::Overloaded, Vec::new(), trace);
+                            return;
+                        }
+                        Err(_) => None,
+                    }
                 }
             }
         };
         if let Some(slot) = slot {
             match self.validate(&slot, target, &operation, &args, sink, trace) {
-                Ok(pending) => self.enqueue(&slot, pending),
+                Ok(pending) => self.enqueue(&slot, pending, ready),
                 Err(status) => self.send_reply(
                     ReplySink::Remote { inv_id, reply_to },
                     status,
@@ -3338,5 +3139,138 @@ impl core::fmt::Debug for Node {
             .field("id", &self.inner.id)
             .field("objects", &self.inner.objects.read().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Cluster, OpError, OpResult, TypeManager, TypeSpec};
+
+    /// `work` returns at once; `checkpoint` makes the object survive a
+    /// crash.
+    struct Plain;
+
+    impl TypeManager for Plain {
+        fn spec(&self) -> TypeSpec {
+            TypeSpec::new("plain")
+                .class("all", 4)
+                .op("work", "all", Rights::EXECUTE)
+                .op("checkpoint", "all", Rights::WRITE)
+        }
+
+        fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
+            match op {
+                "work" => Ok(vec![]),
+                "checkpoint" => Ok(vec![Value::U64(ctx.checkpoint()?)]),
+                other => Err(OpError::no_such_op(other)),
+            }
+        }
+    }
+
+    fn cluster(nodes: usize, config: NodeConfig) -> Cluster {
+        Cluster::builder()
+            .nodes(nodes)
+            .node_config(config)
+            .register(|| Box::new(Plain))
+            .build()
+    }
+
+    #[test]
+    fn a_crash_requested_before_a_refused_dispatch_completes() {
+        let cluster = cluster(
+            1,
+            NodeConfig {
+                vproc_workers: 1,
+                vproc_queue_cap: 1,
+                ..NodeConfig::default()
+            },
+        );
+        let node = cluster.node(0);
+        let cap = node.create_object("plain", &[]).unwrap();
+        node.invoke(cap, "checkpoint", &[]).unwrap();
+        let slot = node.inner.objects.read().get(&cap.name()).cloned().unwrap();
+
+        // Wedge the one worker, then fill the one queue slot.
+        let gate = Arc::new(Waiter::<()>::new());
+        let wedge = gate.clone();
+        node.inner
+            .vprocs
+            .submit(move || {
+                wedge.wait(Duration::from_secs(10));
+            })
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while node.vproc_stats().queued > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        node.inner.vprocs.submit(|| {}).unwrap();
+
+        // Pump one invocation to running, then request the crash before
+        // its dispatch reaches the pool: the window a receive batch
+        // leaves open between `pump` and `dispatch`.
+        let waiter = Arc::new(Waiter::new());
+        let sink = ReplySink::Local(waiter.clone());
+        let pending = node.validate(&slot, cap, "work", &[], sink, None).unwrap();
+        let mut ready = Vec::new();
+        node.enqueue(&slot, pending, &mut ready);
+        assert_eq!(ready.len(), 1);
+        node.request_crash(&slot);
+        assert!(node.is_local(cap.name()), "the crash waits for it to end");
+
+        // The pool refuses the dispatch: the invocation is shed, and its
+        // release finds nothing running, so the crash completes.
+        node.dispatch(ready);
+        assert_eq!(
+            waiter.try_take(),
+            Some(Some((Status::Overloaded, Vec::new())))
+        );
+        assert!(!node.is_local(cap.name()));
+        assert_eq!(node.metrics().crashes, 1);
+
+        gate.complete(());
+        while node.vproc_stats().queued > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(node.invoke(cap, "work", &[]), Ok(vec![]));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_slow_invocation_is_reported_and_then_unregistered() {
+        let cluster = cluster(
+            2,
+            NodeConfig {
+                remote_try_timeout: Duration::from_millis(300),
+                watchdog_interval: Duration::from_millis(5),
+                slow_invocation_budget: Duration::from_millis(50),
+                ..NodeConfig::default()
+            },
+        );
+        let cap = cluster.node(0).create_object("plain", &[]).unwrap();
+        cluster.mesh().partition(NodeId(0), NodeId(1));
+        let client = cluster.node(1);
+        assert_eq!(
+            client.invoke_with_timeout(cap, "work", &[], Duration::from_millis(300)),
+            Err(EdenError::Invoke(Status::Timeout))
+        );
+
+        let root = client
+            .obs()
+            .traces()
+            .spans()
+            .into_iter()
+            .find(|s| s.name == "invoke" && s.parent_span == 0)
+            .expect("the invocation's root span");
+        let reported = client.obs().recorder().events().into_iter().any(|e| {
+            matches!(e.event, KernelEvent::SlowInvocation { trace, .. } if trace == root.trace_id)
+        });
+        assert!(reported, "no slow-invocation event for the trace");
+        let at_stall = client.inner.watchdog_snapshot.lock().clone().unwrap();
+        assert!(at_stall.contains("inflight: 1"), "{at_stall}");
+        // The reply wait unregistered the invocation.
+        let now = client.watchdog_snapshot_text(&[]);
+        assert!(now.contains("inflight: 0"), "{now}");
+        cluster.shutdown();
     }
 }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use eden_capability::{Capability, NodeId, ObjName};
 use eden_obs::TraceCtx;
 use eden_wire::{Status, Value};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::behavior::BehaviorHandle;
 use crate::repr::Representation;
@@ -71,11 +71,15 @@ pub struct Checksite {
     pub level: ReliabilityLevel,
 }
 
+/// What a local invoker waits for: the status and results, or `None`
+/// when it must look the object up again (see `Node::reroute`).
+pub(crate) type LocalReply = Option<(Status, Vec<Value>)>;
+
 /// Where a completed invocation's status and results go.
 #[derive(Clone)]
 pub(crate) enum ReplySink {
     /// A thread on this node is parked on the waiter.
-    Local(Arc<Waiter<(Status, Vec<Value>)>>),
+    Local(Arc<Waiter<LocalReply>>),
     /// A remote kernel awaits an `InvokeReply` frame.
     Remote {
         /// The requester's invocation id.
@@ -83,10 +87,6 @@ pub(crate) enum ReplySink {
         /// The requester's node.
         reply_to: NodeId,
     },
-    /// Nobody is waiting (fire-and-forget internal redelivery; reserved
-    /// for kernel-initiated maintenance invocations).
-    #[allow(dead_code)]
-    Discard,
 }
 
 /// An invocation accepted by the coordinator but not yet completed.
@@ -127,6 +127,9 @@ pub(crate) struct CoordState {
     pub crash_requested: bool,
     /// Destruction was requested; tear down and delete checkpoints.
     pub destroy_requested: bool,
+    /// The slot left the object table and its queue was drained for
+    /// good; an invocation enqueued after that must be routed again.
+    pub retired: bool,
 }
 
 impl CoordState {
@@ -139,6 +142,7 @@ impl CoordState {
             pending_move: None,
             crash_requested: false,
             destroy_requested: false,
+            retired: false,
         }
     }
 }
@@ -190,8 +194,6 @@ pub struct ObjectSlot {
     pub(crate) short: ShortTerm,
     /// Coordinator state.
     pub(crate) coord: Mutex<CoordState>,
-    /// Signalled when `running` reaches zero (quiesce waits).
-    pub(crate) quiesce_cv: Condvar,
     /// Long-term storage site and level.
     pub(crate) checksite: Mutex<Checksite>,
 }
@@ -214,7 +216,6 @@ impl ObjectSlot {
             version: AtomicU64::new(0),
             short: ShortTerm::default(),
             coord: Mutex::new(CoordState::new(status)),
-            quiesce_cv: Condvar::new(),
             checksite: Mutex::new(checksite),
         })
     }
@@ -236,7 +237,6 @@ impl ObjectSlot {
             version: AtomicU64::new(version),
             short: ShortTerm::default(),
             coord: Mutex::new(CoordState::new(ObjStatus::Active)),
-            quiesce_cv: Condvar::new(),
             checksite: Mutex::new(Checksite {
                 node: home,
                 level: ReliabilityLevel::Local,

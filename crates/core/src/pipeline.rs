@@ -13,6 +13,13 @@
 //! and an unanswered call retransmits its request (same id) on the
 //! node's configured interval during [`wait`].
 //!
+//! There is no second protocol underneath: [`call`] and [`wait`] are the
+//! two halves of the kernel's one request/reply engine, and a blocking
+//! [`Node::invoke`] of a remote object is the same send followed at
+//! once by the same wait. Pipelined calls are location transparent too
+//! (§2): a call that finds no object at its destination falls back to
+//! the blocking invoke's search.
+//!
 //! ```text
 //! sequential:  req1 ──► rep1 ──► req2 ──► rep2 ──► req3 ──► rep3
 //! pipelined:   req1 req2 req3 ──► rep2 rep1 rep3      (3 calls, ~1 RTT)
@@ -21,13 +28,14 @@
 //! [`call`]: PipelinedClient::call
 //! [`wait`]: PendingCall::wait
 
-use std::time::Duration;
+use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId};
 use eden_wire::{Status, Value};
 use parking_lot::Mutex;
 
-use crate::node::{Node, PipelineTicket};
+use crate::node::{ends_search, Node, Ticket};
 
 impl Node {
     /// Creates a pipelined client for `cap`, aimed at this node's best
@@ -35,7 +43,7 @@ impl Node {
     /// birth node). The aim self-corrects: each completed call re-aims
     /// the client at the node that actually answered.
     pub fn pipelined_client(&self, cap: Capability) -> PipelinedClient {
-        let dst = self.pipeline_default_dst(cap.name());
+        let (dst, _) = self.hints(cap.name())[0];
         self.pipelined_client_to(cap, dst)
     }
 
@@ -80,10 +88,19 @@ impl PipelinedClient {
     /// relative to other outstanding calls. Fails only when the
     /// transport refuses the frame outright.
     pub fn call(&self, op: &str, args: &[Value]) -> Result<PendingCall<'_>, Status> {
-        let ticket = self.node.pipeline_send(self.dst(), self.cap, op, args)?;
+        // The root span closes at once and marks the issue point; the
+        // frame carries its context, and the wait records `client-send`.
+        let trace = self
+            .node
+            .obs()
+            .sampled_root_span("invoke", op)
+            .map(|s| s.ctx());
+        let ticket = self
+            .node
+            .send_invoke(self.dst(), self.cap, op, args, trace)?;
         Ok(PendingCall {
             client: self,
-            ticket: Some(ticket),
+            ticket,
             op: op.to_string(),
             args: args.to_vec(),
         })
@@ -104,7 +121,7 @@ impl PipelinedClient {
 /// releases the reply waiter (the reply, if it arrives, is discarded).
 pub struct PendingCall<'a> {
     client: &'a PipelinedClient,
-    ticket: Option<PipelineTicket>,
+    ticket: Ticket,
     op: String,
     args: Vec<Value>,
 }
@@ -113,22 +130,28 @@ impl PendingCall<'_> {
     /// The invocation id this call is riding (its at-most-once key on
     /// the serving kernel, scoped to this node's id).
     pub fn inv_id(&self) -> u64 {
-        self.ticket
-            .as_ref()
-            .expect("ticket present until wait")
-            .inv_id
+        self.ticket.id
     }
 
     /// Waits for the reply, retransmitting the request (same `inv_id`;
-    /// the server dedupes) on the node's configured interval. On an
-    /// answer the client re-aims at the node that replied.
-    pub fn wait(mut self, budget: Duration) -> (Status, Vec<Value>) {
-        let ticket = self.ticket.take().expect("wait consumes the ticket");
-        let (status, results, from) =
-            self.client
-                .node
-                .pipeline_wait(&ticket, self.client.cap, &self.op, &self.args, budget);
-        if !matches!(status, Status::NoSuchObject | Status::Timeout) {
+    /// the server dedupes) on the node's configured interval. A
+    /// `NoSuchObject` reply falls back, within the same budget, to the
+    /// blocking invoke's search (hints, the directory, then a broadcast)
+    /// among the other nodes. On an answer the client re-aims at the
+    /// node that gave it.
+    pub fn wait(self, budget: Duration) -> (Status, Vec<Value>) {
+        let deadline = Instant::now() + budget;
+        let (node, cap) = (&self.client.node, self.client.cap);
+        let (dst, trace) = (self.ticket.dst, self.ticket.trace);
+        let mut answer = node.await_invoke(self.ticket, cap, &self.op, &self.args, budget);
+        if matches!(answer.0, Status::NoSuchObject) {
+            // `NoSuchObject` means the request executed nowhere, so
+            // sending it on to another holder keeps at-most-once.
+            let tried = HashSet::from([dst]);
+            answer = node.search(cap, &self.op, &self.args, deadline, trace, tried);
+        }
+        let (status, results, from) = answer;
+        if ends_search(&status) {
             *self.client.dst.lock() = from;
         }
         (status, results)
@@ -138,13 +161,5 @@ impl PendingCall<'_> {
     pub fn wait_default(self) -> (Status, Vec<Value>) {
         let budget = self.client.node.pipeline_default_budget();
         self.wait(budget)
-    }
-}
-
-impl Drop for PendingCall<'_> {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.ticket.take() {
-            self.client.node.pipeline_abandon(ticket.inv_id);
-        }
     }
 }

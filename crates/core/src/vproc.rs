@@ -218,39 +218,20 @@ impl VirtualProcessorPool {
         job: impl FnOnce() + Send + 'static,
         trace: Option<TraceCtx>,
     ) -> Result<(), SubmitError> {
-        let spawn_spare = {
-            let mut st = self.shared.state.lock();
-            if st.stop {
-                return Err(SubmitError::Closed);
-            }
-            if st.queue.len() >= self.shared.queue_cap {
-                self.shared.rejected.inc();
-                return Err(SubmitError::Overloaded);
-            }
-            st.queue.push_back(Task {
-                job: Box::new(job),
-                enqueued_ns: now_ns(),
-                trace,
-            });
-            self.shared.queue_depth.inc();
-            self.reserve_spare(&mut st)
-        };
-        self.shared.cv.notify_one();
-        if spawn_spare {
-            self.spawn_spare();
-        }
-        Ok(())
+        self.submit_batch(vec![(Box::new(job), trace)])
+            .pop()
+            .expect("one verdict per task")
     }
 
-    /// [`submit_traced`](Self::submit_traced) for a whole batch: all
-    /// `tasks` are enqueued under **one** lock acquisition and one
-    /// wakeup, so a receive-loop frame batch pays the pool's
-    /// synchronization cost once instead of once per invocation.
+    /// The pool's one admission path: all `tasks` are enqueued under
+    /// **one** lock acquisition and one wakeup, so a receive-loop frame
+    /// batch pays the pool's synchronization cost once instead of once
+    /// per invocation ([`submit_traced`](Self::submit_traced) is the
+    /// one-task case).
     ///
-    /// Admission is per task: the i-th result mirrors what
-    /// `submit_traced` would have returned for the i-th task (tasks past
-    /// the queue cap shed with `Overloaded`; the caller owes each
-    /// rejected invocation its backpressure reply).
+    /// Admission is per task: the i-th result is the i-th task's
+    /// verdict (tasks past the queue cap shed with `Overloaded`; the
+    /// caller owes each rejected invocation its backpressure reply).
     pub fn submit_batch(&self, tasks: Vec<BatchTask>) -> Vec<Result<(), SubmitError>> {
         if tasks.is_empty() {
             return Vec::new();

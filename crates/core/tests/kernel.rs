@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId, Rights};
 use eden_kernel::{
@@ -271,6 +271,36 @@ impl TypeManager for Caretaker {
             "total" => Ok(vec![Value::I64(
                 ctx.read_repr(|r| r.get_i64("total").unwrap_or(0)),
             )]),
+            other => Err(OpError::no_such_op(other)),
+        }
+    }
+}
+
+/// Sleeps a little per `work` call and can crash itself. Its one class
+/// admits 16 concurrent processes, so a burst makes the coordinator hand
+/// the pool more dispatches at once than a small pool queue holds.
+struct Burst;
+
+impl TypeManager for Burst {
+    fn spec(&self) -> TypeSpec {
+        TypeSpec::new("burst")
+            .class("all", 16)
+            .op("work", "all", Rights::EXECUTE)
+            .op("crash", "all", Rights::OWNER)
+            .op("checkpoint", "all", Rights::WRITE)
+    }
+
+    fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
+        match op {
+            "work" => {
+                std::thread::sleep(Duration::from_millis(1));
+                Ok(vec![])
+            }
+            "crash" => {
+                ctx.crash();
+                Ok(vec![])
+            }
+            "checkpoint" => Ok(vec![Value::U64(ctx.checkpoint()?)]),
             other => Err(OpError::no_such_op(other)),
         }
     }
@@ -1020,4 +1050,87 @@ fn shutdown_refuses_further_work() {
         Err(EdenError::ShuttingDown)
     );
     assert_eq!(node.invoke(cap, "get", &[]), Err(EdenError::ShuttingDown));
+}
+
+#[test]
+fn a_crash_requested_during_an_overload_burst_completes() {
+    // One worker and a two-slot pool queue kept full by a second object:
+    // most of a burst's dispatches are refused, and a refused dispatch
+    // can be the one that brings the object's running count to zero
+    // while a crash is pending.
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .node_config(NodeConfig {
+            vproc_workers: 1,
+            vproc_queue_cap: 2,
+            ..NodeConfig::default()
+        })
+        .register(|| Box::new(Burst))
+        .build();
+    let cap = cluster.node(0).create_object("burst", &[]).unwrap();
+    cluster.node(0).invoke(cap, "checkpoint", &[]).unwrap();
+    let hog = cluster.node(0).create_object("burst", &[]).unwrap();
+    let stop = Arc::new(AtomicU64::new(0));
+    let hogger = {
+        let (node, stop) = (cluster.node(1).clone(), stop.clone());
+        std::thread::spawn(move || {
+            let client = node.pipelined_client(hog);
+            while stop.load(Ordering::SeqCst) == 0 {
+                let calls: Vec<_> = (0..8)
+                    .filter_map(|_| client.call("work", &[]).ok())
+                    .collect();
+                for call in calls {
+                    call.wait(Duration::from_secs(5));
+                }
+            }
+        })
+    };
+    let client = cluster.node(1).pipelined_client(cap);
+    let budget = Duration::from_secs(5);
+    let mut crashes = 0;
+    for _round in 0..200 {
+        let start = Instant::now();
+        let calls: Vec<_> = (0..48)
+            .map(|i| {
+                let op = if i == 1 { "crash" } else { "work" };
+                (op, client.call(op, &[]).expect("send"))
+            })
+            .collect();
+        for (op, call) in calls {
+            let (status, _) = call.wait(budget);
+            assert!(
+                matches!(
+                    status,
+                    Status::Ok | Status::Overloaded | Status::ObjectCrashed
+                ),
+                "{op}: {status:?}"
+            );
+            crashes += u64::from(op == "crash" && status == Status::Ok);
+        }
+        assert!(
+            start.elapsed() < budget / 2,
+            "a burst took {:?}: some caller waited out its timeout",
+            start.elapsed()
+        );
+        if crashes == 10 {
+            break;
+        }
+    }
+    stop.store(1, Ordering::SeqCst);
+    hogger.join().unwrap();
+    assert!(crashes > 0, "the crash request was shed in every round");
+    // Replies go out before the completion bookkeeping, so a teardown
+    // may trail the last reply by a moment.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while cluster.node(0).metrics().crashes < crashes && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        cluster.node(0).metrics().crashes,
+        crashes,
+        "every crash completed"
+    );
+    // The object reincarnates from its checkpoint and serves again.
+    assert_eq!(cluster.node(1).invoke(cap, "work", &[]), Ok(vec![]));
+    cluster.shutdown();
 }

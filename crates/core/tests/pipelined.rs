@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eden_capability::Rights;
+use eden_capability::{NodeId, Rights};
 use eden_kernel::{Cluster, NodeConfig, OpCtx, OpError, OpResult, TypeManager, TypeSpec};
 use eden_transport::MeshOptions;
 use eden_wire::{Status, Value};
@@ -170,5 +170,36 @@ fn dropped_pending_call_releases_its_waiter() {
     drop(client.call("bump", &[]).expect("send"));
     let (status, _) = client.call_sync("bump", &[]);
     assert_eq!(status, Status::Ok);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_client_aimed_at_the_wrong_node_still_reaches_the_object() {
+    let executions = Arc::new(AtomicU64::new(0));
+    let counted = executions.clone();
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .register(move || {
+            Box::new(PipeCounted {
+                executions: counted.clone(),
+            })
+        })
+        .build();
+    let cap = cluster
+        .node(0)
+        .create_object("pipe.counted", &[])
+        .expect("create");
+
+    // Node 2 never held the object and answers `NoSuchObject`; the call
+    // then searches like a blocking invoke and re-aims the client.
+    let client = cluster.node(1).pipelined_client_to(cap, NodeId(2));
+    let pending = client.call("bump", &[]).expect("send");
+    let (status, results) = pending.wait(Duration::from_secs(5));
+    assert_eq!((status, results), (Status::Ok, vec![Value::U64(1)]));
+    assert_eq!(client.dst(), NodeId(0), "re-aimed at the real holder");
+
+    let (status, results) = client.call_sync("bump", &[]);
+    assert_eq!((status, results), (Status::Ok, vec![Value::U64(2)]));
+    assert_eq!(executions.load(Ordering::SeqCst), 2, "each call ran once");
     cluster.shutdown();
 }
