@@ -13,7 +13,7 @@
 //! * **thread-per-invocation** — the pre-pool dispatch substrate,
 //!   emulated outside the kernel: every invocation spawns a fresh OS
 //!   thread that runs the operation and completes the reply. This is
-//!   deliberately generous to the baseline (no coordinator, no gate, no
+//!   deliberately generous to the baseline (no coordinator, no
 //!   capability checks, no tracing — just the raw substrate).
 //!
 //! Two things are on trial:
@@ -74,9 +74,7 @@ pub fn fanout_run(workers: usize) -> FanoutRun {
     let cluster = bench_cluster_with(
         1,
         NodeConfig {
-            // The admission gate must not be the limiter: the pool is.
-            virtual_processors: CLIENTS,
-            vproc_workers: workers,
+            virtual_processors: workers,
             ..Default::default()
         },
     );

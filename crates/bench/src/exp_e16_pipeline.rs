@@ -20,6 +20,11 @@
 //! Acceptance: pipelined throughput ≥3x the baseline at 64 connections,
 //! and the server's reader-thread count stays at the configured pool
 //! size at every scale.
+//!
+//! Each scale runs against a wall-clock budget ([`SCALE_BUDGET`]). A
+//! scale that misses it stops issuing calls, is torn down, and enters
+//! the artifact as a failure with its elapsed time — the run finishes
+//! either way instead of hanging.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -27,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId, Rights};
 use eden_kernel::{
-    Node, NodeConfig, OpCtx, OpError, OpResult, TypeManager, TypeRegistry, TypeSpec,
+    Node, NodeConfig, OpCtx, OpError, OpResult, PendingCall, TypeManager, TypeRegistry, TypeSpec,
 };
 use eden_obs::TraceSampling;
 use eden_store::MemStore;
@@ -47,6 +52,9 @@ const READER_POOL: usize = 4;
 const BASELINE_CALLS: usize = 200;
 /// Pipelined invocations per connection.
 const PIPELINED_CALLS: usize = 1000;
+/// Wall-clock budget for one scale. It covers cluster boot and both
+/// modes; teardown is not counted.
+const SCALE_BUDGET: Duration = Duration::from_secs(120);
 /// Per-call reply budget. Generous on purpose: at 64 connections the
 /// harness runs 65 in-process kernels, and on a small machine a reply
 /// can be scheduler-starved for seconds without anything being wrong.
@@ -78,7 +86,6 @@ impl TypeManager for Echo {
 fn server_config() -> NodeConfig {
     NodeConfig {
         virtual_processors: 4,
-        vproc_workers: 8,
         // Headroom over the largest burst (64 conns x 32 window): the
         // run measures throughput, not the Overloaded shed path.
         vproc_queue_cap: 8192,
@@ -92,7 +99,6 @@ fn server_config() -> NodeConfig {
 fn client_config() -> NodeConfig {
     NodeConfig {
         virtual_processors: 1,
-        vproc_workers: 1,
         trace_sampling: TraceSampling::Ratio(0),
         enable_retransmission: false,
         default_invoke_timeout: CALL_BUDGET,
@@ -153,42 +159,62 @@ impl TcpCluster {
     }
 }
 
-/// One-RTT-per-call driver: issue, block, repeat. Returns Ok count.
-fn drive_baseline(client: &Node, cap: Capability) -> u64 {
+/// Waits for one call's reply, for at most what is left of the scale's
+/// budget. True if it came back Ok.
+fn harvest(pending: PendingCall<'_>, deadline: Instant) -> bool {
+    let left = deadline.saturating_duration_since(Instant::now());
+    pending.wait(left).0 == Status::Ok
+}
+
+/// One-RTT-per-call driver: issue, block, repeat — until `deadline`.
+/// Returns Ok count.
+fn drive_baseline(client: &Node, cap: Capability, deadline: Instant) -> u64 {
     let pc = client.pipelined_client_to(cap, NodeId(0));
-    (0..BASELINE_CALLS)
-        .filter(|_| pc.call_sync("echo", &[Value::U64(1)]).0 == Status::Ok)
-        .count() as u64
+    let mut ok = 0u64;
+    for _ in 0..BASELINE_CALLS {
+        if Instant::now() >= deadline {
+            break;
+        }
+        if let Ok(pending) = pc.call("echo", &[Value::U64(1)]) {
+            ok += u64::from(harvest(pending, deadline));
+        }
+    }
+    ok
 }
 
 /// Windowed driver: keep [`WINDOW`] calls outstanding, harvest the
-/// oldest as each new one is issued. Returns Ok count.
-fn drive_pipelined(client: &Node, cap: Capability) -> u64 {
+/// oldest as each new one is issued — until `deadline`. Returns Ok
+/// count.
+fn drive_pipelined(client: &Node, cap: Capability, deadline: Instant) -> u64 {
     let pc = client.pipelined_client_to(cap, NodeId(0));
     let mut window = VecDeque::with_capacity(WINDOW);
     let mut ok = 0u64;
     for _ in 0..PIPELINED_CALLS {
+        if Instant::now() >= deadline {
+            break;
+        }
         if window.len() >= WINDOW {
-            let oldest: eden_kernel::PendingCall<'_> = window.pop_front().expect("non-empty");
-            if oldest.wait(CALL_BUDGET).0 == Status::Ok {
-                ok += 1;
-            }
+            let oldest = window.pop_front().expect("non-empty");
+            ok += u64::from(harvest(oldest, deadline));
         }
         if let Ok(pending) = pc.call("echo", &[Value::U64(1)]) {
             window.push_back(pending);
         }
     }
-    while let Some(pending) = window.pop_front() {
-        if pending.wait(CALL_BUDGET).0 == Status::Ok {
-            ok += 1;
-        }
+    for pending in window {
+        ok += u64::from(harvest(pending, deadline));
     }
     ok
 }
 
 /// Runs one mode across every connection in parallel; returns
 /// (invocations/sec, completed-Ok count).
-fn measure(cluster: &TcpCluster, caps: &[Capability], pipelined: bool) -> (f64, u64) {
+fn measure(
+    cluster: &TcpCluster,
+    caps: &[Capability],
+    pipelined: bool,
+    deadline: Instant,
+) -> (f64, u64) {
     let start = Instant::now();
     let ok: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = cluster
@@ -198,9 +224,9 @@ fn measure(cluster: &TcpCluster, caps: &[Capability], pipelined: bool) -> (f64, 
             .map(|(client, &cap)| {
                 s.spawn(move || {
                     if pipelined {
-                        drive_pipelined(client, cap)
+                        drive_pipelined(client, cap, deadline)
                     } else {
-                        drive_baseline(client, cap)
+                        drive_baseline(client, cap, deadline)
                     }
                 })
             })
@@ -222,8 +248,27 @@ pub struct ScalePoint {
     pub reader_threads: usize,
 }
 
-/// Runs both modes at one connection count.
-fn run_scale(connections: usize) -> ScalePoint {
+/// One connection count's outcome: a measured point, or the budget it
+/// missed.
+pub enum ScaleOutcome {
+    /// Both modes finished within [`SCALE_BUDGET`].
+    Done(ScalePoint),
+    /// The scale was still running when its budget ran out.
+    OverBudget {
+        /// Connections (= client kernels).
+        connections: usize,
+        /// Wall-clock time from the start of the scale to giving up.
+        elapsed: Duration,
+        /// Calls that completed Ok before the budget ran out, per mode
+        /// (baseline, pipelined).
+        completed: (u64, u64),
+    },
+}
+
+/// Runs both modes at one connection count within [`SCALE_BUDGET`].
+fn run_scale(connections: usize) -> ScaleOutcome {
+    let start = Instant::now();
+    let deadline = start + SCALE_BUDGET;
     let cluster = TcpCluster::build(connections);
     let caps: Vec<Capability> = (0..connections)
         .map(|_| {
@@ -233,8 +278,18 @@ fn run_scale(connections: usize) -> ScalePoint {
                 .expect("create echo object")
         })
         .collect();
-    let (baseline_ips, base_ok) = measure(&cluster, &caps, false);
-    let (pipelined_ips, pipe_ok) = measure(&cluster, &caps, true);
+    let (baseline_ips, base_ok) = measure(&cluster, &caps, false, deadline);
+    let (pipelined_ips, pipe_ok) = measure(&cluster, &caps, true, deadline);
+    let elapsed = start.elapsed();
+    let reader_threads = cluster.server_mesh.reader_thread_count();
+    cluster.shutdown();
+    if elapsed >= SCALE_BUDGET {
+        return ScaleOutcome::OverBudget {
+            connections,
+            elapsed,
+            completed: (base_ok, pipe_ok),
+        };
+    }
     // Loopback TCP plus the generous budget: every call must complete.
     // A shortfall here means a frame was lost in the receive path.
     assert_eq!(
@@ -247,46 +302,66 @@ fn run_scale(connections: usize) -> ScalePoint {
         connections * PIPELINED_CALLS,
         "pipelined calls all Ok"
     );
-    let reader_threads = cluster.server_mesh.reader_thread_count();
-    cluster.shutdown();
-    ScalePoint {
+    ScaleOutcome::Done(ScalePoint {
         connections,
         baseline_ips,
         pipelined_ips,
         reader_threads,
-    }
+    })
 }
 
 /// Renders the machine-readable artifact alongside the printed table.
-fn write_artifact(points: &[ScalePoint]) {
-    let mut scales = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            scales.push_str(",\n");
-        }
-        scales.push_str(&format!(
-            "    {{\"connections\": {}, \"baseline_inv_per_sec\": {:.0}, \
-             \"pipelined_inv_per_sec\": {:.0}, \"speedup\": {:.2}, \
-             \"server_reader_threads\": {}}}",
+fn write_artifact(outcomes: &[ScaleOutcome]) {
+    let scales: Vec<String> = outcomes
+        .iter()
+        .map(|o| match o {
+            ScaleOutcome::Done(p) => format!(
+                "    {{\"connections\": {}, \"status\": \"ok\", \
+                 \"baseline_inv_per_sec\": {:.0}, \"pipelined_inv_per_sec\": {:.0}, \
+                 \"speedup\": {:.2}, \"server_reader_threads\": {}}}",
+                p.connections,
+                p.baseline_ips,
+                p.pipelined_ips,
+                p.pipelined_ips / p.baseline_ips,
+                p.reader_threads,
+            ),
+            ScaleOutcome::OverBudget {
+                connections,
+                elapsed,
+                completed: (base_ok, pipe_ok),
+            } => format!(
+                "    {{\"connections\": {connections}, \"status\": \"over_budget\", \
+                 \"elapsed_s\": {:.1}, \"baseline_ok\": {base_ok}, \"pipelined_ok\": {pipe_ok}}}",
+                elapsed.as_secs_f64(),
+            ),
+        })
+        .collect();
+    let speedup = match outcomes.iter().rev().find_map(done) {
+        Some(p) => format!(
+            ",\n  \"speedup_at_{}\": {:.2}",
             p.connections,
-            p.baseline_ips,
-            p.pipelined_ips,
-            p.pipelined_ips / p.baseline_ips,
-            p.reader_threads,
-        ));
-    }
-    let last = points.last().expect("at least one scale");
+            p.pipelined_ips / p.baseline_ips
+        ),
+        None => String::new(),
+    };
     let json = format!(
         "{{\n  \"experiment\": \"e16\",\n  \"window\": {WINDOW},\n  \
          \"reader_pool\": {READER_POOL},\n  \"baseline_calls_per_conn\": {BASELINE_CALLS},\n  \
-         \"pipelined_calls_per_conn\": {PIPELINED_CALLS},\n  \"scales\": [\n{scales}\n  ],\n  \
-         \"speedup_at_{}\": {:.2}\n}}\n",
-        last.connections,
-        last.pipelined_ips / last.baseline_ips,
+         \"pipelined_calls_per_conn\": {PIPELINED_CALLS},\n  \
+         \"scale_budget_s\": {},\n  \"scales\": [\n{}\n  ]{speedup}\n}}\n",
+        SCALE_BUDGET.as_secs(),
+        scales.join(",\n"),
     );
     let path = artifact_path("BENCH_E16.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("warning: could not write {}: {e}", path.display());
+    }
+}
+
+fn done(outcome: &ScaleOutcome) -> Option<&ScalePoint> {
+    match outcome {
+        ScaleOutcome::Done(p) => Some(p),
+        ScaleOutcome::OverBudget { .. } => None,
     }
 }
 
@@ -295,7 +370,7 @@ pub fn run() -> Table {
     // Warm-up: listener setup, lazy statics, the allocator.
     let _ = run_scale(2);
 
-    let points: Vec<ScalePoint> = SCALES.iter().map(|&n| run_scale(n)).collect();
+    let outcomes: Vec<ScaleOutcome> = SCALES.iter().map(|&n| run_scale(n)).collect();
 
     let mut t = Table::new(
         format!(
@@ -310,27 +385,50 @@ pub fn run() -> Table {
             "server reader threads",
         ],
     );
-    for p in &points {
-        t.row(vec![
-            format!("{}", p.connections),
-            format!("{:.0}", p.baseline_ips),
-            format!("{:.0}", p.pipelined_ips),
-            format!("{:.2}x", p.pipelined_ips / p.baseline_ips),
-            format!("{}", p.reader_threads),
-        ]);
+    for outcome in &outcomes {
+        t.row(match outcome {
+            ScaleOutcome::Done(p) => vec![
+                format!("{}", p.connections),
+                format!("{:.0}", p.baseline_ips),
+                format!("{:.0}", p.pipelined_ips),
+                format!("{:.2}x", p.pipelined_ips / p.baseline_ips),
+                format!("{}", p.reader_threads),
+            ],
+            ScaleOutcome::OverBudget {
+                connections,
+                elapsed,
+                completed: (base_ok, pipe_ok),
+            } => vec![
+                format!("{connections}"),
+                format!(
+                    "over budget ({:.0} s; {base_ok}/{} Ok)",
+                    elapsed.as_secs_f64(),
+                    connections * BASELINE_CALLS
+                ),
+                format!("{pipe_ok}/{} Ok", connections * PIPELINED_CALLS),
+                "-".into(),
+                "-".into(),
+            ],
+        });
     }
-    let last = points.last().expect("non-empty");
-    t.note(format!(
-        "acceptance: >=3x at {} connections (measured {:.2}x); reader \
-         threads flat at the pool size across every scale",
-        last.connections,
-        last.pipelined_ips / last.baseline_ips
-    ));
+    match outcomes.last().and_then(done) {
+        Some(last) => t.note(format!(
+            "acceptance: >=3x at {} connections (measured {:.2}x); reader \
+             threads flat at the pool size across every scale",
+            last.connections,
+            last.pipelined_ips / last.baseline_ips
+        )),
+        None => t.note(format!(
+            "acceptance not met: the largest scale did not finish within its \
+             {} s budget",
+            SCALE_BUDGET.as_secs()
+        )),
+    }
     t.note(
         "expected shape: the baseline pays a full RTT per invocation; the \
          window overlaps them, so throughput tracks the server's dispatch \
          capacity and grows with connection count until the pool saturates",
     );
-    write_artifact(&points);
+    write_artifact(&outcomes);
     t
 }

@@ -1,16 +1,16 @@
 //! F2 — Figure 2 as a measured system: virtual processors.
 //!
 //! The default Eden node machine has two GDPs, "field upgradable" to
-//! four (§3). A node's virtual processors bound how many invocation
-//! processes execute simultaneously, so completing a batch of
-//! fixed-service-time invocations should take `batch / vprocs` — the
-//! scaling the extra GDPs buy.
+//! four (§3). A node's virtual processors — the worker threads of its
+//! pool — bound how many invocation processes execute simultaneously,
+//! so completing a batch of fixed-service-time invocations should take
+//! `batch / vprocs`: the scaling the extra GDPs buy.
 //!
 //! Two workloads:
 //!
 //! * **fixed service time** — each invocation occupies its virtual
 //!   processor for 40 ms (a simulated instruction budget). This isolates
-//!   the kernel's virtual-processor admission from the host machine, so
+//!   the kernel's pool size from the host machine, so
 //!   the expected near-linear scaling holds even on a single-core host.
 //! * **CPU-bound** — a real arithmetic loop; its scaling is additionally
 //!   capped by the *host's* physical cores (reported alongside), exactly
@@ -39,7 +39,7 @@ fn batch_seconds(vprocs: usize, cpu_bound: bool) -> f64 {
     let (type_name, op, arg): (String, &str, Value) = if cpu_bound {
         (SpinType::NAME.to_string(), "spin", Value::U64(SPIN_ITERS))
     } else {
-        // Class limit 16 ≥ TASKS: the vproc gate is the only limiter.
+        // Class limit 16 ≥ TASKS: the pool's size is the only limiter.
         (HoldType::name_for(16), "hold_ms", Value::U64(HOLD_MS))
     };
     let cap = cluster

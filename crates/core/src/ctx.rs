@@ -126,11 +126,12 @@ impl<'a> OpCtx<'a> {
 
     /// Invokes an operation on another object, location-independently.
     ///
-    /// The calling invocation process blocks (its virtual processor is
-    /// yielded while waiting, so nested invocation cannot starve the
-    /// node).
+    /// The calling invocation process blocks. It is an ordinary
+    /// [`Node::invoke`](crate::Node::invoke), whose wait for the reply
+    /// yields this process's virtual processor, so nested invocation
+    /// cannot starve the node.
     pub fn invoke(&self, cap: Capability, op: &str, args: &[Value]) -> Result<Vec<Value>> {
-        self.node.invoke_nested(cap, op, args)
+        self.node.invoke(cap, op, args)
     }
 
     /// Creates a new object of `type_name` on this node, returning its

@@ -10,18 +10,17 @@
 //! [`Node`] is one kernel instance. Its pieces:
 //!
 //! * an **object table** (the virtual memory) of [`ObjectSlot`]s;
-//! * a **virtual-processor pool** ([`VirtualProcessorPool`]): a bounded
-//!   set of [`NodeConfig::vproc_workers`] worker threads that executes
+//! * the **virtual processors** ([`VirtualProcessorPool`]):
+//!   [`NodeConfig::virtual_processors`] worker threads that execute
 //!   every invocation process, async invoke, move, reincarnation and
-//!   redelivery — the paper's fixed processor complement (§3). Excess
-//!   work queues up to [`NodeConfig::vproc_queue_cap`], past which the
-//!   kernel sheds load with [`Status::Overloaded`];
-//! * a **virtual-processor gate**: of the pooled invocation processes,
-//!   only [`NodeConfig::virtual_processors`] *execute* concurrently; a
-//!   process yields its processor while blocked in a nested invocation,
-//!   so nesting can never deadlock the node (the default of 2 mirrors
-//!   the two GDPs of the default Eden node machine, "field upgradable"
-//!   to 4 — see experiment F2);
+//!   redelivery — the paper's fixed processor complement (§3; the
+//!   default of 2 mirrors the two GDPs of the default Eden node
+//!   machine, "field upgradable" to 4 — see experiment F2). A process
+//!   blocked in a nested invocation, a remote wait or an object
+//!   semaphore yields its processor ([`blocking`]), so waiting can
+//!   never deadlock the node. Excess work queues up to
+//!   [`NodeConfig::vproc_queue_cap`], past which the kernel sheds load
+//!   with [`Status::Overloaded`];
 //! * the **location service**: hint cache → birth-node hint → broadcast
 //!   `WhereIs` → forwarding addresses, realizing the location-independent
 //!   object address space of §2;
@@ -35,15 +34,14 @@
 //!   invocation (blocking or pipelined), directory query, checkpoint
 //!   write, move transfer, replica or checkpoint fetch, ping — is
 //!   registered in one reply registry, sent, and awaited inside
-//!   [`VirtualProcessorPool::blocking`]. A blocking remote invocation is
-//!   a pipelined call's send followed at once by its wait;
+//!   [`blocking`]. A blocking remote invocation is a pipelined call's
+//!   send followed at once by its wait;
 //! * **one dispatch path**: `pump` moves ready invocations to running
 //!   under the coordinator lock and returns them, and `dispatch` submits
 //!   them as one pool batch once the lock is released. One routine
 //!   releases a finished or refused invocation, and completes a
 //!   requested crash or destroy once nothing runs.
 
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,16 +68,9 @@ use crate::object::{
     Checksite, CoordState, ObjStatus, ObjectSlot, PendingInvocation, ReplySink, CHECKSITE_SEGMENT,
 };
 use crate::repr::Representation;
-use crate::sync::EdenSemaphore;
 use crate::types::TypeRegistry;
-use crate::vproc::{BatchTask, SubmitError, VirtualProcessorPool, VprocStats};
+use crate::vproc::{blocking, BatchTask, SubmitError, VirtualProcessorPool, VprocStats};
 use crate::waiter::{LocationAnswer, QueryCollector, Waiter};
-
-thread_local! {
-    /// Whether the current thread holds a virtual-processor token (set
-    /// inside invocation processes so nested invokes know to yield it).
-    static HOLDS_VPROC: Cell<bool> = const { Cell::new(false) };
-}
 
 /// How many frames the receive loop asks the transport for per wakeup.
 const RECV_BATCH_MAX: usize = 128;
@@ -97,7 +88,10 @@ enum Teardown {
 /// Kernel tuning parameters.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// Concurrent invocation executions (the node machine's GDPs).
+    /// The node machine's processors (its GDPs, §3): the worker threads
+    /// of the pool that runs every invocation process, async invoke,
+    /// move, reincarnation and redelivery. A worker blocked in a wait
+    /// yields its processor, so at most this many run at once.
     pub virtual_processors: usize,
     /// Default invocation timeout when the invoker does not supply one.
     pub default_invoke_timeout: Duration,
@@ -130,12 +124,6 @@ pub struct NodeConfig {
     /// layer (client send, transport, dispatch, execute, reply) skips
     /// its span work for free.
     pub trace_sampling: TraceSampling,
-    /// Worker threads in the virtual-processor pool that runs every
-    /// invocation process, async invoke, move, reincarnation and
-    /// redelivery. `0` (the default) means auto: the host's available
-    /// parallelism, floored at [`NodeConfig::virtual_processors`] so
-    /// the configured invocation concurrency is always schedulable.
-    pub vproc_workers: usize,
     /// Bound on the pool's task queue. Past it the kernel sheds load
     /// with [`Status::Overloaded`] instead of queueing without limit —
     /// the backpressure contract a fan-out client must handle.
@@ -192,7 +180,6 @@ impl Default for NodeConfig {
             enable_location_cache: true,
             enable_retransmission: true,
             trace_sampling: TraceSampling::Always,
-            vproc_workers: 0,
             vproc_queue_cap: 1024,
             enable_directory: true,
             enable_broadcast_fallback: true,
@@ -336,7 +323,6 @@ pub(crate) struct NodeInner {
     pending: Mutex<HashMap<u64, Registered>>,
     store: Arc<dyn CheckpointStore>,
     endpoint: Arc<dyn Endpoint>,
-    gate: EdenSemaphore,
     vprocs: VirtualProcessorPool,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -389,9 +375,10 @@ pub struct InvocationHandle {
 }
 
 impl InvocationHandle {
-    /// Blocks until the invocation completes or `timeout` elapses.
+    /// Blocks until the invocation completes or `timeout` elapses. A
+    /// pool worker waiting here yields its processor.
     pub fn wait(&self, timeout: Duration) -> Result<Vec<Value>> {
-        match self.waiter.wait(timeout) {
+        match blocking(|| self.waiter.wait(timeout)) {
             Some(r) => r,
             None => Err(EdenError::Invoke(Status::Timeout)),
         }
@@ -417,14 +404,6 @@ impl Node {
         obs.set_sampling(config.trace_sampling.clone());
         endpoint.attach_obs(obs.clone());
         store.attach_obs(obs.clone());
-        let workers = if config.vproc_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(config.virtual_processors.max(1))
-        } else {
-            config.vproc_workers
-        };
         let directory = if config.enable_directory {
             let gossip = GossipConfig {
                 probe_interval: config.gossip_interval,
@@ -444,8 +423,12 @@ impl Node {
         let cache_cap = config.location_cache_cap;
         let inner = Arc::new(NodeInner {
             id,
-            gate: EdenSemaphore::new(config.virtual_processors.max(1) as u64),
-            vprocs: VirtualProcessorPool::new(id, workers, config.vproc_queue_cap, &obs),
+            vprocs: VirtualProcessorPool::new(
+                id,
+                config.virtual_processors,
+                config.vproc_queue_cap,
+                &obs,
+            ),
             config,
             names: NameGenerator::new(id),
             registry,
@@ -856,25 +839,6 @@ impl Node {
         handle
     }
 
-    /// Nested invocation from inside an operation: yields the virtual
-    /// processor while blocked.
-    pub(crate) fn invoke_nested(
-        &self,
-        cap: Capability,
-        op: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>> {
-        let holds = HOLDS_VPROC.with(Cell::get);
-        if holds {
-            self.inner.gate.v();
-        }
-        let r = self.invoke(cap, op, args);
-        if holds {
-            self.inner.gate.p();
-        }
-        r
-    }
-
     /// The invocation state machine: local slot → local checkpoint →
     /// located remote holder.
     fn do_invoke(
@@ -1193,7 +1157,7 @@ impl Node {
         let budget = deadline.saturating_duration_since(Instant::now());
         // A pool worker waiting here (async or nested invocation) yields
         // its place: the reply it waits for may itself need a worker.
-        let outcome = match self.inner.vprocs.blocking(|| waiter.wait(budget)) {
+        let outcome = match blocking(|| waiter.wait(budget)) {
             Some(Some(answer)) => answer,
             Some(None) => return None, // Rerouted: look the object up again.
             None => (Status::Timeout, Vec::new()),
@@ -1471,9 +1435,6 @@ impl Node {
                 .obs
                 .child_span_staged("execute", stage::EXECUTE, t)
         });
-        // Take a virtual processor for the duration of execution.
-        self.inner.gate.p();
-        HOLDS_VPROC.with(|c| c.set(true));
         let exec_start = now_ns();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let ctx = OpCtx::new(
@@ -1492,8 +1453,6 @@ impl Node {
             .obs
             .histogram("invoke.execute")
             .record(now_ns().saturating_sub(exec_start));
-        HOLDS_VPROC.with(|c| c.set(false));
-        self.inner.gate.v();
         let exec_ctx = exec_span.map(|s| {
             let c = s.ctx();
             s.finish();
@@ -1610,7 +1569,7 @@ impl Node {
         resend: Option<&dyn Fn(u64) -> Message>,
     ) -> Option<Frame> {
         let deadline = Instant::now() + budget;
-        let reply = self.inner.vprocs.blocking(|| loop {
+        let reply = blocking(|| loop {
             let left = deadline.saturating_duration_since(Instant::now());
             let slice = match resend {
                 Some(_) => left.min(self.inner.config.retransmit_interval),
@@ -1798,10 +1757,7 @@ impl Node {
                 reply_to: self.inner.id,
             },
         ));
-        let answers = self
-            .inner
-            .vprocs
-            .blocking(|| collector.wait(self.inner.config.locate_window));
+        let answers = blocking(|| collector.wait(self.inner.config.locate_window));
         self.inner.location.queries.lock().remove(&query_id);
         answers
     }
@@ -3181,7 +3137,7 @@ mod tests {
         let cluster = cluster(
             1,
             NodeConfig {
-                vproc_workers: 1,
+                virtual_processors: 1,
                 vproc_queue_cap: 1,
                 ..NodeConfig::default()
             },

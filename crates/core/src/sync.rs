@@ -7,6 +7,11 @@
 //! empty on reincarnation (§4.1: short-term state "is never written to
 //! long-term storage").
 //!
+//! A process parked on either primitive yields its virtual processor
+//! ([`blocking`]), as §4.2 intends, so the process that will release it
+//! can run even on a node with a single processor. The uncontended
+//! paths never touch the pool.
+//!
 //! [`OpCtx`]: crate::OpCtx
 
 use std::collections::VecDeque;
@@ -15,6 +20,7 @@ use std::time::{Duration, Instant};
 use eden_wire::Value;
 
 use self::shim::{Condvar, Mutex};
+use crate::vproc::blocking;
 
 /// The sync primitives the kernel's concurrency-sensitive paths build
 /// on, swappable at compile time for model checking.
@@ -55,41 +61,18 @@ impl EdenSemaphore {
 
     /// P: blocks until a permit is available, then takes it.
     pub fn p(&self) {
-        let mut count = self.count.lock();
-        while *count == 0 {
-            // eden-lint: allow(blocking-discipline): P parks by design —
-            // the vproc gate sizes permits to the pool and V()s around
-            // nested invokes (HOLDS_VPROC), so wrapping this wait in
-            // blocking() would inject spares that immediately park on the
-            // same gate; user-level semaphore waits are §4.2 semantics.
-            self.cv.wait(&mut count);
-        }
-        *count -= 1;
+        park_until(&self.count, &self.cv, None, take_permit).expect("no deadline");
     }
 
     /// P with a deadline; `false` if it expired.
     pub fn p_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut count = self.count.lock();
-        while *count == 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.cv.wait_for(&mut count, deadline - now);
-        }
-        *count -= 1;
-        true
+        park_until(&self.count, &self.cv, Some(deadline), take_permit).is_some()
     }
 
     /// Non-blocking P.
     pub fn try_p(&self) -> bool {
-        let mut count = self.count.lock();
-        if *count == 0 {
-            return false;
-        }
-        *count -= 1;
-        true
+        take_permit(&mut self.count.lock()).is_some()
     }
 
     /// V: releases one permit.
@@ -103,6 +86,44 @@ impl EdenSemaphore {
     pub fn permits(&self) -> u64 {
         *self.count.lock()
     }
+}
+
+fn take_permit(count: &mut u64) -> Option<()> {
+    (*count > 0).then(|| *count -= 1)
+}
+
+/// Runs `step` on the state behind `lock` until it returns `Some`,
+/// parking on `cv` between tries; `None` once `deadline` passes. Only a
+/// caller that has to park yields its virtual processor, and it parks
+/// inside [`blocking`] with no lock held on entry or exit, so the pool's
+/// lock is never taken under this one.
+fn park_until<T, R>(
+    lock: &Mutex<T>,
+    cv: &Condvar,
+    deadline: Option<Instant>,
+    mut step: impl FnMut(&mut T) -> Option<R>,
+) -> Option<R> {
+    if let Some(r) = step(&mut lock.lock()) {
+        return Some(r);
+    }
+    blocking(|| {
+        let mut state = lock.lock();
+        loop {
+            if let Some(r) = step(&mut state) {
+                return Some(r);
+            }
+            match deadline {
+                None => cv.wait(&mut state),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    cv.wait_for(&mut state, deadline - now);
+                }
+            }
+        }
+    })
 }
 
 /// A many-producer, many-consumer port carrying [`Value`]s between the
@@ -145,55 +166,41 @@ impl MessagePort {
     /// Sends a message, blocking while the port is full. Returns `false`
     /// if the port is closed.
     pub fn send(&self, value: Value) -> bool {
-        let mut q = self.queue.lock();
-        loop {
+        let mut value = Some(value);
+        park_until(&self.queue, &self.send_cv, None, |q| {
             if q.closed {
-                return false;
+                return Some(false);
             }
-            match q.capacity {
-                Some(cap) if q.items.len() >= cap => self.send_cv.wait(&mut q),
-                _ => break,
+            if q.capacity.is_some_and(|cap| q.items.len() >= cap) {
+                return None;
             }
-        }
-        q.items.push_back(value);
-        self.recv_cv.notify_one();
-        true
+            q.items.push_back(value.take().expect("sent once"));
+            self.recv_cv.notify_one();
+            Some(true)
+        })
+        .expect("no deadline")
     }
 
     /// Receives the next message, blocking until one arrives or the port
     /// closes (then `None`).
     pub fn recv(&self) -> Option<Value> {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(v) = q.items.pop_front() {
-                self.send_cv.notify_one();
-                return Some(v);
-            }
-            if q.closed {
-                return None;
-            }
-            self.recv_cv.wait(&mut q);
-        }
+        self.recv_until(None)
     }
 
     /// Receives with a deadline; `None` on timeout or closure.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Value> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.queue.lock();
-        loop {
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> Option<Value> {
+        park_until(&self.queue, &self.recv_cv, deadline, |q| {
             if let Some(v) = q.items.pop_front() {
                 self.send_cv.notify_one();
-                return Some(v);
+                return Some(Some(v));
             }
-            if q.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.recv_cv.wait_for(&mut q, deadline - now);
-        }
+            q.closed.then_some(None)
+        })
+        .flatten()
     }
 
     /// Non-blocking receive.

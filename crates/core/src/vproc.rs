@@ -1,34 +1,30 @@
-//! The virtual-processor pool: a bounded worker set for kernel tasks.
+//! The virtual-processor pool: the node's processor complement.
 //!
 //! §3: the Eden node machine multiplexes a *fixed* complement of
 //! processors (two GDPs, "field upgradable" to four) over however many
-//! invocation processes exist. The kernel used to spawn one OS thread
-//! per invocation process, async invoke, move, reincarnation and
-//! redelivery, so a fan-out burst created unbounded threads and the
-//! [`EdenSemaphore`](crate::sync::EdenSemaphore) gate throttled only
-//! *execution*, never *thread creation*. [`VirtualProcessorPool`] is the
-//! fixed supply of workers those tasks now share; excess work queues,
-//! and past [`NodeConfig::vproc_queue_cap`](crate::NodeConfig) the
-//! kernel sheds load with `Status::Overloaded` instead of falling over.
+//! invocation processes exist. [`VirtualProcessorPool`] is that
+//! complement: [`NodeConfig::virtual_processors`](crate::NodeConfig)
+//! worker threads run every invocation process, async invoke, move,
+//! reincarnation and redelivery. Excess work queues, and past
+//! [`NodeConfig::vproc_queue_cap`](crate::NodeConfig) the kernel sheds
+//! load with `Status::Overloaded` instead of falling over.
 //!
-//! ## Blocked-worker replacement
+//! ## Yielding a processor
 //!
-//! Kernel tasks legitimately block: an async-invoke task waits for its
-//! invocation's reply, a nested invocation waits for the inner result, a
-//! move task waits for the transfer ack. With a strictly fixed worker
-//! count those waits could consume every worker while the tasks able to
-//! *unblock* them sit in the queue — a thread-starvation deadlock. The
-//! kernel therefore wraps each such wait in [`VirtualProcessorPool::
-//! blocking`], which parks the worker *outside* the pool's accounting
-//! and, when runnable work would otherwise stall, injects a temporary
-//! *spare* worker. Spares drain the queue and exit as soon as it is
-//! empty, so the pool returns to its configured size once the burst
-//! passes. The invariant maintained is that the number of unblocked
-//! workers stays at the configured target whenever work is queued —
-//! blocked workers cost memory, not processors, exactly like the
-//! paper's invocation processes multiplexed over a fixed set of GDPs.
+//! §4.2: a process blocked in a nested invocation or on a semaphore
+//! gives its processor back. Kernel waits (an invocation's reply, a
+//! locate window, a move ack) and the intra-object primitives of
+//! [`sync`](crate::sync) all wait inside [`blocking`], the one way a
+//! worker yields. It marks the worker *blocked*, outside the pool's
+//! count of running processors, and when runnable work would otherwise
+//! stall it injects a temporary *spare* worker, so the task that would
+//! unblock the wait always gets a processor. When the wait ends the
+//! returning worker finishes its task, but no worker starts a new task
+//! while more than the complement are unblocked: a spare retires once
+//! the queue is empty or the complement is full again, and a base worker
+//! waits for it. Blocked processes cost memory, not processors.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -40,11 +36,47 @@ use eden_obs::{now_ns, stage, Counter, Gauge, Histogram, ObsRegistry, TraceCtx};
 use crate::sync::shim::{self, Condvar, Mutex};
 
 thread_local! {
-    /// Identity (by [`Shared`] address) of the pool whose worker loop
-    /// owns this thread, so [`VirtualProcessorPool::blocking`] performs
-    /// replacement accounting only on the pool's own workers — a client
-    /// thread waiting inside `Node::invoke` needs no spare.
-    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+    /// The pool whose worker loop owns this thread, so [`blocking`]
+    /// yields the processor of the calling worker's own pool — and does
+    /// nothing on other threads (a client thread waiting inside
+    /// `Node::invoke` holds no processor). Empty inside a blocking
+    /// scope, so a nested scope does not yield twice.
+    static WORKER_OF: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` — a wait whose completion may itself need a processor (a
+/// nested or remote invocation's reply, a move ack, an object's
+/// semaphore or message port) — with the calling worker's processor
+/// given back: the worker counts as blocked, and a spare is injected if
+/// queued work would otherwise stall. See the module docs. On a thread
+/// that is not a pool worker, `f` runs unadorned.
+pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    let Some(shared) = WORKER_OF.with(|w| w.borrow_mut().take()) else {
+        return f();
+    };
+    let spawn_spare = {
+        let mut st = shared.state.lock();
+        st.blocked += 1;
+        // A worker parked while the pool was over its complement may now
+        // run the queue; otherwise a spare may have to.
+        if st.idle > 0 && !st.queue.is_empty() {
+            shared.cv.notify_one();
+        }
+        shared.reserve_spare(&mut st)
+    };
+    if spawn_spare {
+        shared.spawn_spare();
+    }
+    /// Takes the processor back when the wait ends, even by unwinding.
+    struct Unblock(Arc<Shared>);
+    impl Drop for Unblock {
+        fn drop(&mut self) {
+            self.0.state.lock().blocked -= 1;
+            WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&self.0)));
+        }
+    }
+    let _unblock = Unblock(shared);
+    f()
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -68,7 +100,7 @@ struct State {
     live: usize,
     /// Workers parked on the condvar waiting for work.
     idle: usize,
-    /// Workers inside a [`VirtualProcessorPool::blocking`] scope.
+    /// Workers inside a [`blocking`] scope.
     blocked: usize,
     /// Per-worker busy-since timestamps (worker id → ns), maintained
     /// around task execution so the stall watchdog can spot a worker
@@ -94,6 +126,44 @@ struct Shared {
     rejected: Arc<Counter>,
     spares: Arc<Counter>,
     panicked: Arc<Counter>,
+}
+
+impl State {
+    /// Workers holding a processor: neither parked for work nor blocked
+    /// in a wait (a worker asking counts itself).
+    fn running(&self) -> usize {
+        self.live - self.blocked - self.idle
+    }
+}
+
+impl Shared {
+    /// Whether a spare is needed right now: queued work exists, no idle
+    /// worker will pick it up, and blocking waits have eaten into the
+    /// processor complement. Reserves the spare's `live` slot under the
+    /// lock so concurrent callers do not over-inject.
+    fn reserve_spare(&self, st: &mut State) -> bool {
+        let need = !st.stop && !st.queue.is_empty() && st.idle == 0 && st.running() < self.workers;
+        if need {
+            st.live += 1;
+        }
+        need
+    }
+
+    fn spawn_spare(self: &Arc<Self>) {
+        self.spares.inc();
+        let n = self.spares.get();
+        let shared = Arc::clone(self);
+        // Spare ids live above the base range so a probe can tell them
+        // apart; u16::MAX is reserved for the queue-age pseudo-worker.
+        let wid = (self.workers as u64 + n).min(u16::MAX as u64 - 1) as u16;
+        let spawned = shim::thread::Builder::new()
+            .name(format!("eden-vproc-{}-s{n}", self.node))
+            .spawn(move || worker_loop(shared, true, wid));
+        if spawned.is_err() {
+            // Could not create the thread: release the reserved slot.
+            self.state.lock().live -= 1;
+        }
+    }
 }
 
 /// Why [`VirtualProcessorPool::submit`] refused a task.
@@ -261,7 +331,7 @@ impl VirtualProcessorPool {
             if accepted > 0 {
                 self.shared.queue_depth.add(accepted as i64);
             }
-            self.reserve_spare(&mut st)
+            self.shared.reserve_spare(&mut st)
         };
         match accepted {
             0 => {}
@@ -269,70 +339,9 @@ impl VirtualProcessorPool {
             _ => self.shared.cv.notify_all(),
         }
         if spawn_spare {
-            self.spawn_spare();
+            self.shared.spawn_spare();
         }
         results
-    }
-
-    /// Runs `f` — a wait whose completion may itself need pool capacity
-    /// (a nested or remote invocation's reply, a move ack) — with this
-    /// worker marked *blocked*. If runnable work would otherwise stall,
-    /// a spare worker is injected for the duration; see the module docs.
-    /// On a thread that is not one of this pool's workers, `f` runs
-    /// unadorned.
-    pub fn blocking<R>(&self, f: impl FnOnce() -> R) -> R {
-        if WORKER_OF.with(Cell::get) != Arc::as_ptr(&self.shared) as usize {
-            return f();
-        }
-        let spawn_spare = {
-            let mut st = self.shared.state.lock();
-            st.blocked += 1;
-            self.reserve_spare(&mut st)
-        };
-        if spawn_spare {
-            self.spawn_spare();
-        }
-        struct Unblock<'a>(&'a Shared);
-        impl Drop for Unblock<'_> {
-            fn drop(&mut self) {
-                self.0.state.lock().blocked -= 1;
-            }
-        }
-        let guard = Unblock(&self.shared);
-        let r = f();
-        drop(guard);
-        r
-    }
-
-    /// Whether a spare is needed right now: queued work exists, no idle
-    /// worker will pick it up, and blocking waits have eaten into the
-    /// configured processor complement. Reserves the spare's `live` slot
-    /// under the lock so concurrent callers do not over-inject.
-    fn reserve_spare(&self, st: &mut State) -> bool {
-        let need = !st.stop
-            && !st.queue.is_empty()
-            && st.idle == 0
-            && st.live.saturating_sub(st.blocked) < self.shared.workers;
-        if need {
-            st.live += 1;
-        }
-        need
-    }
-
-    fn spawn_spare(&self) {
-        self.shared.spares.inc();
-        let n = self.shared.spares.get();
-        let shared = self.shared.clone();
-        // Spare ids live above the base range so a probe can tell them
-        // apart; u16::MAX is reserved for the queue-age pseudo-worker.
-        let wid = (self.shared.workers as u64 + n).min(u16::MAX as u64 - 1) as u16;
-        let spawned = shim::thread::Builder::new()
-            .name(format!("eden-vproc-{}-s{n}", self.shared.node))
-            .spawn(move || worker_loop(shared, true, wid));
-        if spawned.is_err() {
-            // Could not create the thread: release the reserved slot.
-            self.shared.state.lock().live -= 1;
-        }
     }
 
     /// One stall-watchdog probe: queue backlog with the oldest task's
@@ -400,19 +409,25 @@ impl VirtualProcessorPool {
 }
 
 fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
-    WORKER_OF.with(|c| c.set(Arc::as_ptr(&shared) as usize));
+    WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&shared)));
     loop {
         let dequeued_ns;
         let task = {
             let mut st = shared.state.lock();
             let task = loop {
-                if let Some(task) = st.queue.pop_front() {
-                    break Some(task);
+                // More workers run than the complement once a worker is
+                // back from a wait a spare covered: no task starts until
+                // a spare has retired.
+                if st.running() <= shared.workers {
+                    if let Some(task) = st.queue.pop_front() {
+                        break Some(task);
+                    }
                 }
-                // Spares exist only to cover a blocked-worker gap: once
-                // the queue is empty they retire. Base workers park —
-                // and drain the remaining queue on stop before exiting.
-                if st.stop || spare {
+                // Spares exist only to cover a blocked-worker gap: they
+                // retire once the queue is empty or the complement is
+                // full again. Base workers park — and drain the
+                // remaining queue on stop before exiting.
+                if spare || (st.stop && st.queue.is_empty()) {
                     break None;
                 }
                 st.idle += 1;
@@ -454,8 +469,12 @@ fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
         shared.state.lock().busy_since.remove(&wid);
     }
     let mut st = shared.state.lock();
-    st.busy_since.remove(&wid);
     st.live -= 1;
+    // The processor this worker held may be the one a parked worker
+    // waits for.
+    if !st.queue.is_empty() {
+        shared.cv.notify_one();
+    }
 }
 
 #[cfg(test)]
@@ -599,27 +618,36 @@ mod tests {
 
     #[test]
     fn blocked_worker_is_replaced_by_a_spare() {
-        let p = Arc::new(pool(1, 64));
+        let p = pool(1, 64);
+        // Outside the pool there is no processor to give back.
+        assert_eq!(blocking(|| p.stats().blocked), 0);
         let unblocker = Arc::new(AtomicUsize::new(0));
         // The single worker's task blocks until a *second* task — which
-        // can only run if a spare is injected — unblocks it.
-        let (p2, u2) = (p.clone(), unblocker.clone());
+        // can only run if a spare is injected — unblocks it. A nested
+        // scope yields nothing more.
+        let u2 = unblocker.clone();
         p.submit(move || {
-            p2.blocking(|| {
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while u2.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+            blocking(|| {
+                blocking(|| {
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while u2.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                })
             });
         })
         .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.stats().blocked == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(p.stats().blocked, 1);
         let u3 = unblocker.clone();
         p.submit(move || {
             u3.store(1, Ordering::SeqCst);
         })
         .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
         while unblocker.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -306,6 +306,40 @@ impl TypeManager for Burst {
     }
 }
 
+/// Parks on an object semaphore, or naps, on a single virtual processor.
+struct Parker;
+
+impl TypeManager for Parker {
+    fn spec(&self) -> TypeSpec {
+        TypeSpec::new("parker")
+            .class("all", 2)
+            .op("acquire", "all", Rights::EXECUTE)
+            .op("release", "all", Rights::EXECUTE)
+            .op("nap", "all", Rights::EXECUTE)
+    }
+
+    fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
+        match op {
+            "acquire" => ctx.semaphore("s", 0).p(),
+            "release" => ctx.semaphore("s", 0).v(),
+            "nap" => std::thread::sleep(Duration::from_millis(50)),
+            other => return Err(OpError::no_such_op(other)),
+        }
+        Ok(vec![])
+    }
+}
+
+fn single_vproc_parker() -> Cluster {
+    Cluster::builder()
+        .nodes(1)
+        .node_config(NodeConfig {
+            virtual_processors: 1,
+            ..Default::default()
+        })
+        .register(|| Box::new(Parker))
+        .build()
+}
+
 fn standard_cluster(n: usize) -> Cluster {
     Cluster::builder()
         .nodes(n)
@@ -512,6 +546,34 @@ fn class_limit_k_allows_exactly_k_concurrent_processes() {
 }
 
 #[test]
+fn virtual_processors_bound_concurrent_execution() {
+    let current = Arc::new(AtomicU64::new(0));
+    let peak = Arc::new(AtomicU64::new(0));
+    let (c2, p2) = (current.clone(), peak.clone());
+    let cluster = Cluster::builder()
+        .nodes(1)
+        .register(move || {
+            Box::new(Gauged {
+                current: c2.clone(),
+                peak: p2.clone(),
+                limit: 8,
+            })
+        })
+        .build();
+    let cap = cluster.node(0).create_object("gauged", &[]).unwrap();
+    // Each async invoke parks a worker on its reply, and spares cover
+    // for it; workers coming back must not push execution past the
+    // default complement of two.
+    let handles: Vec<_> = (0..12)
+        .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
+        .collect();
+    for h in handles {
+        h.wait(Duration::from_secs(10)).unwrap();
+    }
+    assert_eq!(peak.load(Ordering::SeqCst), 2);
+}
+
+#[test]
 fn nested_invocation_does_not_deadlock_a_single_vproc_node() {
     let cluster = Cluster::builder()
         .nodes(1)
@@ -529,6 +591,62 @@ fn nested_invocation_does_not_deadlock_a_single_vproc_node() {
         .invoke(proxy, "relay_add", &[Value::Cap(counter), Value::I64(3)])
         .unwrap();
     assert_eq!(out, vec![Value::I64(3)]);
+}
+
+#[test]
+fn a_process_parked_on_a_semaphore_yields_its_virtual_processor() {
+    let cluster = single_vproc_parker();
+    let node = cluster.node(0);
+    let cap = node.create_object("parker", &[]).unwrap();
+    let acquire = node.invoke_async(cap, "acquire", &[]);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while node.object_info(cap.name()).unwrap().running_invocations == 0 {
+        assert!(Instant::now() < deadline, "acquire never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    // `acquire` is parked on the semaphore. It holds the node's one
+    // processor only until it parks, so `release` gets to run and wake it.
+    node.invoke_with_timeout(cap, "release", &[], Duration::from_secs(2))
+        .expect("release runs while acquire is parked");
+    acquire
+        .wait(Duration::from_secs(2))
+        .expect("acquire completes");
+}
+
+#[test]
+fn execute_span_excludes_the_wait_for_a_virtual_processor() {
+    let cluster = single_vproc_parker();
+    let node = cluster.node(0);
+    let cap = node.create_object("parker", &[]).unwrap();
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                barrier.wait();
+                node.invoke(cap, "nap", &[]).unwrap();
+            });
+        }
+    });
+    let spans = node.obs().traces().spans();
+    let mut executes: Vec<_> = spans.iter().filter(|s| s.name == "execute").collect();
+    executes.sort_by_key(|s| s.start_ns);
+    assert_eq!(executes.len(), 2, "{spans:?}");
+    for e in &executes {
+        let ms = (e.end_ns - e.start_ns) / 1_000_000;
+        assert!(ms < 80, "execute took {ms} ms, so it includes queueing");
+    }
+    // The second nap waited for the one processor in the pool's queue.
+    let second = executes[1].trace_id;
+    let queued_ns: u64 = spans
+        .iter()
+        .filter(|s| s.trace_id == second && s.stage == eden_obs::stage::VPROC_QUEUE)
+        .map(|s| s.end_ns - s.start_ns)
+        .sum();
+    assert!(
+        queued_ns >= 30_000_000,
+        "second nap queued only {queued_ns} ns: {spans:?}"
+    );
 }
 
 #[test]
@@ -1061,7 +1179,7 @@ fn a_crash_requested_during_an_overload_burst_completes() {
     let cluster = Cluster::builder()
         .nodes(2)
         .node_config(NodeConfig {
-            vproc_workers: 1,
+            virtual_processors: 1,
             vproc_queue_cap: 2,
             ..NodeConfig::default()
         })

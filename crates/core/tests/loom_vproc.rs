@@ -1,5 +1,6 @@
-//! Loom models for the virtual-processor pool's three load-bearing
-//! properties: queue-full shedding, blocked-worker spare injection, and
+//! Loom models for the virtual-processor pool's load-bearing
+//! properties: queue-full shedding, blocked-worker spare injection, a
+//! process parked on an object semaphore yielding its processor, and
 //! shutdown draining. Compiled only under `RUSTFLAGS="--cfg loom"` —
 //! run them with `scripts/ci.sh loom`, which also swaps the kernel's
 //! sync shims (see `eden_kernel::sync::shim`) to loom's instrumented
@@ -11,7 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use eden_capability::NodeId;
-use eden_kernel::vproc::{SubmitError, VirtualProcessorPool};
+use eden_kernel::vproc::{blocking, SubmitError, VirtualProcessorPool};
+use eden_kernel::EdenSemaphore;
 use eden_obs::ObsRegistry;
 use loom::sync::{Arc, Condvar, Mutex};
 
@@ -70,11 +72,11 @@ fn model_queue_full_sheds_overloaded() {
 #[test]
 fn model_blocked_worker_gets_a_spare() {
     loom::model(|| {
-        let p = Arc::new(pool(1, 64));
+        let p = pool(1, 64);
         let unblocker = Arc::new(AtomicUsize::new(0));
-        let (p2, u2) = (p.clone(), unblocker.clone());
+        let u2 = unblocker.clone();
         p.submit(move || {
-            p2.blocking(|| {
+            blocking(|| {
                 let end = Instant::now() + Duration::from_secs(5);
                 while u2.load(Ordering::SeqCst) == 0 && Instant::now() < end {
                     std::thread::sleep(Duration::from_millis(1));
@@ -103,6 +105,41 @@ fn model_blocked_worker_gets_a_spare() {
             wait_until(Duration::from_secs(5), || p.stats().live <= 1),
             "pool did not shrink back after the blocking scope"
         );
+        p.shutdown();
+    });
+}
+
+/// On a one-processor pool, a task parked in `EdenSemaphore::p` yields
+/// its processor, so the task that V()s it runs — whichever of the two
+/// the pool happens to start first — and the pool shrinks back to its
+/// one worker afterwards.
+#[test]
+fn model_semaphore_wait_yields_the_processor() {
+    loom::model(|| {
+        let p = pool(1, 64);
+        let sem = Arc::new(EdenSemaphore::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
+        let (s2, d2) = (sem.clone(), done.clone());
+        p.submit(move || {
+            s2.p();
+            d2.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        let (s3, d3) = (sem.clone(), done.clone());
+        p.submit(move || {
+            s3.v();
+            d3.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || done.load(Ordering::SeqCst) == 2),
+            "the P()ing task starved the V()ing one"
+        );
+        assert!(
+            wait_until(Duration::from_secs(5), || p.stats().live <= 1),
+            "pool did not shrink back after the semaphore wait"
+        );
+        assert_eq!(sem.permits(), 0);
         p.shutdown();
     });
 }

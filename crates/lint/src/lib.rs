@@ -185,7 +185,7 @@ impl Rule {
                 "A virtual processor that blocks (recv_timeout, wait, sleep, fsync, \
                  connect/dial, join) starves the run queue; any such call inside a \
                  submit(…) closure, or in a function reachable from one, must be wrapped \
-                 in VirtualProcessorPool::blocking(…) so the pool injects a spare worker. \
+                 in vproc::blocking(…) so the pool injects a spare worker. \
                  Escape: `// eden-lint: allow(blocking-discipline): <rationale>` — the \
                  rationale is required."
             }

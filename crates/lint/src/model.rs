@@ -25,7 +25,11 @@
 //! * The call graph is name-based and intra-crate: a call site
 //!   resolves to *every* same-crate function with that name
 //!   (over-approximation), and cross-crate calls are invisible
-//!   (under-approximation).
+//!   (under-approximation). A method called on a struct field
+//!   (`self.x.f.m(…)`) is narrowed through the field's declared type:
+//!   only the same-crate `impl`s of that type count, so a field whose
+//!   type is foreign (an `Arc<Gauge>` from another crate) reaches
+//!   nothing. Trait-object fields keep the by-name resolution.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -107,7 +111,12 @@ pub(crate) struct CallSite {
     pub(crate) in_submit: bool,
     /// Inside a `spawn(…)` closure argument (runs on a fresh thread).
     pub(crate) in_spawn: bool,
+    /// The struct field the method is called on (`f` in `x.f.m(…)`).
+    pub(crate) recv_field: Option<String>,
 }
+
+/// A function by position: `(file index, fn index)` in the [`Workspace`].
+pub(crate) type FnRef = (usize, usize);
 
 /// One blocking-operation site.
 #[derive(Debug, Clone)]
@@ -123,6 +132,8 @@ pub(crate) struct BlockSite {
 #[derive(Debug, Clone)]
 pub(crate) struct FnModel {
     pub(crate) name: String,
+    /// The self type of the `impl` block the function sits in.
+    pub(crate) impl_type: Option<String>,
     /// Byte span of the body (offsets of `{` and its match).
     pub(crate) body: (usize, usize),
     pub(crate) locks: Vec<LockSite>,
@@ -180,6 +191,8 @@ pub(crate) struct FileModel {
     pub(crate) fns: Vec<FnModel>,
     /// Field/static names declared as `Mutex<…>`/`RwLock<…>` here.
     pub(crate) lock_fields: Vec<String>,
+    /// Struct fields declared here with their type (see [`head_type`]).
+    pub(crate) field_types: Vec<(String, Option<String>)>,
     pub(crate) enums: Vec<EnumDef>,
     pub(crate) tags: Vec<TagConst>,
     pub(crate) impls: Vec<CodecImpl>,
@@ -192,6 +205,10 @@ pub(crate) struct Workspace {
     pub(crate) files: Vec<FileModel>,
     /// lock field name → stems of the files declaring it.
     pub(crate) lock_decls: BTreeMap<String, BTreeSet<String>>,
+    /// (crate, fn name) → every function of that name in the crate.
+    fns_by_name: HashMap<(String, String), Vec<FnRef>>,
+    /// (crate, field name) → the declared types of that field.
+    field_types: HashMap<(String, String), Vec<Option<String>>>,
 }
 
 impl Workspace {
@@ -222,6 +239,7 @@ impl Workspace {
             .drain(..)
             .map(|(rel, model, lock_fields)| {
                 let fns = extract_fns(&model, &all_lock_fields);
+                let field_types = extract_field_types(&model);
                 let enums = extract_enums(&model);
                 let tags = extract_tags(&model);
                 let impls = extract_codec_impls(&model);
@@ -233,16 +251,64 @@ impl Workspace {
                     model,
                     fns,
                     lock_fields,
+                    field_types,
                     enums,
                     tags,
                     impls,
                     codec_fns,
                 }
             })
-            .collect();
+            .collect::<Vec<FileModel>>();
+        let mut fns_by_name: HashMap<(String, String), Vec<FnRef>> = HashMap::new();
+        let mut field_types: HashMap<(String, String), Vec<Option<String>>> = HashMap::new();
+        for (fi, file) in file_models.iter().enumerate() {
+            for (gi, f) in file.fns.iter().enumerate() {
+                fns_by_name
+                    .entry((file.crate_key.clone(), f.name.clone()))
+                    .or_default()
+                    .push((fi, gi));
+            }
+            for (field, ty) in &file.field_types {
+                field_types
+                    .entry((file.crate_key.clone(), field.clone()))
+                    .or_default()
+                    .push(ty.clone());
+            }
+        }
         Workspace {
             files: file_models,
             lock_decls,
+            fns_by_name,
+            field_types,
+        }
+    }
+
+    /// The same-crate functions `call` (made in `file`) may reach: every
+    /// function with the callee's name, narrowed to the `impl`s of the
+    /// receiver field's declared type(s) when every declaration of that
+    /// field names a concrete type. A type with no such `impl` in the
+    /// crate reaches nothing.
+    pub(crate) fn callees(&self, file: &FileModel, call: &CallSite) -> Vec<FnRef> {
+        let key = (file.crate_key.clone(), call.callee.clone());
+        let Some(named) = self.fns_by_name.get(&key) else {
+            return Vec::new();
+        };
+        let types = call.recv_field.as_ref().and_then(|field| {
+            let decls = self
+                .field_types
+                .get(&(file.crate_key.clone(), field.clone()))?;
+            decls.iter().cloned().collect::<Option<Vec<String>>>()
+        });
+        match types {
+            None => named.clone(),
+            Some(types) => named
+                .iter()
+                .copied()
+                .filter(|&(fi, gi)| {
+                    let impl_type = &self.files[fi].fns[gi].impl_type;
+                    impl_type.as_ref().is_some_and(|t| types.contains(t))
+                })
+                .collect(),
         }
     }
 
@@ -381,6 +447,7 @@ fn extract_fns(model: &SourceModel, all_lock_fields: &BTreeSet<String>) -> Vec<F
         };
         fns.push(FnModel {
             name: name.to_string(),
+            impl_type: None,
             body: (open, close),
             locks: Vec::new(),
             calls: Vec::new(),
@@ -396,6 +463,16 @@ fn extract_fns(model: &SourceModel, all_lock_fields: &BTreeSet<String>) -> Vec<F
             .min_by_key(|(_, f)| f.body.1 - f.body.0)
             .map(|(i, _)| i)
     };
+
+    // Self types of the enclosing `impl` blocks (innermost wins).
+    let impls = impl_blocks(model);
+    for f in &mut fns {
+        f.impl_type = impls
+            .iter()
+            .filter(|(span, _)| span.0 < f.body.0 && f.body.1 < span.1)
+            .min_by_key(|(span, _)| span.1 - span.0)
+            .map(|(_, ty)| ty.clone());
+    }
 
     // Guard-argument spans: `blocking(…)`, `submit(…)`/`submit_traced(…)`,
     // and `spawn(…)` (whose closure runs later, on a fresh thread, with
@@ -491,12 +568,14 @@ fn extract_fns(model: &SourceModel, all_lock_fields: &BTreeSet<String>) -> Vec<F
         {
             continue;
         }
+        let at = i - name.len();
         fns[idx].calls.push(CallSite {
             callee: name.to_string(),
-            at: i - name.len(),
+            at,
             guarded,
             in_submit,
             in_spawn,
+            recv_field: receiver_field(code, at).map(str::to_string),
         });
     }
     for f in &mut fns {
@@ -505,6 +584,153 @@ fn extract_fns(model: &SourceModel, all_lock_fields: &BTreeSet<String>) -> Vec<F
         f.blocking.sort_by_key(|b| b.at);
     }
     fns
+}
+
+/// The field a method call at `at` is made on: `f` in `x.f.m(…)`. A
+/// bare local or `self` receiver (`x.m(…)`) is not a field.
+fn receiver_field(code: &str, at: usize) -> Option<&str> {
+    let lead = code[..at].trim_end();
+    let dot = lead.strip_suffix('.')?.len();
+    let field = ident_before(code, dot)?;
+    let before = code[..dot].trim_end();
+    let before = before[..before.len() - field.len()].trim_end();
+    (before.ends_with('.') && !before.ends_with("..")).then_some(field)
+}
+
+/// `impl` blocks at item position, as (brace span, self type).
+fn impl_blocks(model: &SourceModel) -> Vec<((usize, usize), String)> {
+    let code = &model.code;
+    let mut out = Vec::new();
+    for at in word_occurrences(code, "impl") {
+        // `impl` in argument or return position (`f: impl Fn()`,
+        // `-> impl Iterator`) opens no block.
+        let lead = code[..at].trim_end();
+        let item =
+            lead.is_empty() || lead.ends_with(['{', '}', ';', ']']) || lead.ends_with("unsafe");
+        if !item || model.is_test_line(model.line_of(at)) {
+            continue;
+        }
+        let Some(open) = code[at..].find('{').map(|p| at + p) else {
+            continue;
+        };
+        let Some(close) = matching_brace(code, open) else {
+            continue;
+        };
+        let header = skip_generics(&code[at + 4..open]);
+        let header = header.split(" where ").next().unwrap_or(header);
+        let self_ty = header.rsplit(" for ").next().unwrap_or(header);
+        if let Some(ty) = head_type(self_ty) {
+            out.push(((open, close), ty));
+        }
+    }
+    out
+}
+
+/// Text after a leading balanced `<…>` group (an `impl`'s generics).
+fn skip_generics(text: &str) -> &str {
+    let text = text.trim_start();
+    if !text.starts_with('<') {
+        return text;
+    }
+    let mut depth = 0i32;
+    for (i, b) in text.bytes().enumerate() {
+        match b {
+            b'<' => depth += 1,
+            b'>' if i > 0 && text.as_bytes()[i - 1] != b'-' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &text[i + 1..];
+                }
+            }
+            _ => {}
+        }
+    }
+    ""
+}
+
+/// The type whose methods a value of type `ty` exposes: the last path
+/// segment, seen through references and the `Arc`/`Rc`/`Box` smart
+/// pointers. `None` for trait objects and `impl Trait`, whose methods
+/// belong to implementors the declaration does not name.
+fn head_type(ty: &str) -> Option<String> {
+    // `&'a mut T`, `&T` → `T`.
+    let ty = ty.trim().trim_start_matches('&');
+    let ty = match ty.strip_prefix('\'') {
+        Some(lifetime) => lifetime.split_once(' ').map_or("", |(_, t)| t),
+        None => ty,
+    };
+    let ty = ty
+        .trim_start()
+        .strip_prefix("mut ")
+        .unwrap_or(ty)
+        .trim_start();
+    if ty.starts_with("dyn ") || ty.starts_with("impl ") {
+        return None;
+    }
+    let path_end = ty
+        .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(ty.len());
+    let last = ty[..path_end].rsplit("::").next().unwrap_or("");
+    if last.is_empty() {
+        return None;
+    }
+    let rest = &ty[path_end..];
+    if matches!(last, "Arc" | "Rc" | "Box") && rest.starts_with('<') {
+        let inner = &rest[1..rest.rfind('>').unwrap_or(rest.len())];
+        return head_type(inner);
+    }
+    Some(last.to_string())
+}
+
+/// Named struct fields declared in `model`, with their [`head_type`].
+fn extract_field_types(model: &SourceModel) -> Vec<(String, Option<String>)> {
+    let code = &model.code;
+    let mut out = Vec::new();
+    for at in word_occurrences(code, "struct") {
+        if model.is_test_line(model.line_of(at)) {
+            continue;
+        }
+        // A named-field body `{` before any `;` or `(` (unit and tuple
+        // structs have no named fields).
+        let Some(open) = code[at..]
+            .find(['{', ';', '('])
+            .map(|p| at + p)
+            .filter(|&p| code.as_bytes()[p] == b'{')
+        else {
+            continue;
+        };
+        let Some(close) = matching_brace(code, open) else {
+            continue;
+        };
+        let body = &code[open + 1..close];
+        let mut depth = 0i32;
+        let mut start = 0;
+        for (i, b) in body.bytes().enumerate().chain([(body.len(), b',')]) {
+            match b {
+                b'<' | b'(' | b'[' | b'{' => depth += 1,
+                b'>' if i > 0 && body.as_bytes()[i - 1] != b'-' => depth -= 1,
+                b')' | b']' | b'}' => depth -= 1,
+                b',' if depth == 0 => {
+                    if let Some(field) = field_decl(&body[start..i]) {
+                        out.push(field);
+                    }
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// `[pub] name: Type` → `(name, head type)`.
+fn field_decl(decl: &str) -> Option<(String, Option<String>)> {
+    let bytes = decl.as_bytes();
+    let colon = (0..bytes.len()).find(|&i| {
+        bytes[i] == b':' && bytes.get(i + 1) != Some(&b':') && (i == 0 || bytes[i - 1] != b':')
+    })?;
+    let name = ident_before(decl, colon)?;
+    Some((name.to_string(), head_type(&decl[colon + 1..])))
 }
 
 fn skip_ws(code: &str, mut at: usize) -> usize {

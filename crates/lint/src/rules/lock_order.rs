@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use crate::model::Workspace;
+use crate::model::{CallSite, FileModel, FnRef, Workspace};
 use crate::{Finding, LockOrderSpec, Rule};
 
 /// Crates whose lock graphs the rule gates.
@@ -100,37 +100,40 @@ fn finding(e: &LockEdge, message: String) -> Finding {
 
 /// Builds the full edge list: intra-function hold-span nesting plus
 /// calls made under a guard into functions that may acquire (computed
-/// as a same-crate transitive fixpoint).
+/// as a same-crate transitive fixpoint over [`Workspace::callees`]).
 fn collect_edges(ws: &Workspace) -> Vec<LockEdge> {
-    // may_acquire: (crate, fn name) → lock ids it can take, transitively.
-    let mut acq: HashMap<(String, String), BTreeSet<String>> = HashMap::new();
-    for file in scoped(ws) {
-        for f in &file.fns {
-            let entry = acq
-                .entry((file.crate_key.clone(), f.name.clone()))
-                .or_default();
+    // may_acquire: function → lock ids it can take, transitively.
+    let mut acq: HashMap<FnRef, BTreeSet<String>> = HashMap::new();
+    for (fi, file) in scoped(ws) {
+        for (gi, f) in file.fns.iter().enumerate() {
+            let entry = acq.entry((fi, gi)).or_default();
             for l in &f.locks {
                 entry.insert(ws.lock_id(file, &l.field));
             }
         }
     }
+    // Calls taken on the caller's own stack; submit/spawn closures run
+    // later, on a pool worker or a fresh thread.
+    let on_stack = |file: &FileModel, c: &CallSite| {
+        if c.in_submit || c.in_spawn {
+            Vec::new()
+        } else {
+            ws.callees(file, c)
+        }
+    };
     loop {
         let mut changed = false;
-        for file in scoped(ws) {
-            for f in &file.fns {
+        for (fi, file) in scoped(ws) {
+            for (gi, f) in file.fns.iter().enumerate() {
                 let mut add = BTreeSet::new();
                 for c in &f.calls {
-                    if c.in_submit || c.in_spawn {
-                        continue; // deferred to a pool worker or fresh
-                                  // thread, not taken on this stack
-                    }
-                    if let Some(set) = acq.get(&(file.crate_key.clone(), c.callee.clone())) {
-                        add.extend(set.iter().cloned());
+                    for callee in on_stack(file, c) {
+                        if let Some(set) = acq.get(&callee) {
+                            add.extend(set.iter().cloned());
+                        }
                     }
                 }
-                let entry = acq
-                    .entry((file.crate_key.clone(), f.name.clone()))
-                    .or_default();
+                let entry = acq.entry((fi, gi)).or_default();
                 for id in add {
                     changed |= entry.insert(id);
                 }
@@ -142,7 +145,7 @@ fn collect_edges(ws: &Workspace) -> Vec<LockEdge> {
     }
 
     let mut edges = Vec::new();
-    for file in scoped(ws) {
+    for (_, file) in scoped(ws) {
         for f in &file.fns {
             for a in &f.locks {
                 let from = ws.lock_id(file, &a.field);
@@ -158,13 +161,15 @@ fn collect_edges(ws: &Workspace) -> Vec<LockEdge> {
                     }
                 }
                 for c in &f.calls {
-                    if c.in_submit || c.in_spawn || c.at <= a.at || c.at >= a.hold_end {
-                        continue; // submit/spawn closures run later, off this stack
-                    }
-                    let Some(set) = acq.get(&(file.crate_key.clone(), c.callee.clone())) else {
+                    if c.at <= a.at || c.at >= a.hold_end {
                         continue;
-                    };
-                    for to in set {
+                    }
+                    let reached: BTreeSet<&String> = on_stack(file, c)
+                        .iter()
+                        .filter_map(|callee| acq.get(callee))
+                        .flatten()
+                        .collect();
+                    for to in reached {
                         edges.push(LockEdge {
                             from: from.clone(),
                             to: to.clone(),
@@ -181,10 +186,11 @@ fn collect_edges(ws: &Workspace) -> Vec<LockEdge> {
     edges
 }
 
-fn scoped(ws: &Workspace) -> impl Iterator<Item = &crate::model::FileModel> {
+fn scoped(ws: &Workspace) -> impl Iterator<Item = (usize, &FileModel)> {
     ws.files
         .iter()
-        .filter(|f| SCOPE.contains(&f.crate_key.as_str()))
+        .enumerate()
+        .filter(|(_, f)| SCOPE.contains(&f.crate_key.as_str()))
 }
 
 /// Renders the lock graph as DOT. `exempt` holds `(from, to)` pairs

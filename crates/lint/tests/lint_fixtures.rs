@@ -243,6 +243,33 @@ fn lock_order_accepts_ordered_nesting_and_rationale_carrying_allows() {
 }
 
 #[test]
+fn lock_order_resolves_field_method_calls_through_the_declared_type() {
+    let spec = LockOrderSpec::parse("order = [\"a.state\", \"a.entries\", \"a.seen\"]");
+    let analysis = analyze_files(
+        &[(
+            "crates/core/src/a.rs".to_string(),
+            fixture_source("lockorder_typed.rs"),
+        )],
+        &spec,
+    );
+    let findings = &analysis.report.findings;
+    assert_eq!(count(findings, Rule::LockOrder, false), 0, "{findings:?}");
+    // The same-crate typed field keeps its true edge ...
+    assert!(
+        analysis.lock_dot.contains("\"a.state\" -> \"a.entries\""),
+        "{}",
+        analysis.lock_dot
+    );
+    // ... and neither the foreign `Gauge::add` nor the typed call reaches
+    // the same-named `Collector::add`.
+    assert!(
+        !analysis.lock_dot.contains("\"a.seen\""),
+        "{}",
+        analysis.lock_dot
+    );
+}
+
+#[test]
 fn lock_order_is_scoped_to_kernel_transport_directory() {
     let spec = LockOrderSpec::parse("order = []");
     let findings = scan_graph(&[("lockorder_bad.rs", "crates/apps/src/a.rs")], &spec);

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Runs the E16 pipelined-invocation experiment and archives its
 # machine-readable artifact. Usage: scripts/bench_e16.sh
+# Copy target/artifacts/BENCH_E16.json to the repository root to update
+# the reference copy that scripts/ci.sh validates and archives.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
