@@ -10,10 +10,14 @@
 //! there under `kernel.<name>`, so the same numbers surface through the
 //! registry's snapshot (and the shell's `metrics` command) while this
 //! module keeps its original typed [`KernelMetrics`] snapshot API.
+//! `InvokeMetrics` holds the same kind of handles for the gauges and
+//! histograms every invocation updates.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use eden_obs::{Counter, ObsRegistry};
+use eden_obs::{Counter, Gauge, Histogram, ObsRegistry};
+use parking_lot::RwLock;
 
 macro_rules! metrics {
     ($($(#[$doc:meta])* $field:ident => $method:ident),* $(,)?) => {
@@ -122,6 +126,46 @@ metrics! {
     location_cache_evictions => bump_cache_eviction,
 }
 
+/// Handles on the metrics every invocation updates, resolved once at
+/// boot (per class on the class's first invocation here), so an update
+/// costs one atomic instead of a registry lookup.
+pub(crate) struct InvokeMetrics {
+    /// `coord.queue_depth`: invocations queued at coordinators.
+    pub(crate) queue_depth: Arc<Gauge>,
+    /// `invoke.local`: local invocation latency.
+    pub(crate) local: Arc<Histogram>,
+    /// `invoke.remote`: remote request/reply exchange latency.
+    pub(crate) remote: Arc<Histogram>,
+    /// `invoke.execute`: operation execution time.
+    pub(crate) execute: Arc<Histogram>,
+    /// `class.in_service.<class>`, by class name.
+    in_service: RwLock<HashMap<String, Arc<Gauge>>>,
+}
+
+impl InvokeMetrics {
+    pub(crate) fn new(obs: &ObsRegistry) -> Self {
+        InvokeMetrics {
+            queue_depth: obs.gauge("coord.queue_depth"),
+            local: obs.histogram("invoke.local"),
+            remote: obs.histogram("invoke.remote"),
+            execute: obs.histogram("invoke.execute"),
+            in_service: RwLock::new(HashMap::new()),
+        }
+    }
+
+    /// The in-service gauge of `class`, registered on first use.
+    pub(crate) fn in_service(&self, obs: &ObsRegistry, class: &str) -> Arc<Gauge> {
+        if let Some(gauge) = self.in_service.read().get(class) {
+            return gauge.clone();
+        }
+        self.in_service
+            .write()
+            .entry(class.to_string())
+            .or_insert_with(|| obs.gauge(&format!("class.in_service.{class}")))
+            .clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +205,16 @@ mod tests {
             2,
             "facade and registry must observe the same counter"
         );
+    }
+
+    #[test]
+    fn a_class_gauge_is_registered_once_and_shared() {
+        let obs = ObsRegistry::new(7);
+        let m = InvokeMetrics::new(&obs);
+        let a = m.in_service(&obs, "reads");
+        let b = m.in_service(&obs, "reads");
+        assert!(Arc::ptr_eq(&a, &b));
+        a.inc();
+        assert_eq!(obs.gauges_snapshot()["class.in_service.reads"], 1);
     }
 }

@@ -21,9 +21,12 @@
 //!   never deadlock the node. Excess work queues up to
 //!   [`NodeConfig::vproc_queue_cap`], past which the kernel sheds load
 //!   with [`Status::Overloaded`];
-//! * the **location service**: hint cache → birth-node hint → broadcast
-//!   `WhereIs` → forwarding addresses, realizing the location-independent
-//!   object address space of §2;
+//! * the **location service**: forwarding address → hint cache →
+//!   birth-node hint → directory home → broadcast `WhereIs`, realizing
+//!   the location-independent object address space of §2. The answer
+//!   that ends a search is cached, and compresses a forwarding address
+//!   this node holds onto the node that answered (path compression), so
+//!   a forwarding chain is walked once, not on every call;
 //! * the **lifecycle machinery**: checkpoint / checksite / crash /
 //!   reincarnation (§4.4), move (§4.3), freeze + replica caching (§4.3);
 //! * a **receive loop** servicing the kernel-to-kernel protocol.
@@ -50,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NameGenerator, NodeId, ObjName, Rights};
 use eden_directory::{DirOutput, DirectoryService, GossipConfig, MemberEvent};
-use eden_obs::{now_ns, stage, KernelEvent, ObsRegistry, TraceCtx, TraceSampling};
+use eden_obs::{now_ns, stage, Gauge, KernelEvent, ObsRegistry, TraceCtx, TraceSampling};
 use eden_store::CheckpointStore;
 use eden_transport::Endpoint;
 use eden_wire::{
@@ -62,7 +65,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::ctx::OpCtx;
 use crate::error::{EdenError, Result};
 use crate::lru::LruMap;
-use crate::metrics::{KernelMetrics, MetricsCell};
+use crate::metrics::{InvokeMetrics, KernelMetrics, MetricsCell};
 pub use crate::object::ReliabilityLevel;
 use crate::object::{
     Checksite, CoordState, ObjStatus, ObjectSlot, PendingInvocation, ReplySink, CHECKSITE_SEGMENT,
@@ -299,8 +302,11 @@ struct LocationService {
     /// Last known holder of an object (hints; may be stale). Bounded by
     /// [`NodeConfig::location_cache_cap`] with LRU eviction.
     cache: Mutex<LruMap<ObjName, NodeId>>,
-    /// Where objects this node moved away now live.
-    forwards: RwLock<HashMap<ObjName, NodeId>>,
+    /// Where objects this node moved away now live, each with the time
+    /// (`now_ns`) from which that address is known: the move's
+    /// acknowledgement, or the send of the request whose answer
+    /// compressed it.
+    forwards: RwLock<HashMap<ObjName, (NodeId, u64)>>,
     /// Outstanding broadcast queries.
     queries: Mutex<HashMap<u64, Arc<QueryCollector>>>,
 }
@@ -327,6 +333,7 @@ pub(crate) struct NodeInner {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     metrics: MetricsCell,
+    invoke_metrics: InvokeMetrics,
     obs: Arc<ObsRegistry>,
     last_move_rejection: Mutex<Option<String>>,
     recv_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -447,6 +454,7 @@ impl Node {
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             metrics: MetricsCell::new(&obs),
+            invoke_metrics: InvokeMetrics::new(&obs),
             obs,
             last_move_rejection: Mutex::new(None),
             recv_thread: Mutex::new(None),
@@ -633,21 +641,26 @@ impl Node {
     }
 
     /// Re-registers every locally active object after a ring change so
-    /// its directory entry migrates to the new home node. Checkpoint-only
-    /// registrations are not re-announced (the store has no enumeration);
-    /// until the holder's next checkpoint a re-homed entry simply lacks
-    /// its checksite fallback and a miss rides the broadcast instead.
+    /// its directory entry migrates to the new home node, together with
+    /// this node as its checksite when the slot has checkpointed here.
+    /// Checkpoints of objects not active here are not re-announced:
+    /// `CheckpointStore::names` could list them, but announcing the
+    /// whole store costs a frame per stored object on every ring
+    /// change, and a passive copy still answers the broadcast `WhereIs`.
     fn reregister_local_objects(&self) {
-        let names: Vec<ObjName> = self
+        let slots: Vec<(ObjName, bool)> = self
             .inner
             .objects
             .read()
             .iter()
             .filter(|(_, slot)| !slot.is_replica())
-            .map(|(name, _)| *name)
+            .map(|(name, slot)| (*name, slot.checkpoint_registered.load(Ordering::Acquire)))
             .collect();
-        for name in names {
+        for (name, checkpointed) in slots {
             self.dir_register(name, self.inner.id, DirRegisterKind::Active);
+            if checkpointed {
+                self.dir_register(name, self.inner.id, DirRegisterKind::Checkpoint);
+            }
         }
     }
 
@@ -1163,8 +1176,8 @@ impl Node {
             None => (Status::Timeout, Vec::new()),
         };
         self.inner
-            .obs
-            .histogram("invoke.local")
+            .invoke_metrics
+            .local
             .record(now_ns().saturating_sub(start_ns));
         Some(outcome)
     }
@@ -1189,11 +1202,16 @@ impl Node {
                 held: cap.rights(),
             });
         }
+        let in_service = self
+            .inner
+            .invoke_metrics
+            .in_service(&self.inner.obs, &resolved.op.class);
         Ok(PendingInvocation {
             presented: cap,
             operation: op.to_string(),
             args: args.to_vec(),
             resolved,
+            in_service,
             sink,
             caller: self.inner.id,
             trace,
@@ -1212,7 +1230,7 @@ impl Node {
             if coord.retired {
                 return Some(pending);
             }
-            self.inner.obs.gauge("coord.queue_depth").inc();
+            self.inner.invoke_metrics.queue_depth.inc();
             // During a teardown the invocation rides along and is
             // rerouted (or refused) by the teardown path.
             if coord.status != ObjStatus::Crashed
@@ -1254,8 +1272,8 @@ impl Node {
         coord.retired = true;
         let queued: Vec<PendingInvocation> = coord.queue.drain(..).collect();
         self.inner
-            .obs
-            .gauge("coord.queue_depth")
+            .invoke_metrics
+            .queue_depth
             .add(-(queued.len() as i64));
         queued
     }
@@ -1351,11 +1369,8 @@ impl Node {
             let mut pending = coord.queue.remove(i).expect("index in bounds");
             let class = &pending.resolved.op.class;
             coord.running += 1;
-            self.inner.obs.gauge("coord.queue_depth").dec();
-            self.inner
-                .obs
-                .gauge(&format!("class.in_service.{class}"))
-                .inc();
+            self.inner.invoke_metrics.queue_depth.dec();
+            pending.in_service.inc();
             *coord.class_in_service.entry(class.clone()).or_insert(0) += 1;
             // Close the coordinator-residency gap retroactively:
             // `dispatch` covers enqueue → this dispatch decision. The
@@ -1387,18 +1402,26 @@ impl Node {
             let mut tasks: Vec<BatchTask> = Vec::with_capacity(ready.len());
             for (slot, pending) in ready.drain(..) {
                 let class = pending.resolved.op.class.clone();
-                shed.push((slot.clone(), class, pending.sink.clone(), pending.trace));
+                let in_service = pending.in_service.clone();
+                shed.push((
+                    slot.clone(),
+                    class,
+                    in_service,
+                    pending.sink.clone(),
+                    pending.trace,
+                ));
                 let node = self.clone();
                 let trace = pending.trace;
                 tasks.push((Box::new(move || node.run_invocation(slot, pending)), trace));
             }
             let verdicts = self.inner.vprocs.submit_batch(tasks);
-            for (verdict, (slot, class, sink, trace)) in verdicts.into_iter().zip(shed) {
+            for (verdict, (slot, class, in_service, sink, trace)) in verdicts.into_iter().zip(shed)
+            {
                 if verdict.is_ok() {
                     self.inner.metrics.bump_process();
                 } else {
                     self.send_reply(sink, Status::Overloaded, Vec::new(), trace);
-                    self.release(&slot, &class, &mut ready);
+                    self.release(&slot, &class, &in_service, &mut ready);
                 }
             }
         }
@@ -1408,13 +1431,16 @@ impl Node {
     /// by the pool — and pumps the coordinator: the next dispatches go
     /// to `ready`, and once nothing runs a requested crash or destroy
     /// completes (or a requested move starts).
-    fn release(&self, slot: &Arc<ObjectSlot>, class: &str, ready: &mut Vec<Ready>) {
+    fn release(
+        &self,
+        slot: &Arc<ObjectSlot>,
+        class: &str,
+        in_service: &Gauge,
+        ready: &mut Vec<Ready>,
+    ) {
         self.coordinate(slot, ready, |coord| {
             coord.running -= 1;
-            self.inner
-                .obs
-                .gauge(&format!("class.in_service.{class}"))
-                .dec();
+            in_service.dec();
             if let Some(n) = coord.class_in_service.get_mut(class) {
                 *n -= 1;
                 if *n == 0 {
@@ -1450,8 +1476,8 @@ impl Node {
                 .dispatch(&ctx, &pending.operation, &pending.args)
         }));
         self.inner
-            .obs
-            .histogram("invoke.execute")
+            .invoke_metrics
+            .execute
             .record(now_ns().saturating_sub(exec_start));
         let exec_ctx = exec_span.map(|s| {
             let c = s.ctx();
@@ -1472,7 +1498,12 @@ impl Node {
         };
         self.send_reply(pending.sink, status, results, exec_ctx);
         let mut ready = Vec::new();
-        self.release(&slot, &pending.resolved.op.class, &mut ready);
+        self.release(
+            &slot,
+            &pending.resolved.op.class,
+            &pending.in_service,
+            &mut ready,
+        );
         self.dispatch(ready);
     }
 
@@ -1627,10 +1658,12 @@ impl Node {
 
     /// The wait half of every remote invocation: waits up to `budget`,
     /// retransmitting on the configured interval, records the exchange
-    /// as a `client-send` span and in `invoke.remote`, and caches the
+    /// as a `client-send` span and in `invoke.remote`, and learns the
     /// node that answered — after a forwarding chain that is the
-    /// object's real home, so the chain is paid once. Returns the answer
-    /// and that node (`Timeout` and `ticket.dst` when no reply came).
+    /// object's real home, so the chain is paid once: it is cached, and
+    /// a forwarding address held here is compressed onto it. Returns
+    /// the answer and that node (`Timeout` and `ticket.dst` when no
+    /// reply came).
     pub(crate) fn await_invoke(
         &self,
         ticket: Ticket,
@@ -1653,8 +1686,8 @@ impl Node {
                 .record_span("client-send", t, ticket.start_ns, end_ns);
         }
         self.inner
-            .obs
-            .histogram("invoke.remote")
+            .invoke_metrics
+            .remote
             .record(end_ns.saturating_sub(ticket.start_ns));
         match reply.map(|frame| (frame.src, frame.msg)) {
             Some((
@@ -1663,8 +1696,11 @@ impl Node {
                     status, results, ..
                 },
             )) => {
-                if self.inner.config.enable_location_cache && ends_search(&status) {
-                    self.cache_insert(cap.name(), from);
+                if ends_search(&status) {
+                    self.compress_forward(cap.name(), from, ticket.start_ns);
+                    if self.inner.config.enable_location_cache {
+                        self.cache_insert(cap.name(), from);
+                    }
                 }
                 (status, results, from)
             }
@@ -1689,12 +1725,33 @@ impl Node {
         }
     }
 
+    /// Path compression of forwarding addresses (Fowler, PODC 1985):
+    /// once `holder` has answered for `name` a request sent at
+    /// `asked_ns`, a forwarding address this node holds for it points
+    /// straight at `holder`, so neither this node's own calls nor the
+    /// requests it forwards walk the old chain again. The entry is only
+    /// overwritten, never inserted or removed: its presence is what
+    /// stops a stale local checkpoint from reincarnating an object that
+    /// moved away. An answer to a request older than the entry is
+    /// ignored: the object may since have come back here and left
+    /// again, and the old holder would forward back to this node.
+    fn compress_forward(&self, name: ObjName, holder: NodeId, asked_ns: u64) {
+        let outdated = |&(fwd, since): &(NodeId, u64)| fwd != holder && since <= asked_ns;
+        let forwards = &self.inner.location.forwards;
+        if holder == self.inner.id || !forwards.read().get(&name).is_some_and(outdated) {
+            return;
+        }
+        if let Some(entry) = forwards.write().get_mut(&name).filter(|e| outdated(e)) {
+            *entry = (holder, asked_ns);
+        }
+    }
+
     /// Where `name` may be, best guess first, each with whether the
     /// guess came from the hint cache: the forwarding address, the
     /// cached hint, then the birth node baked into the name.
     pub(crate) fn hints(&self, name: ObjName) -> Vec<(NodeId, bool)> {
         let mut hints = Vec::with_capacity(3);
-        if let Some(&fwd) = self.inner.location.forwards.read().get(&name) {
+        if let Some(&(fwd, _)) = self.inner.location.forwards.read().get(&name) {
             hints.push((fwd, false));
         }
         if self.inner.config.enable_location_cache {
@@ -1776,7 +1833,7 @@ impl Node {
                 slot.checkpoint_version() + 1,
             )
         };
-        let version = self.put_checkpoint(cs.node, slot.name, &image)?;
+        let version = self.put_checkpoint(cs.node, slot, &image)?;
         if let ReliabilityLevel::Replicated(k) = cs.level {
             // Best-effort replication to k additional sites: a down
             // replica does not fail the checkpoint (the checksite copy is
@@ -1791,13 +1848,13 @@ impl Node {
                 if peer == cs.node {
                     continue;
                 }
-                let _ = self.put_checkpoint(peer, slot.name, &image);
+                let _ = self.put_checkpoint(peer, slot, &image);
                 sent += 1;
             }
             if sent < k && cs.node != self.inner.id {
                 // Fall back to a local copy to honour the replica count
                 // as far as possible.
-                let _ = self.put_checkpoint(self.inner.id, slot.name, &image);
+                let _ = self.put_checkpoint(self.inner.id, slot, &image);
             }
         }
         slot.version.store(version, Ordering::Release);
@@ -1812,12 +1869,17 @@ impl Node {
         Ok(version)
     }
 
-    /// Writes one checkpoint image at `site` (local store or remote
-    /// checksite over the wire).
-    fn put_checkpoint(&self, site: NodeId, name: ObjName, image: &ObjectImage) -> Result<u64> {
+    /// Writes one checkpoint image of `slot` at `site` (local store or
+    /// remote checksite over the wire). The slot's first local write
+    /// registers this node as a checksite with the directory; the home
+    /// keeps that registration, so later writes need not repeat it.
+    fn put_checkpoint(&self, site: NodeId, slot: &ObjectSlot, image: &ObjectImage) -> Result<u64> {
+        let name = slot.name;
         if site == self.inner.id {
             let version = self.inner.store.put(name, &image.encode_to_bytes())?;
-            self.dir_register(name, self.inner.id, DirRegisterKind::Checkpoint);
+            if !slot.checkpoint_registered.swap(true, Ordering::AcqRel) {
+                self.dir_register(name, self.inner.id, DirRegisterKind::Checkpoint);
+            }
             return Ok(version);
         }
         let budget = self.inner.config.remote_try_timeout;
@@ -2151,7 +2213,11 @@ impl Node {
                 });
                 slot.short.teardown();
                 self.inner.objects.write().remove(&slot.name);
-                self.inner.location.forwards.write().insert(slot.name, dst);
+                self.inner
+                    .location
+                    .forwards
+                    .write()
+                    .insert(slot.name, (dst, now_ns()));
                 self.cache_insert(slot.name, dst);
                 let queued = self.drain_queue(&mut slot.coord.lock());
                 let mut ready = Vec::new();
@@ -3050,7 +3116,7 @@ impl Node {
             return;
         }
         // Forwarding address from a past move?
-        if let Some(&fwd) = self.inner.location.forwards.read().get(&name) {
+        if let Some(&(fwd, _)) = self.inner.location.forwards.read().get(&name) {
             if hops > 0 {
                 // Not served here after all: clear the admission marker so
                 // a later retransmission can be forwarded again (the next
@@ -3227,6 +3293,33 @@ mod tests {
         // The reply wait unregistered the invocation.
         let now = client.watchdog_snapshot_text(&[]);
         assert!(now.contains("inflight: 0"), "{now}");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn only_a_fresher_answer_compresses_a_forwarding_address() {
+        let cluster = cluster(3, NodeConfig::default());
+        let node = cluster.node(0);
+        let name = node.create_object("plain", &[]).unwrap().name();
+        let forward = |n: &Node| n.inner.location.forwards.read().get(&name).copied();
+        // No entry: an answer never inserts one.
+        node.compress_forward(name, NodeId(2), 10);
+        assert_eq!(forward(node), None);
+
+        node.inner
+            .location
+            .forwards
+            .write()
+            .insert(name, (NodeId(1), 100));
+        // An answer to a request sent before the address was learned
+        // may name a node the object has since left.
+        node.compress_forward(name, NodeId(2), 99);
+        assert_eq!(forward(node), Some((NodeId(1), 100)));
+        // This node never forwards to itself.
+        node.compress_forward(name, NodeId(0), 200);
+        assert_eq!(forward(node), Some((NodeId(1), 100)));
+        node.compress_forward(name, NodeId(2), 150);
+        assert_eq!(forward(node), Some((NodeId(2), 150)));
         cluster.shutdown();
     }
 }

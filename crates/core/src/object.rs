@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eden_capability::{Capability, NodeId, ObjName};
-use eden_obs::TraceCtx;
+use eden_obs::{Gauge, TraceCtx};
 use eden_wire::{Status, Value};
 use parking_lot::{Mutex, RwLock};
 
@@ -99,6 +99,8 @@ pub(crate) struct PendingInvocation {
     pub args: Vec<Value>,
     /// The resolved operation (defining manager, spec, class limit).
     pub resolved: ResolvedOp,
+    /// The node's `class.in_service` gauge for the operation's class.
+    pub in_service: Arc<Gauge>,
     /// Reply destination.
     pub sink: ReplySink,
     /// The node the invocation came from.
@@ -190,6 +192,9 @@ pub struct ObjectSlot {
     pub(crate) is_replica: bool,
     /// Last durably checkpointed version.
     pub(crate) version: AtomicU64,
+    /// This node has registered itself with the directory as a
+    /// checksite of the slot (on its first local checkpoint).
+    pub(crate) checkpoint_registered: AtomicBool,
     /// Short-term state.
     pub(crate) short: ShortTerm,
     /// Coordinator state.
@@ -214,6 +219,7 @@ impl ObjectSlot {
             frozen: AtomicBool::new(false),
             is_replica: false,
             version: AtomicU64::new(0),
+            checkpoint_registered: AtomicBool::new(false),
             short: ShortTerm::default(),
             coord: Mutex::new(CoordState::new(status)),
             checksite: Mutex::new(checksite),
@@ -235,6 +241,7 @@ impl ObjectSlot {
             frozen: AtomicBool::new(true),
             is_replica: true,
             version: AtomicU64::new(version),
+            checkpoint_registered: AtomicBool::new(false),
             short: ShortTerm::default(),
             coord: Mutex::new(CoordState::new(ObjStatus::Active)),
             checksite: Mutex::new(Checksite {

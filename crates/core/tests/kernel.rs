@@ -1121,6 +1121,59 @@ fn replicated_checkpoints_survive_checksite_death_too() {
 }
 
 #[test]
+fn an_answer_compresses_the_forwarding_address_onto_the_holder() {
+    // Moves 0 → 1 → 2 leave a chain: node 0 forwards to 1, node 1 to 2.
+    // Once node 2 has answered node 0's call, node 0's forwarding
+    // address names node 2, so its next call no longer passes node 1.
+    let cluster = standard_cluster(3);
+    let cap = cluster.node(0).create_object("nomad", &[]).unwrap();
+    for (src, dst) in [(0, 1u16), (1, 2)] {
+        cluster.node(src).move_object(cap, NodeId(dst)).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !cluster.node(dst as usize).is_local(cap.name()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "move to {dst} stalled"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    let first = cluster.node(0).invoke(cap, "where_am_i", &[]).unwrap();
+    assert_eq!(first, vec![Value::U64(2)]);
+    let forwards = cluster.node(1).metrics().forwards;
+    assert!(forwards >= 1, "the first call must walk the chain");
+    let second = cluster.node(0).invoke(cap, "where_am_i", &[]).unwrap();
+    assert_eq!(second, vec![Value::U64(2)]);
+    assert_eq!(
+        cluster.node(1).metrics().forwards,
+        forwards,
+        "the second call must go straight to the holder"
+    );
+    // The compressed address still keeps node 0 from reincarnating.
+    assert!(!cluster.node(0).is_local(cap.name()));
+}
+
+#[test]
+fn repeated_checkpoints_register_the_checksite_once() {
+    let cluster = standard_cluster(3);
+    let cap = cluster.node(0).create_object("counter", &[]).unwrap();
+    let before = cluster.node(0).metrics().directory_registrations;
+    for i in 0..5 {
+        cluster
+            .node(0)
+            .invoke(cap, "add_and_checkpoint", &[Value::I64(i)])
+            .unwrap();
+    }
+    let m = cluster.node(0).metrics();
+    assert_eq!(m.checkpoints, 5);
+    assert_eq!(
+        m.directory_registrations - before,
+        1,
+        "the directory keeps a checksite registration; one is enough"
+    );
+}
+
+#[test]
 fn moved_object_is_not_resurrected_from_its_old_checkpoint() {
     // Regression: an object that checkpointed on node 0 and then moved
     // to node 1 leaves its checkpoint at the checksite (node 0). A

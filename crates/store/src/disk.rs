@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eden_capability::ObjName;
-use eden_obs::{now_ns, ObsRegistry};
+use eden_obs::{now_ns, Histogram, ObsRegistry};
 use parking_lot::{Mutex, RwLock};
 
 use crate::crc::crc32;
@@ -86,10 +86,15 @@ pub struct DiskStore {
     /// (0 = unlimited). Superseded records remain in the log until
     /// [`DiskStore::compact`] rewrites it.
     retain: usize,
-    /// Observability registry receiving `store.write` / `store.fsync`
-    /// duration histograms, once attached.
-    obs: RwLock<Option<Arc<ObsRegistry>>>,
+    /// The `store.write` / `store.fsync` duration histograms of the
+    /// attached observability registry, resolved once at attach.
+    obs: RwLock<Option<Arc<StoreObs>>>,
     inner: Mutex<Inner>,
+}
+
+struct StoreObs {
+    write: Arc<Histogram>,
+    fsync: Arc<Histogram>,
 }
 
 impl DiskStore {
@@ -216,7 +221,7 @@ impl DiskStore {
     fn append(
         inner: &mut Inner,
         sync: SyncPolicy,
-        obs: Option<&ObsRegistry>,
+        obs: Option<&StoreObs>,
         name: ObjName,
         version: u64,
         tomb: u8,
@@ -230,13 +235,11 @@ impl DiskStore {
         if sync == SyncPolicy::Always {
             inner.file.sync_data()?;
             if let Some(obs) = obs {
-                obs.histogram("store.fsync")
-                    .record(now_ns().saturating_sub(write_end));
+                obs.fsync.record(now_ns().saturating_sub(write_end));
             }
         }
         if let Some(obs) = obs {
-            obs.histogram("store.write")
-                .record(write_end.saturating_sub(write_start));
+            obs.write.record(write_end.saturating_sub(write_start));
         }
         let offset = inner.end + HEADER_LEN as u64;
         inner.end += rec.len() as u64;
@@ -400,14 +403,16 @@ impl CheckpointStore for DiskStore {
         let start = now_ns();
         self.inner.lock().file.sync_data()?;
         if let Some(obs) = obs {
-            obs.histogram("store.fsync")
-                .record(now_ns().saturating_sub(start));
+            obs.fsync.record(now_ns().saturating_sub(start));
         }
         Ok(())
     }
 
     fn attach_obs(&self, obs: Arc<ObsRegistry>) {
-        *self.obs.write() = Some(obs);
+        *self.obs.write() = Some(Arc::new(StoreObs {
+            write: obs.histogram("store.write"),
+            fsync: obs.histogram("store.fsync"),
+        }));
     }
 }
 

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use eden_capability::NodeId;
-use eden_obs::{now_ns, ObsRegistry};
+use eden_obs::{now_ns, Histogram, ObsRegistry};
 use eden_wire::{Dest, Frame, Message};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -72,6 +72,7 @@ struct Delayed {
     seq: u64,
     dst: NodeId,
     frame: Frame,
+    size: usize,
     enqueue_ns: u64,
 }
 
@@ -99,6 +100,13 @@ struct DelayLine {
     next_seq: Mutex<u64>,
 }
 
+/// A node's observability registry, with its `net.delivery` histogram
+/// resolved once at attach.
+struct NodeObs {
+    obs: Arc<ObsRegistry>,
+    delivery: Arc<Histogram>,
+}
+
 struct MeshCore {
     options: MeshOptions,
     inboxes: RwLock<HashMap<NodeId, Sender<Frame>>>,
@@ -106,15 +114,16 @@ struct MeshCore {
     /// Directed (src, dst) pairs whose frames are silently dropped.
     blocked: RwLock<HashSet<(NodeId, NodeId)>>,
     /// Per-node observability registries (attached by the kernels).
-    obs: RwLock<HashMap<NodeId, Arc<ObsRegistry>>>,
+    obs: RwLock<HashMap<NodeId, NodeObs>>,
     rng: Mutex<SmallRng>,
     closed: AtomicBool,
     delay: Arc<DelayLine>,
 }
 
 impl MeshCore {
-    /// Delivers (or drops) one unicast frame from `src` to `dst`.
-    fn route(&self, src: NodeId, dst: NodeId, frame: Frame) {
+    /// Delivers (or drops) one unicast frame of `size` hinted bytes
+    /// from `src` to `dst`.
+    fn route(&self, src: NodeId, dst: NodeId, frame: Frame, size: usize) {
         let enqueue_ns = now_ns();
         if self.blocked.read().contains(&(src, dst)) {
             self.drop_frame(src);
@@ -125,12 +134,12 @@ impl MeshCore {
             self.drop_frame(src);
             return;
         }
-        let delay = {
-            let size = message_size_hint(&frame.msg);
-            self.options.latency.sample(size, &mut self.rng.lock())
+        let delay = match self.options.latency {
+            LatencyModel::Zero => Duration::ZERO,
+            latency => latency.sample(size, &mut self.rng.lock()),
         };
         if delay.is_zero() {
-            self.deliver(dst, frame, enqueue_ns);
+            self.deliver(dst, frame, size, enqueue_ns);
         } else {
             let mut seq_guard = self.delay.next_seq.lock();
             let seq = *seq_guard;
@@ -141,29 +150,30 @@ impl MeshCore {
                 seq,
                 dst,
                 frame,
+                size,
                 enqueue_ns,
             });
             self.delay.cv.notify_one();
         }
     }
 
-    fn deliver(&self, dst: NodeId, frame: Frame, enqueue_ns: u64) {
-        let size = message_size_hint(&frame.msg);
+    fn deliver(&self, dst: NodeId, frame: Frame, size: usize, enqueue_ns: u64) {
         let trace = frame.trace;
-        let Some(tx) = self.inboxes.read().get(&dst).cloned() else {
-            return; // Dead node: silent best-effort drop.
+        let sent = match self.inboxes.read().get(&dst) {
+            Some(tx) => tx.send(frame).is_ok(),
+            None => return, // Dead node: silent best-effort drop.
         };
-        if tx.send(frame).is_ok() {
+        if sent {
             if let Some(cell) = self.stats.read().get(&dst) {
                 cell.record_recv(size);
             }
-            if let Some(obs) = self.obs.read().get(&dst) {
+            if let Some(node) = self.obs.read().get(&dst) {
                 let delivered_ns = now_ns();
-                obs.histogram("net.delivery")
+                node.delivery
                     .record(delivered_ns.saturating_sub(enqueue_ns));
                 if let Some(ctx) = trace {
                     // The wire time, parented onto the sender's span.
-                    obs.record_span("net", ctx, enqueue_ns, delivered_ns);
+                    node.obs.record_span("net", ctx, enqueue_ns, delivered_ns);
                 }
             }
         }
@@ -284,7 +294,7 @@ impl LoopbackMesh {
                         }
                     }
                     for d in due {
-                        pump_core.deliver(d.dst, d.frame, d.enqueue_ns);
+                        pump_core.deliver(d.dst, d.frame, d.size, d.enqueue_ns);
                     }
                 }
             })
@@ -358,10 +368,11 @@ impl Endpoint for MeshEndpoint {
         if self.core.closed.load(Ordering::Acquire) || self.detached.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
-        self.stats.record_send(message_size_hint(&frame.msg));
+        let size = message_size_hint(&frame.msg);
+        self.stats.record_send(size);
         match frame.dst {
             Dest::Node(dst) => {
-                self.core.route(self.node, dst, frame);
+                self.core.route(self.node, dst, frame, size);
             }
             Dest::Broadcast => {
                 let peers: Vec<NodeId> = self
@@ -373,7 +384,7 @@ impl Endpoint for MeshEndpoint {
                     .filter(|&p| p != self.node)
                     .collect();
                 for p in peers {
-                    self.core.route(self.node, p, frame.clone());
+                    self.core.route(self.node, p, frame.clone(), size);
                 }
             }
         }
@@ -426,7 +437,11 @@ impl Endpoint for MeshEndpoint {
     }
 
     fn attach_obs(&self, obs: Arc<ObsRegistry>) {
-        self.core.obs.write().insert(self.node, obs);
+        let delivery = obs.histogram("net.delivery");
+        self.core
+            .obs
+            .write()
+            .insert(self.node, NodeObs { obs, delivery });
     }
 
     fn shutdown(&self) {

@@ -52,7 +52,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use eden_capability::NodeId;
 use eden_obs::trace::stage;
-use eden_obs::{now_ns, ObsRegistry, TraceCtx};
+use eden_obs::{now_ns, Gauge, Histogram, ObsRegistry, TraceCtx};
 use parking_lot::Mutex;
 use rand::Rng;
 
@@ -134,8 +134,18 @@ pub(crate) struct SendPipeline {
     peers: Mutex<HashMap<NodeId, SocketAddr>>,
     writers: Mutex<HashMap<NodeId, PeerWriter>>,
     stats: Arc<StatsCell>,
-    obs: Mutex<Option<Arc<ObsRegistry>>>,
+    obs: Mutex<Option<PipeObs>>,
     closed: AtomicBool,
+}
+
+/// The attached observability registry, with the handles every enqueue
+/// and every batch update resolved once at attach.
+struct PipeObs {
+    reg: Arc<ObsRegistry>,
+    /// `tcp.send_queue`: frames queued across all peers.
+    send_queue: Arc<Gauge>,
+    /// `tcp.batch_frames`: frames coalesced per write.
+    batch_frames: Arc<Histogram>,
 }
 
 impl SendPipeline {
@@ -164,8 +174,12 @@ impl SendPipeline {
         self.peers.lock().keys().copied().collect()
     }
 
-    pub(crate) fn attach_obs(&self, obs: Arc<ObsRegistry>) {
-        *self.obs.lock() = Some(obs);
+    pub(crate) fn attach_obs(&self, reg: Arc<ObsRegistry>) {
+        *self.obs.lock() = Some(PipeObs {
+            send_queue: reg.gauge("tcp.send_queue"),
+            batch_frames: reg.histogram("tcp.batch_frames"),
+            reg,
+        });
     }
 
     /// Frames currently queued across all peers.
@@ -270,14 +284,14 @@ impl SendPipeline {
         }
     }
 
-    fn with_obs(&self, f: impl FnOnce(&ObsRegistry)) {
-        if let Some(obs) = self.obs.lock().as_deref() {
+    fn with_obs(&self, f: impl FnOnce(&PipeObs)) {
+        if let Some(obs) = self.obs.lock().as_ref() {
             f(obs);
         }
     }
 
     fn gauge_queue(&self, delta: i64) {
-        self.with_obs(|obs| obs.gauge("tcp.send_queue").add(delta));
+        self.with_obs(|obs| obs.send_queue.add(delta));
     }
 }
 
@@ -320,9 +334,9 @@ fn writer_loop(
                 }
                 pipe.stats.record_dial(dialed.is_none());
                 pipe.with_obs(|obs| {
-                    obs.counter("tcp.dials").inc();
+                    obs.reg.counter("tcp.dials").inc();
                     if dialed.is_none() {
-                        obs.counter("tcp.dial_failures").inc();
+                        obs.reg.counter("tcp.dial_failures").inc();
                     }
                 });
                 match dialed {
@@ -330,7 +344,7 @@ fn writer_loop(
                         s.set_nodelay(true).ok();
                         conn = Some(s);
                         backoff = tuning.dial_backoff_min;
-                        pipe.with_obs(|obs| obs.gauge("tcp.connected_peers").inc());
+                        pipe.with_obs(|obs| obs.reg.gauge("tcp.connected_peers").inc());
                         continue;
                     }
                     None => {
@@ -358,7 +372,7 @@ fn writer_loop(
         // the sender, and `recv` still hands over every queued frame
         // before it reports the disconnect: the graceful drain.
         let Ok(first) = rx.recv() else {
-            pipe.with_obs(|obs| obs.gauge("tcp.connected_peers").dec());
+            pipe.with_obs(|obs| obs.reg.gauge("tcp.connected_peers").dec());
             return;
         };
         // Coalesce everything pending (up to the byte budget) into one
@@ -397,7 +411,7 @@ fn writer_loop(
                     match dial {
                         Some((ds, de)) => {
                             if ds > enq {
-                                obs.record_span_staged(
+                                obs.reg.record_span_staged(
                                     "xport-queue",
                                     stage::XPORT_QUEUE,
                                     ctx,
@@ -405,9 +419,9 @@ fn writer_loop(
                                     ds,
                                 );
                             }
-                            obs.record_span_staged("dial", stage::DIAL, ctx, ds, de);
+                            obs.reg.record_span_staged("dial", stage::DIAL, ctx, ds, de);
                             if dequeue_ns > de {
-                                obs.record_span_staged(
+                                obs.reg.record_span_staged(
                                     "xport-queue",
                                     stage::XPORT_QUEUE,
                                     ctx,
@@ -417,7 +431,7 @@ fn writer_loop(
                             }
                         }
                         None => {
-                            obs.record_span_staged(
+                            obs.reg.record_span_staged(
                                 "xport-queue",
                                 stage::XPORT_QUEUE,
                                 ctx,
@@ -431,13 +445,19 @@ fn writer_loop(
         }
         pipe.gauge_queue(-(frames as i64));
         pipe.stats.record_batch();
-        pipe.with_obs(|obs| obs.histogram("tcp.batch_frames").record(frames));
+        pipe.with_obs(|obs| obs.batch_frames.record(frames));
         let write_ok = stream.write_all(&batch).is_ok();
         if write_ok && !traced.is_empty() {
             let write_end = now_ns();
             pipe.with_obs(|obs| {
                 for &(ctx, _) in &traced {
-                    obs.record_span_staged("batch-write", stage::WRITE, ctx, dequeue_ns, write_end);
+                    obs.reg.record_span_staged(
+                        "batch-write",
+                        stage::WRITE,
+                        ctx,
+                        dequeue_ns,
+                        write_end,
+                    );
                 }
             });
         }
@@ -449,7 +469,7 @@ fn writer_loop(
             conn = None;
             next_dial = Instant::now();
             backoff = tuning.dial_backoff_min;
-            pipe.with_obs(|obs| obs.gauge("tcp.connected_peers").dec());
+            pipe.with_obs(|obs| obs.reg.gauge("tcp.connected_peers").dec());
         }
     }
 }
