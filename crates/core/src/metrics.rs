@@ -5,125 +5,84 @@
 //! "after caching the frozen replica, remote invocations stop") rather
 //! than inferring them from timing alone.
 //!
-//! [`MetricsCell`] is a facade over the node's
-//! [`ObsRegistry`](eden_obs::ObsRegistry): each counter is registered
-//! there under `kernel.<name>`, so the same numbers surface through the
-//! registry's snapshot (and the shell's `metrics` command) while this
-//! module keeps its original typed [`KernelMetrics`] snapshot API.
-//! `InvokeMetrics` holds the same kind of handles for the gauges and
-//! histograms every invocation updates.
+//! [`MetricsCell`] holds the counters as handles registered in the
+//! node's [`ObsRegistry`] under `kernel.<name>`,
+//! so the same numbers surface through the registry's snapshot (and the
+//! shell's `metrics` command) and through the typed [`KernelMetrics`]
+//! snapshot. Both come from one [`eden_obs::metrics!`] declaration, the
+//! same one the transport's counters use. `InvokeMetrics` holds the same
+//! kind of handles for the gauges and histograms every invocation
+//! updates.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eden_obs::{Counter, Gauge, Histogram, ObsRegistry};
+use eden_obs::{Gauge, Histogram, ObsRegistry};
 use parking_lot::RwLock;
 
-macro_rules! metrics {
-    ($($(#[$doc:meta])* $field:ident => $method:ident),* $(,)?) => {
-        /// A point-in-time snapshot of one node's kernel counters.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct KernelMetrics {
-            $($(#[$doc])* pub $field: u64,)*
-        }
-
-        /// Shared counter cell; the counters live in the node's
-        /// observability registry.
-        pub struct MetricsCell {
-            $(pub(crate) $field: Arc<Counter>,)*
-        }
-
-        impl MetricsCell {
-            /// Builds the cell over `obs`, registering each counter as
-            /// `kernel.<field>`.
-            pub(crate) fn new(obs: &ObsRegistry) -> Self {
-                MetricsCell {
-                    $($field: obs.counter(concat!("kernel.", stringify!($field))),)*
-                }
-            }
-
-            $(
-                /// Increments the corresponding counter.
-                pub(crate) fn $method(&self) {
-                    self.$field.inc();
-                }
-            )*
-
-            /// Takes a snapshot of every counter.
-            pub fn snapshot(&self) -> KernelMetrics {
-                KernelMetrics {
-                    $($field: self.$field.get(),)*
-                }
-            }
-        }
-
-        impl Default for MetricsCell {
-            /// Standalone counters, unattached to any registry (tests).
-            fn default() -> Self {
-                MetricsCell {
-                    $($field: Arc::new(Counter::new()),)*
-                }
-            }
-        }
-
-        impl KernelMetrics {
-            /// The difference `self - earlier`, for measuring an interval.
-            #[must_use]
-            pub fn delta(&self, earlier: &KernelMetrics) -> KernelMetrics {
-                KernelMetrics {
-                    $($field: self.$field - earlier.$field,)*
-                }
-            }
-        }
-    };
+eden_obs::metrics! {
+    /// A point-in-time snapshot of one node's kernel counters.
+    pub struct KernelMetrics;
+    /// Shared counter cell; the counters live in the node's
+    /// observability registry once [`MetricsCell::new`] registers them.
+    pub struct MetricsCell => "kernel";
+    counters {
+        /// Invocations executed against local objects (including replicas).
+        local_invocations => bump_local,
+        /// Invocations sent to another node.
+        remote_invocations_sent => bump_remote_sent,
+        /// Invocation requests received from other nodes.
+        remote_invocations_served => bump_remote_served,
+        /// Requests forwarded along a post-move forwarding address.
+        forwards => bump_forward,
+        /// Broadcast `WhereIs` queries issued.
+        location_broadcasts => bump_broadcast,
+        /// Location answers served from the hint cache.
+        location_cache_hits => bump_cache_hit,
+        /// Reincarnations performed (§4.2/§4.4).
+        reincarnations => bump_reincarnation,
+        /// Checkpoints written (locally or to a remote checksite).
+        checkpoints => bump_checkpoint,
+        /// Objects crashed via the crash primitive.
+        crashes => bump_crash,
+        /// Objects moved away from this node.
+        moves_out => bump_move_out,
+        /// Objects installed by an inbound move.
+        moves_in => bump_move_in,
+        /// Frozen replicas cached on this node.
+        replicas_cached => bump_replica,
+        /// Invocations that returned `Status::Timeout`.
+        timeouts => bump_timeout,
+        /// Invocations rejected for insufficient rights.
+        rights_violations => bump_rights_violation,
+        /// Invocation processes spawned (the paper's per-invocation
+        /// processes).
+        invocation_processes => bump_process,
+        /// Invocations that waited in a class queue before dispatch.
+        class_queued => bump_class_queued,
+        /// Locate queries sent to an object's directory home node.
+        directory_queries => bump_dir_query,
+        /// Directory answers that named a usable holder.
+        directory_hits => bump_dir_hit,
+        /// Holder registrations sent to (or applied at) a home node.
+        directory_registrations => bump_dir_register,
+        /// Directory queries answered from the local shard.
+        directory_answers_served => bump_dir_served,
+        /// Peers this node's gossip declared dead.
+        gossip_deaths => bump_gossip_dead,
+        /// Location hints evicted by the cache's LRU cap.
+        location_cache_evictions => bump_cache_eviction,
+    }
 }
 
-metrics! {
-    /// Invocations executed against local objects (including replicas).
-    local_invocations => bump_local,
-    /// Invocations sent to another node.
-    remote_invocations_sent => bump_remote_sent,
-    /// Invocation requests received from other nodes.
-    remote_invocations_served => bump_remote_served,
-    /// Requests forwarded along a post-move forwarding address.
-    forwards => bump_forward,
-    /// Broadcast `WhereIs` queries issued.
-    location_broadcasts => bump_broadcast,
-    /// Location answers served from the hint cache.
-    location_cache_hits => bump_cache_hit,
-    /// Reincarnations performed (§4.2/§4.4).
-    reincarnations => bump_reincarnation,
-    /// Checkpoints written (locally or to a remote checksite).
-    checkpoints => bump_checkpoint,
-    /// Objects crashed via the crash primitive.
-    crashes => bump_crash,
-    /// Objects moved away from this node.
-    moves_out => bump_move_out,
-    /// Objects installed by an inbound move.
-    moves_in => bump_move_in,
-    /// Frozen replicas cached on this node.
-    replicas_cached => bump_replica,
-    /// Invocations that returned `Status::Timeout`.
-    timeouts => bump_timeout,
-    /// Invocations rejected for insufficient rights.
-    rights_violations => bump_rights_violation,
-    /// Invocation processes spawned (the paper's per-invocation
-    /// processes).
-    invocation_processes => bump_process,
-    /// Invocations that waited in a class queue before dispatch.
-    class_queued => bump_class_queued,
-    /// Locate queries sent to an object's directory home node.
-    directory_queries => bump_dir_query,
-    /// Directory answers that named a usable holder.
-    directory_hits => bump_dir_hit,
-    /// Holder registrations sent to (or applied at) a home node.
-    directory_registrations => bump_dir_register,
-    /// Directory queries answered from the local shard.
-    directory_answers_served => bump_dir_served,
-    /// Peers this node's gossip declared dead.
-    gossip_deaths => bump_gossip_dead,
-    /// Location hints evicted by the cache's LRU cap.
-    location_cache_evictions => bump_cache_eviction,
+impl MetricsCell {
+    /// Builds the cell over `obs`, registering each counter as
+    /// `kernel.<field>`.
+    pub(crate) fn new(obs: &ObsRegistry) -> Self {
+        let cell = MetricsCell::default();
+        cell.register(obs);
+        cell
+    }
 }
 
 /// Handles on the metrics every invocation updates, resolved once at

@@ -37,7 +37,7 @@
 //!   `send`, `join`, …) in non-test kernel code.
 //! * **L5 `metric-discipline`** — telemetry flows through the obs
 //!   registry: no ad-hoc metric-named atomic counters in `eden-core` or
-//!   `eden-transport` (sanctioned cell: the transport's `stats.rs`).
+//!   `eden-transport`.
 //! * **L6 `lock-order`** — the "lock A held while acquiring lock B"
 //!   graph across eden-kernel/eden-transport/eden-directory must agree
 //!   with the total order in `lint-lock-order.toml`: no reentrant
@@ -168,8 +168,7 @@ impl Rule {
             Rule::MetricDiscipline => {
                 "Counters, gauges and histograms go through the obs registry so they \
                  export, merge and scrape uniformly; metric-named atomics in kernel or \
-                 transport code are a parallel, invisible metrics system (sanctioned \
-                 exception: transport/src/stats.rs). Escape: \
+                 transport code are a parallel, invisible metrics system. Escape: \
                  `// eden-lint: allow(metric-discipline)` on the field line."
             }
             Rule::LockOrder => {

@@ -3,8 +3,7 @@
 //! `*_sent`, `*_total`, …) in kernel or transport code is a parallel
 //! metrics system: it is invisible to Prometheus export, metric
 //! merging, and the monitor, and it skips the registry's naming
-//! discipline. The one sanctioned cell is `crates/transport/src/stats.rs`,
-//! which implements the public `Endpoint::stats()` contract.
+//! discipline.
 
 use std::collections::HashSet;
 
@@ -14,7 +13,7 @@ use crate::{Finding, Rule};
 pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>) {
     let scoped =
         rel_path.starts_with("crates/core/src/") || rel_path.starts_with("crates/transport/src/");
-    if !scoped || rel_path == "crates/transport/src/stats.rs" {
+    if !scoped {
         return;
     }
     const TYPES: [&str; 4] = ["AtomicU64", "AtomicU32", "AtomicUsize", "AtomicI64"];

@@ -17,9 +17,10 @@
 //! external tooling.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
 use crate::hist::{merge_snapshot_maps, HistogramSnapshot};
-use crate::recorder::{FlightEvent, KernelEvent};
+use crate::recorder::{FlightEvent, KernelEvent, RawField};
 use crate::registry::ObsRegistry;
 use crate::trace::SpanRecord;
 
@@ -244,109 +245,22 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
 }
 
 /// Serializes one flight-recorder event (tagged with its node) as a
-/// single JSON object on one line.
+/// single JSON object on one line: the header, the kind token, then each
+/// field as a number or a string.
 pub fn event_jsonl_line(node: u16, e: &FlightEvent) -> String {
     let mut out = format!(
-        "{{\"seq\":{},\"at_ns\":{},\"node\":{}",
-        e.seq, e.at_ns, node
+        "{{\"seq\":{},\"at_ns\":{},\"node\":{},\"kind\":\"{}\"",
+        e.seq,
+        e.at_ns,
+        node,
+        e.event.kind()
     );
-    let mut kind = |k: &str| out.push_str(&format!(",\"kind\":\"{k}\""));
-    match &e.event {
-        KernelEvent::Crash { obj } => {
-            kind("crash");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\""));
-        }
-        KernelEvent::Reincarnation { obj, version } => {
-            kind("reincarnation");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"version\":{version}"));
-        }
-        KernelEvent::CheckpointWrite { obj, version } => {
-            kind("checkpoint");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"version\":{version}"));
-        }
-        KernelEvent::MoveOut { obj, dst } => {
-            kind("move_out");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"dst\":{dst}"));
-        }
-        KernelEvent::MoveIn { obj, src } => {
-            kind("move_in");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"src\":{src}"));
-        }
-        KernelEvent::Forward { obj, dst } => {
-            kind("forward");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"dst\":{dst}"));
-        }
-        KernelEvent::Retransmit { inv_id, dst } => {
-            kind("retransmit");
-            out.push_str(&format!(",\"inv_id\":{inv_id},\"dst\":{dst}"));
-        }
-        KernelEvent::RemoteTimeout { dst } => {
-            kind("remote_timeout");
-            out.push_str(&format!(",\"dst\":{dst}"));
-        }
-        KernelEvent::WhereIsBroadcast { obj } => {
-            kind("where_is");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\""));
-        }
-        KernelEvent::DirectoryQuery { obj, home } => {
-            kind("dir_query");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"home\":{home}"));
-        }
-        KernelEvent::DirectoryRegister { obj, home } => {
-            kind("dir_register");
-            out.push_str(&format!(",\"obj\":\"{obj:#x}\",\"home\":{home}"));
-        }
-        KernelEvent::MemberSuspect { node } => {
-            kind("member_suspect");
-            out.push_str(&format!(",\"member\":{node}"));
-        }
-        KernelEvent::MemberDead { node } => {
-            kind("member_dead");
-            out.push_str(&format!(",\"member\":{node}"));
-        }
-        KernelEvent::MemberAlive { node } => {
-            kind("member_alive");
-            out.push_str(&format!(",\"member\":{node}"));
-        }
-        KernelEvent::VprocStall {
-            worker,
-            age_ms,
-            queued,
-        } => {
-            kind("vproc_stall");
-            out.push_str(&format!(
-                ",\"worker\":{worker},\"age_ms\":{age_ms},\"queued\":{queued}"
-            ));
-        }
-        KernelEvent::WriterStall {
-            dst,
-            age_ms,
-            queued,
-        } => {
-            kind("writer_stall");
-            out.push_str(&format!(
-                ",\"dst\":{dst},\"age_ms\":{age_ms},\"queued\":{queued}"
-            ));
-        }
-        KernelEvent::SlowInvocation {
-            inv_id,
-            age_ms,
-            trace,
-        } => {
-            kind("slow_invocation");
-            out.push_str(&format!(
-                ",\"inv_id\":{inv_id},\"age_ms\":{age_ms},\"trace\":\"{trace:#x}\""
-            ));
-        }
-        KernelEvent::InboundDropped { peer, reason } => {
-            kind("inbound_dropped");
-            out.push_str(&format!(
-                ",\"peer\":\"{peer}\",\"reason\":\"{}\"",
-                reason.as_str()
-            ));
-        }
-        KernelEvent::NodeShutdown => kind("shutdown"),
-    }
+    e.event.visit_fields(|key, field| {
+        let _ = match field.number() {
+            Some(n) => write!(out, ",\"{key}\":{n}"),
+            None => write!(out, ",\"{key}\":\"{}\"", field.text()),
+        };
+    });
     out.push('}');
     out
 }
@@ -367,110 +281,43 @@ pub fn events_jsonl(streams: &[(u16, Vec<FlightEvent>)]) -> String {
     out
 }
 
-/// Extracts the raw token following `"key":` in a flat JSON object (the
+/// Extracts the value following `"key":` in a flat JSON object (the
 /// shape [`event_jsonl_line`] emits; keys must not collide as
 /// substrings, which the fixed key set guarantees).
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+fn json_field<'a>(line: &'a str, key: &str) -> Option<RawField<'a>> {
     let pat = format!("\"{key}\":");
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
     if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.find('"').map(|end| &stripped[..end])
+        stripped
+            .find('"')
+            .map(|end| RawField::Str(&stripped[..end]))
     } else {
         let end = rest.find([',', '}'])?;
-        Some(&rest[..end])
+        rest[..end].parse().ok().map(RawField::Num)
     }
-}
-
-fn parse_obj(line: &str) -> Option<u128> {
-    let raw = json_field(line, "obj")?;
-    u128::from_str_radix(raw.strip_prefix("0x")?, 16).ok()
 }
 
 /// Parses one [`event_jsonl_line`] back into the node id and the typed
 /// event (the JSONL round-trip used in tests and by tooling).
 pub fn parse_jsonl_line(line: &str) -> Option<(u16, FlightEvent)> {
-    let seq: u64 = json_field(line, "seq")?.parse().ok()?;
-    let at_ns: u64 = json_field(line, "at_ns")?.parse().ok()?;
-    let node: u16 = json_field(line, "node")?.parse().ok()?;
-    let version = || json_field(line, "version")?.parse::<u64>().ok();
-    let dst = || json_field(line, "dst")?.parse::<u16>().ok();
-    let event = match json_field(line, "kind")? {
-        "crash" => KernelEvent::Crash {
-            obj: parse_obj(line)?,
-        },
-        "reincarnation" => KernelEvent::Reincarnation {
-            obj: parse_obj(line)?,
-            version: version()?,
-        },
-        "checkpoint" => KernelEvent::CheckpointWrite {
-            obj: parse_obj(line)?,
-            version: version()?,
-        },
-        "move_out" => KernelEvent::MoveOut {
-            obj: parse_obj(line)?,
-            dst: dst()?,
-        },
-        "move_in" => KernelEvent::MoveIn {
-            obj: parse_obj(line)?,
-            src: json_field(line, "src")?.parse().ok()?,
-        },
-        "forward" => KernelEvent::Forward {
-            obj: parse_obj(line)?,
-            dst: dst()?,
-        },
-        "retransmit" => KernelEvent::Retransmit {
-            inv_id: json_field(line, "inv_id")?.parse().ok()?,
-            dst: dst()?,
-        },
-        "remote_timeout" => KernelEvent::RemoteTimeout { dst: dst()? },
-        "where_is" => KernelEvent::WhereIsBroadcast {
-            obj: parse_obj(line)?,
-        },
-        "dir_query" => KernelEvent::DirectoryQuery {
-            obj: parse_obj(line)?,
-            home: json_field(line, "home")?.parse().ok()?,
-        },
-        "dir_register" => KernelEvent::DirectoryRegister {
-            obj: parse_obj(line)?,
-            home: json_field(line, "home")?.parse().ok()?,
-        },
-        "member_suspect" => KernelEvent::MemberSuspect {
-            node: json_field(line, "member")?.parse().ok()?,
-        },
-        "member_dead" => KernelEvent::MemberDead {
-            node: json_field(line, "member")?.parse().ok()?,
-        },
-        "member_alive" => KernelEvent::MemberAlive {
-            node: json_field(line, "member")?.parse().ok()?,
-        },
-        "vproc_stall" => KernelEvent::VprocStall {
-            worker: json_field(line, "worker")?.parse().ok()?,
-            age_ms: json_field(line, "age_ms")?.parse().ok()?,
-            queued: json_field(line, "queued")?.parse().ok()?,
-        },
-        "writer_stall" => KernelEvent::WriterStall {
-            dst: dst()?,
-            age_ms: json_field(line, "age_ms")?.parse().ok()?,
-            queued: json_field(line, "queued")?.parse().ok()?,
-        },
-        "slow_invocation" => KernelEvent::SlowInvocation {
-            inv_id: json_field(line, "inv_id")?.parse().ok()?,
-            age_ms: json_field(line, "age_ms")?.parse().ok()?,
-            trace: u64::from_str_radix(
-                json_field(line, "trace")?.strip_prefix("0x").unwrap_or("x"),
-                16,
-            )
-            .ok()?,
-        },
-        "inbound_dropped" => KernelEvent::InboundDropped {
-            peer: json_field(line, "peer")?.parse().ok()?,
-            reason: crate::recorder::InboundDropReason::parse(json_field(line, "reason")?)?,
-        },
-        "shutdown" => KernelEvent::NodeShutdown,
-        _ => return None,
+    let num = |key| match json_field(line, key)? {
+        RawField::Num(n) => Some(n),
+        RawField::Str(_) => None,
     };
-    Some((node, FlightEvent { seq, at_ns, event }))
+    let RawField::Str(kind) = json_field(line, "kind")? else {
+        return None;
+    };
+    let event = KernelEvent::from_fields(kind, |key| json_field(line, key))?;
+    let node = u16::try_from(num("node")?).ok()?;
+    Some((
+        node,
+        FlightEvent {
+            seq: num("seq")?,
+            at_ns: num("at_ns")?,
+            event,
+        },
+    ))
 }
 
 /// Checks that `text` is one well-formed JSON value (objects, arrays,

@@ -18,11 +18,17 @@
 //!   of relaxed atomic adds, snapshots are mergeable, and percentiles
 //!   come out with ≤ ~6% relative error. [`Counter`] and [`Gauge`]
 //!   cover monotone event counts and instantaneous levels (coordinator
-//!   queue depth, per-class in-service counts).
+//!   queue depth, per-class in-service counts). The [`metrics!`] macro
+//!   declares a counter family once — a typed snapshot with a
+//!   saturating `delta` plus a cell of registry handles — and backs both
+//!   the kernel's `KernelMetrics` and the transport's `TransportStats`.
 //! * **A per-node flight recorder** — [`FlightRecorder`] keeps the last
 //!   N typed [`KernelEvent`]s (crashes, reincarnations, moves, forwards,
 //!   retransmissions, `WhereIs` broadcasts…) in a fixed-capacity ring,
-//!   dumpable as text for postmortems after failover experiments.
+//!   dumpable as text for postmortems after failover experiments. Each
+//!   event kind is one row of the table in [`recorder`], which generates
+//!   the enum, its text, and the [`EventField`] visitor and constructor
+//!   the JSONL export and the `eden-wire` `Value` codec loop over.
 //!
 //! Everything hangs off a per-node [`ObsRegistry`]. All nodes in one
 //! process share a single monotonic epoch ([`now_ns`]) and a single
@@ -55,6 +61,8 @@ pub use export::{
 };
 pub use hist::{merge_snapshot_maps, Histogram, HistogramSnapshot};
 pub use metric::{Counter, Gauge};
-pub use recorder::{FlightEvent, FlightRecorder, InboundDropReason, KernelEvent};
+pub use recorder::{
+    EventField, FlightEvent, FlightRecorder, InboundDropReason, KernelEvent, RawField,
+};
 pub use registry::{ObsRegistry, SpanGuard, TraceSampling};
 pub use trace::{intern_name, render_trace, stage, SpanRecord, TraceCollector, TraceCtx};

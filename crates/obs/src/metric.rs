@@ -1,4 +1,6 @@
-//! Counters and gauges: the two scalar metric kinds.
+//! Counters and gauges, the two scalar metric kinds, and
+//! [`metrics!`](crate::metrics), which declares a family of counters
+//! once.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -68,6 +70,99 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
+}
+
+/// Declares a family of counters once: a `Copy` snapshot struct with
+/// one `u64` per counter and a saturating `delta`, and a cell holding an
+/// `Arc<Counter>` handle per counter that its `register` publishes in an
+/// [`ObsRegistry`](crate::ObsRegistry) as `<prefix>.<field>`. Handles
+/// count from construction, so counts made before registration show. A
+/// counter written `field => method` also gets an increment method.
+/// Fields under `levels` are instantaneous levels kept elsewhere: they
+/// appear in the snapshot only, read zero in the cell's snapshot for the
+/// owner to fill in, and `delta` carries the later level through.
+///
+/// ```
+/// eden_obs::metrics! {
+///     /// Snapshot.
+///     pub struct DiskStats;
+///     /// Handles.
+///     pub struct DiskCounters => "disk";
+///     counters {
+///         /// Blocks written.
+///         writes,
+///     }
+///     levels {
+///         /// Blocks queued.
+///         queued,
+///     }
+/// }
+/// let c = DiskCounters::default();
+/// let before = c.snapshot();
+/// c.writes.add(3);
+/// let obs = eden_obs::ObsRegistry::new(0);
+/// c.register(&obs);
+/// assert_eq!(obs.counters_snapshot()["disk.writes"], 3);
+/// assert_eq!(c.snapshot().delta(&before).writes, 3);
+/// ```
+#[macro_export]
+macro_rules! metrics {
+    (
+        $(#[$snap_meta:meta])*
+        pub struct $snap:ident;
+        $(#[$cell_meta:meta])*
+        pub struct $cell:ident => $prefix:literal;
+        counters { $($(#[$meta:meta])* $field:ident $(=> $bump:ident)?,)* }
+        $(levels { $($(#[$level_meta:meta])* $level:ident,)* })?
+    ) => {
+        $(#[$snap_meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snap {
+            $($(#[$meta])* pub $field: u64,)*
+            $($($(#[$level_meta])* pub $level: u64,)*)?
+        }
+
+        $(#[$cell_meta])*
+        #[derive(Debug, Default)]
+        pub struct $cell {
+            $($(#[$meta])* pub $field: ::std::sync::Arc<$crate::Counter>,)*
+        }
+
+        impl $cell {
+            /// Publishes every counter in `obs` as `<prefix>.<field>`.
+            pub fn register(&self, obs: &$crate::ObsRegistry) {
+                $(obs.register_counter(concat!($prefix, ".", stringify!($field)), &self.$field);)*
+            }
+
+            $($(
+                /// Increments the corresponding counter.
+                pub fn $bump(&self) {
+                    self.$field.inc();
+                }
+            )?)*
+
+            /// Takes a snapshot of every counter; levels read zero.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($field: self.$field.get(),)*
+                    $($($level: 0,)*)?
+                }
+            }
+        }
+
+        impl $snap {
+            /// The difference `self - earlier`, for measuring an interval:
+            /// counters subtract, saturating at zero; levels carry
+            /// `self`'s value through.
+            #[must_use]
+            pub fn delta(&self, earlier: &$snap) -> $snap {
+                $snap {
+                    $($field: self.$field.saturating_sub(earlier.$field),)*
+                    $($($level: self.$level,)*)?
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -50,9 +50,9 @@ pub enum TraceSampling {
 /// paths; the registry lock is only taken on first lookup of a name.
 pub struct ObsRegistry {
     node: u16,
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    counters: Named<Counter>,
+    gauges: Named<Gauge>,
+    histograms: Named<Histogram>,
     recorder: FlightRecorder,
     traces: TraceCollector,
     span_seq: AtomicU64,
@@ -85,41 +85,34 @@ impl ObsRegistry {
 
     /// Named monotone counter (created on first use).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::new());
-                map.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
+        lookup(&self.counters, name)
     }
 
     /// Named gauge (created on first use).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(name) {
-            Some(g) => Arc::clone(g),
-            None => {
-                let g = Arc::new(Gauge::new());
-                map.insert(name.to_string(), Arc::clone(&g));
-                g
-            }
-        }
+        lookup(&self.gauges, name)
     }
 
     /// Named latency histogram (created on first use).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::new());
-                map.insert(name.to_string(), Arc::clone(&h));
-                h
-            }
-        }
+        lookup(&self.histograms, name)
+    }
+
+    /// Publishes an existing counter under `name`, replacing any counter
+    /// of that name. Counts made before registration keep showing, so a
+    /// component can count from construction and join a registry later.
+    pub fn register_counter(&self, name: &str, counter: &Arc<Counter>) {
+        register(&self.counters, name, counter);
+    }
+
+    /// [`register_counter`](Self::register_counter) for a gauge.
+    pub fn register_gauge(&self, name: &str, gauge: &Arc<Gauge>) {
+        register(&self.gauges, name, gauge);
+    }
+
+    /// [`register_counter`](Self::register_counter) for a histogram.
+    pub fn register_histogram(&self, name: &str, histogram: &Arc<Histogram>) {
+        register(&self.histograms, name, histogram);
     }
 
     /// Current value of every counter.
@@ -302,6 +295,23 @@ impl ObsRegistry {
         });
         ctx
     }
+}
+
+type Named<T> = Mutex<BTreeMap<String, Arc<T>>>;
+
+/// The handle named `name`, created on first use.
+fn lookup<T: Default>(map: &Named<T>, name: &str) -> Arc<T> {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(handle) = map.get(name) {
+        return Arc::clone(handle);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
+fn register<T>(map: &Named<T>, name: &str, handle: &Arc<T>) {
+    map.lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(name.to_string(), Arc::clone(handle));
 }
 
 impl std::fmt::Debug for ObsRegistry {

@@ -22,6 +22,13 @@
 //! partition) and unicast frames to a live peer arrive in FIFO order per
 //! sender. The kernel's request/reply and timeout machinery tolerates
 //! loss; nothing assumes reliability.
+//!
+//! Counting: every endpoint counts frames, bytes, drops and dials into
+//! a [`stats::TransportCounters`] cell of registry handles from the
+//! moment it is built; [`Endpoint::attach_obs`] publishes them in the
+//! node's registry as `transport.<field>`, and [`Endpoint::stats`] is
+//! their [`TransportStats`] snapshot, so the registry and `stats()`
+//! always read the same numbers.
 
 #![forbid(unsafe_code)]
 
@@ -108,10 +115,11 @@ pub trait Endpoint: Send + Sync {
     /// Counters for frames and bytes in each direction.
     fn stats(&self) -> TransportStats;
 
-    /// Attaches the receiving node's observability registry, letting the
-    /// transport record delivery-latency histograms and `net` spans for
-    /// traced frames. Transports without that capability may ignore it
-    /// (the default does).
+    /// Attaches the receiving node's observability registry: the
+    /// transport publishes its `transport.*` counters there (counts made
+    /// before the attach included) and records delivery-latency
+    /// histograms and `net` spans for traced frames. The default ignores
+    /// the registry.
     fn attach_obs(&self, obs: Arc<ObsRegistry>) {
         let _ = obs;
     }

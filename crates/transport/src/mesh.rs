@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::latency::LatencyModel;
-use crate::stats::{StatsCell, TransportStats};
+use crate::stats::{TransportCounters, TransportStats};
 use crate::{Endpoint, TransportError};
 
 /// Traffic-shaping options for a mesh.
@@ -110,7 +110,8 @@ struct NodeObs {
 struct MeshCore {
     options: MeshOptions,
     inboxes: RwLock<HashMap<NodeId, Sender<Frame>>>,
-    stats: RwLock<HashMap<NodeId, Arc<StatsCell>>>,
+    /// Per-node traffic counters, indexed by node id.
+    stats: Vec<Arc<TransportCounters>>,
     /// Directed (src, dst) pairs whose frames are silently dropped.
     blocked: RwLock<HashSet<(NodeId, NodeId)>>,
     /// Per-node observability registries (attached by the kernels).
@@ -164,8 +165,8 @@ impl MeshCore {
             None => return, // Dead node: silent best-effort drop.
         };
         if sent {
-            if let Some(cell) = self.stats.read().get(&dst) {
-                cell.record_recv(size);
+            if let Some(counters) = self.stats.get(usize::from(dst.0)) {
+                counters.received(size);
             }
             if let Some(node) = self.obs.read().get(&dst) {
                 let delivered_ns = now_ns();
@@ -180,8 +181,8 @@ impl MeshCore {
     }
 
     fn drop_frame(&self, src: NodeId) {
-        if let Some(cell) = self.stats.read().get(&src) {
-            cell.record_drop();
+        if let Some(counters) = self.stats.get(usize::from(src.0)) {
+            counters.frames_dropped.inc();
         }
     }
 }
@@ -212,7 +213,7 @@ pub struct MeshEndpoint {
     node: NodeId,
     core: Arc<MeshCore>,
     rx: Receiver<Frame>,
-    stats: Arc<StatsCell>,
+    stats: Arc<TransportCounters>,
     detached: AtomicBool,
 }
 
@@ -229,32 +230,36 @@ impl LoopbackMesh {
             cv: Condvar::new(),
             next_seq: Mutex::new(0),
         });
+        let mut inboxes = HashMap::new();
+        let mut receivers = Vec::with_capacity(n);
+        for i in 0..n {
+            let (tx, rx) = unbounded();
+            inboxes.insert(NodeId(i as u16), tx);
+            receivers.push(rx);
+        }
         let core = Arc::new(MeshCore {
             options,
-            inboxes: RwLock::new(HashMap::new()),
-            stats: RwLock::new(HashMap::new()),
+            inboxes: RwLock::new(inboxes),
+            stats: (0..n).map(|_| Arc::default()).collect(),
             blocked: RwLock::new(HashSet::new()),
             obs: RwLock::new(HashMap::new()),
             rng: Mutex::new(SmallRng::seed_from_u64(options.seed)),
             closed: AtomicBool::new(false),
             delay,
         });
-
-        let mut endpoints = Vec::with_capacity(n);
-        for i in 0..n {
-            let node = NodeId(i as u16);
-            let (tx, rx) = unbounded();
-            let stats = StatsCell::new_shared();
-            core.inboxes.write().insert(node, tx);
-            core.stats.write().insert(node, stats.clone());
-            endpoints.push(Arc::new(MeshEndpoint {
-                node,
-                core: core.clone(),
-                rx,
-                stats,
-                detached: AtomicBool::new(false),
-            }));
-        }
+        let endpoints = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                Arc::new(MeshEndpoint {
+                    node: NodeId(i as u16),
+                    core: core.clone(),
+                    rx,
+                    stats: core.stats[i].clone(),
+                    detached: AtomicBool::new(false),
+                })
+            })
+            .collect();
 
         // The delay-line pump: delivers shaped frames when their time comes.
         let pump_core = core.clone();
@@ -369,7 +374,7 @@ impl Endpoint for MeshEndpoint {
             return Err(TransportError::Closed);
         }
         let size = message_size_hint(&frame.msg);
-        self.stats.record_send(size);
+        self.stats.sent(size);
         match frame.dst {
             Dest::Node(dst) => {
                 self.core.route(self.node, dst, frame, size);
@@ -437,6 +442,7 @@ impl Endpoint for MeshEndpoint {
     }
 
     fn attach_obs(&self, obs: Arc<ObsRegistry>) {
+        self.stats.register(&obs);
         let delivery = obs.histogram("net.delivery");
         self.core
             .obs

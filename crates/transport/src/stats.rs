@@ -2,163 +2,82 @@
 //!
 //! The frozen-object experiment (E4) measures its win as *remote messages
 //! avoided*, so every transport counts frames and payload bytes in each
-//! direction.
+//! direction. The counters are declared once with [`eden_obs::metrics!`],
+//! the kernel's counter system: each endpoint counts into a
+//! [`TransportCounters`] cell from construction, `attach_obs` publishes
+//! it in the node's registry as `transport.<field>` (counts made before
+//! attach included), and [`TransportStats`] is its snapshot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A point-in-time snapshot of one endpoint's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransportStats {
-    /// Frames passed to `send`.
-    pub frames_sent: u64,
-    /// Frames delivered to `recv`.
-    pub frames_received: u64,
-    /// Encoded payload bytes sent.
-    pub bytes_sent: u64,
-    /// Encoded payload bytes received.
-    pub bytes_received: u64,
-    /// Frames dropped: loss model, partition, dead peer, failed write,
-    /// or shed at a full send queue.
-    pub frames_dropped: u64,
-    /// Of `frames_dropped`, frames shed because a per-peer send queue
-    /// was full (TCP pipeline backpressure).
-    pub frames_shed: u64,
-    /// Coalesced write batches issued (TCP pipeline; one syscall each).
-    pub batches_sent: u64,
-    /// Background dial attempts (TCP pipeline).
-    pub dials: u64,
-    /// Of `dials`, attempts that failed and went into backoff.
-    pub dial_failures: u64,
-    /// Inbound connections dropped for protocol violations (oversized
-    /// length prefix, undecodable frame). TCP transport only.
-    pub inbound_dropped: u64,
-    /// Frames sitting in per-peer send queues at snapshot time
-    /// (instantaneous level, not a counter; zero for non-queueing
-    /// transports).
-    pub queue_depth: u64,
-}
-
-/// Shared mutable counters behind a snapshot API.
-#[derive(Debug, Default)]
-pub struct StatsCell {
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    frames_dropped: AtomicU64,
-    frames_shed: AtomicU64,
-    batches_sent: AtomicU64,
-    dials: AtomicU64,
-    dial_failures: AtomicU64,
-    inbound_dropped: AtomicU64,
-}
-
-impl StatsCell {
-    /// A fresh, shareable counter cell.
-    pub fn new_shared() -> Arc<StatsCell> {
-        Arc::new(StatsCell::default())
+eden_obs::metrics! {
+    /// A point-in-time snapshot of one endpoint's traffic.
+    pub struct TransportStats;
+    /// One endpoint's traffic counters, registered as `transport.<field>`.
+    pub struct TransportCounters => "transport";
+    counters {
+        /// Frames passed to `send`.
+        frames_sent,
+        /// Frames delivered to `recv`.
+        frames_received,
+        /// Encoded payload bytes sent.
+        bytes_sent,
+        /// Encoded payload bytes received.
+        bytes_received,
+        /// Frames dropped: loss model, partition, dead peer, failed write,
+        /// or shed at a full send queue.
+        frames_dropped,
+        /// Of `frames_dropped`, frames shed because a per-peer send queue
+        /// was full (TCP pipeline backpressure).
+        frames_shed,
+        /// Coalesced write batches issued (TCP pipeline; one syscall each).
+        batches_sent,
+        /// Background dial attempts (TCP pipeline).
+        dials,
+        /// Of `dials`, attempts that failed and went into backoff.
+        dial_failures,
+        /// Inbound connections dropped for protocol violations (oversized
+        /// length prefix, undecodable frame). TCP transport only.
+        inbound_dropped,
     }
-
-    /// Records an outbound frame of `bytes` payload bytes.
-    pub fn record_send(&self, bytes: usize) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records an inbound frame of `bytes` payload bytes.
-    pub fn record_recv(&self, bytes: usize) {
-        self.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records a dropped frame.
-    pub fn record_drop(&self) {
-        self.frames_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` dropped frames at once (a failed coalesced write).
-    pub fn record_drops(&self, n: u64) {
-        self.frames_dropped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a frame shed at a full send queue (also counts as a drop).
-    pub fn record_shed(&self) {
-        self.frames_shed.fetch_add(1, Ordering::Relaxed);
-        self.frames_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one coalesced write batch.
-    pub fn record_batch(&self) {
-        self.batches_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an inbound connection dropped for a protocol violation.
-    pub fn record_inbound_drop(&self) {
-        self.inbound_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a dial attempt and whether it failed.
-    pub fn record_dial(&self, failed: bool) {
-        self.dials.fetch_add(1, Ordering::Relaxed);
-        if failed {
-            self.dial_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Takes a snapshot. `queue_depth` is filled by queueing transports
-    /// on top of this (it is a level, not a counter).
-    pub fn snapshot(&self) -> TransportStats {
-        TransportStats {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
-            frames_shed: self.frames_shed.load(Ordering::Relaxed),
-            batches_sent: self.batches_sent.load(Ordering::Relaxed),
-            dials: self.dials.load(Ordering::Relaxed),
-            dial_failures: self.dial_failures.load(Ordering::Relaxed),
-            inbound_dropped: self.inbound_dropped.load(Ordering::Relaxed),
-            queue_depth: 0,
-        }
+    levels {
+        /// Frames sitting in per-peer send queues at snapshot time
+        /// (instantaneous level, not a counter; zero for non-queueing
+        /// transports).
+        queue_depth,
     }
 }
 
-impl TransportStats {
-    /// The difference `self - earlier`, for measuring an interval.
-    /// Counter fields subtract (saturating); `queue_depth` is a level
-    /// and carries `self`'s value through unchanged.
-    #[must_use]
-    pub fn delta(&self, earlier: &TransportStats) -> TransportStats {
-        TransportStats {
-            frames_sent: self.frames_sent.saturating_sub(earlier.frames_sent),
-            frames_received: self.frames_received.saturating_sub(earlier.frames_received),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            frames_dropped: self.frames_dropped.saturating_sub(earlier.frames_dropped),
-            frames_shed: self.frames_shed.saturating_sub(earlier.frames_shed),
-            batches_sent: self.batches_sent.saturating_sub(earlier.batches_sent),
-            dials: self.dials.saturating_sub(earlier.dials),
-            dial_failures: self.dial_failures.saturating_sub(earlier.dial_failures),
-            inbound_dropped: self.inbound_dropped.saturating_sub(earlier.inbound_dropped),
-            queue_depth: self.queue_depth,
-        }
+impl TransportCounters {
+    /// Counts an outbound frame of `bytes` payload bytes.
+    pub(crate) fn sent(&self, bytes: usize) {
+        self.frames_sent.inc();
+        self.bytes_sent.add(bytes as u64);
+    }
+
+    /// Counts an inbound frame of `bytes` payload bytes.
+    pub(crate) fn received(&self, bytes: usize) {
+        self.frames_received.inc();
+        self.bytes_received.add(bytes as u64);
+    }
+
+    /// Counts a frame shed at a full send queue, which is also a drop.
+    pub(crate) fn shed(&self) {
+        self.frames_shed.inc();
+        self.frames_dropped.inc();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eden_obs::ObsRegistry;
 
     #[test]
     fn counters_accumulate() {
-        let c = StatsCell::new_shared();
-        c.record_send(100);
-        c.record_send(50);
-        c.record_recv(10);
-        c.record_drop();
+        let c = TransportCounters::default();
+        c.sent(100);
+        c.sent(50);
+        c.received(10);
+        c.frames_dropped.inc();
         let s = c.snapshot();
         assert_eq!(s.frames_sent, 2);
         assert_eq!(s.bytes_sent, 150);
@@ -169,48 +88,43 @@ mod tests {
 
     #[test]
     fn pipeline_counters_accumulate() {
-        let c = StatsCell::new_shared();
-        c.record_shed();
-        c.record_batch();
-        c.record_drops(3);
-        c.record_dial(false);
-        c.record_dial(true);
+        let c = TransportCounters::default();
+        c.shed();
+        c.batches_sent.inc();
+        c.frames_dropped.add(3);
         let s = c.snapshot();
         assert_eq!(s.frames_shed, 1);
         assert_eq!(s.frames_dropped, 4); // 1 shed + 3 write-failure drops
         assert_eq!(s.batches_sent, 1);
-        assert_eq!(s.dials, 2);
-        assert_eq!(s.dial_failures, 1);
     }
 
     #[test]
     fn delta_measures_an_interval() {
-        let c = StatsCell::new_shared();
-        c.record_send(10);
+        let c = TransportCounters::default();
+        c.sent(10);
         let before = c.snapshot();
-        c.record_send(20);
-        c.record_send(30);
-        let after = c.snapshot();
+        c.sent(20);
+        c.sent(30);
+        let mut after = c.snapshot();
+        after.queue_depth = 7;
         let d = after.delta(&before);
         assert_eq!(d.frames_sent, 2);
         assert_eq!(d.bytes_sent, 50);
+        // A level carries through; a counter that went backwards (an
+        // endpoint replaced mid-interval) saturates at zero.
+        assert_eq!(d.queue_depth, 7);
+        assert_eq!(before.delta(&after).frames_sent, 0);
     }
 
     #[test]
-    fn concurrent_updates_are_not_lost() {
-        let c = StatsCell::new_shared();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.record_send(1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.snapshot().frames_sent, 4000);
+    fn registration_publishes_counts_made_before_it() {
+        let c = TransportCounters::default();
+        c.sent(8);
+        let obs = ObsRegistry::new(1);
+        c.register(&obs);
+        c.sent(8);
+        let counters = obs.counters_snapshot();
+        assert_eq!(counters["transport.frames_sent"], 2);
+        assert_eq!(counters["transport.bytes_sent"], 16);
     }
 }

@@ -33,8 +33,9 @@
 //! machinery is responsible for coping, exactly as over the mesh.
 //! A peer that sends garbage (an oversized length prefix or an
 //! undecodable frame) has its connection dropped, counted in
-//! `stats().inbound_dropped` and recorded as a flight-recorder event
-//! naming the peer address and reason — never silently.
+//! `stats().inbound_dropped` (`transport.inbound_dropped` in the
+//! registry) and recorded as a flight-recorder event naming the peer
+//! address and reason — never silently.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -51,7 +52,7 @@ use eden_obs::{InboundDropReason, KernelEvent, ObsRegistry};
 use eden_wire::{Dest, Frame, WireDecode, WireEncode};
 use parking_lot::Mutex;
 
-use crate::stats::{StatsCell, TransportStats};
+use crate::stats::{TransportCounters, TransportStats};
 use crate::writer::{SendPipeline, TcpTuning};
 use crate::{Endpoint, TransportError};
 
@@ -108,7 +109,7 @@ struct TcpInner {
     /// them intact, so a coalesced sender batch crosses the channel in
     /// one operation end to end.
     rx_tx: Sender<Vec<Frame>>,
-    stats: Arc<StatsCell>,
+    stats: Arc<TransportCounters>,
     closed: AtomicBool,
     /// Inbound connections accepted so far (test observability for the
     /// one-connection-per-peer invariant).
@@ -116,20 +117,14 @@ struct TcpInner {
     /// The fixed reader pool's join handles (at most
     /// `tuning.reader_threads`, spawned lazily as connections arrive).
     reader_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Receiving node's registry, for the inbound-drop counter and
-    /// flight-recorder events (`None` until `attach_obs`).
-    obs: Mutex<Option<Arc<ObsRegistry>>>,
 }
 
 impl TcpInner {
     /// Records a dropped inbound connection: counter + flight-recorder
-    /// event naming the peer and reason. Rare path (hostile or corrupt
-    /// peer), so the obs lock is fine here.
+    /// event naming the peer and reason.
     fn note_inbound_drop(&self, peer: SocketAddr, reason: InboundDropReason) {
-        self.stats.record_inbound_drop();
-        let obs = self.obs.lock().clone();
-        if let Some(obs) = obs {
-            obs.counter("tcp.inbound_dropped").inc();
+        self.stats.inbound_dropped.inc();
+        if let Some(obs) = self.pipeline.obs() {
             obs.recorder()
                 .record(KernelEvent::InboundDropped { peer, reason });
         }
@@ -159,7 +154,7 @@ impl TcpMesh {
             .local_addr()
             .map_err(|e| TransportError::Io(e.to_string()))?;
         let (rx_tx, rx) = unbounded();
-        let stats = StatsCell::new_shared();
+        let stats = Arc::new(TransportCounters::default());
         let reader_cap = config.tuning.reader_threads.max(1);
         let pipeline =
             SendPipeline::new(config.node, config.peers, config.tuning, Arc::clone(&stats));
@@ -171,7 +166,6 @@ impl TcpMesh {
             closed: AtomicBool::new(false),
             inbound_accepted: AtomicU64::new(0),
             reader_threads: Mutex::new(Vec::new()),
-            obs: Mutex::new(None),
         });
 
         let accept_inner = inner.clone();
@@ -440,7 +434,7 @@ fn pump_conn(
             // be trusted to be framed correctly.
             return ConnFate::Poisoned(InboundDropReason::Codec);
         };
-        inner.stats.record_recv(total);
+        inner.stats.received(total);
         batch.push(frame);
     }
     if consumed > 0 {
@@ -469,9 +463,7 @@ impl Endpoint for TcpMesh {
         }
         let payload: Bytes =
             SCRATCH.with(|scratch| frame.encode_reusing(&mut scratch.borrow_mut()));
-        self.inner
-            .stats
-            .record_send(payload.len() + LEN_PREFIX_BYTES);
+        self.inner.stats.sent(payload.len() + LEN_PREFIX_BYTES);
         match frame.dst {
             Dest::Node(dst) => self
                 .inner
@@ -545,12 +537,11 @@ impl Endpoint for TcpMesh {
 
     fn stats(&self) -> TransportStats {
         let mut s = self.inner.stats.snapshot();
-        s.queue_depth = self.inner.pipeline.queue_depth() as u64;
+        s.queue_depth = self.inner.pipeline.queue_depth();
         s
     }
 
     fn attach_obs(&self, obs: Arc<ObsRegistry>) {
-        *self.inner.obs.lock() = Some(Arc::clone(&obs));
         self.inner.pipeline.attach_obs(obs);
     }
 

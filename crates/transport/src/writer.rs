@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,7 +56,7 @@ use eden_obs::{now_ns, Gauge, Histogram, ObsRegistry, TraceCtx};
 use parking_lot::Mutex;
 use rand::Rng;
 
-use crate::stats::StatsCell;
+use crate::stats::TransportCounters;
 use crate::TransportError;
 
 /// Tuning knobs for the TCP send pipeline. The defaults are sized for
@@ -125,7 +125,9 @@ struct PeerWriter {
 }
 
 /// The send side of a [`TcpMesh`]: peer table, per-peer writers, and
-/// the shared counters they feed.
+/// the metric handles they feed. The handles exist from construction and
+/// are published when a registry attaches, so an enqueue or a batch
+/// costs a few atomics and no lock beyond the writer table.
 ///
 /// [`TcpMesh`]: crate::TcpMesh
 pub(crate) struct SendPipeline {
@@ -133,19 +135,16 @@ pub(crate) struct SendPipeline {
     tuning: TcpTuning,
     peers: Mutex<HashMap<NodeId, SocketAddr>>,
     writers: Mutex<HashMap<NodeId, PeerWriter>>,
-    stats: Arc<StatsCell>,
-    obs: Mutex<Option<PipeObs>>,
-    closed: AtomicBool,
-}
-
-/// The attached observability registry, with the handles every enqueue
-/// and every batch update resolved once at attach.
-struct PipeObs {
-    reg: Arc<ObsRegistry>,
+    stats: Arc<TransportCounters>,
     /// `tcp.send_queue`: frames queued across all peers.
     send_queue: Arc<Gauge>,
     /// `tcp.batch_frames`: frames coalesced per write.
     batch_frames: Arc<Histogram>,
+    /// `tcp.connected_peers`: writers holding a live connection.
+    connected_peers: Arc<Gauge>,
+    /// The attached registry, set once: spans and flight-recorder events.
+    obs: OnceLock<Arc<ObsRegistry>>,
+    closed: AtomicBool,
 }
 
 impl SendPipeline {
@@ -153,7 +152,7 @@ impl SendPipeline {
         node: NodeId,
         peers: HashMap<NodeId, SocketAddr>,
         tuning: TcpTuning,
-        stats: Arc<StatsCell>,
+        stats: Arc<TransportCounters>,
     ) -> Arc<SendPipeline> {
         Arc::new(SendPipeline {
             node,
@@ -161,7 +160,10 @@ impl SendPipeline {
             peers: Mutex::new(peers),
             writers: Mutex::new(HashMap::new()),
             stats,
-            obs: Mutex::new(None),
+            send_queue: Arc::default(),
+            batch_frames: Arc::default(),
+            connected_peers: Arc::default(),
+            obs: OnceLock::new(),
             closed: AtomicBool::new(false),
         })
     }
@@ -174,17 +176,25 @@ impl SendPipeline {
         self.peers.lock().keys().copied().collect()
     }
 
+    /// Publishes the endpoint's counters and the pipeline's handles in
+    /// `reg` and keeps it for spans and events. Only the first registry
+    /// attached is kept.
     pub(crate) fn attach_obs(&self, reg: Arc<ObsRegistry>) {
-        *self.obs.lock() = Some(PipeObs {
-            send_queue: reg.gauge("tcp.send_queue"),
-            batch_frames: reg.histogram("tcp.batch_frames"),
-            reg,
-        });
+        self.stats.register(&reg);
+        reg.register_gauge("tcp.send_queue", &self.send_queue);
+        reg.register_histogram("tcp.batch_frames", &self.batch_frames);
+        reg.register_gauge("tcp.connected_peers", &self.connected_peers);
+        let _ = self.obs.set(reg);
+    }
+
+    /// The attached registry, if any.
+    pub(crate) fn obs(&self) -> Option<&Arc<ObsRegistry>> {
+        self.obs.get()
     }
 
     /// Frames currently queued across all peers.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.writers.lock().values().map(|w| w.tx.len()).sum()
+    pub(crate) fn queue_depth(&self) -> u64 {
+        self.send_queue.get().max(0) as u64
     }
 
     /// Enqueues an encoded frame for `dst`. Cheap and non-blocking:
@@ -214,7 +224,7 @@ impl SendPipeline {
         // Checked under the lock `shutdown` drains the table with, so no
         // writer is created after shutdown has collected the ones to join.
         if self.closed.load(Ordering::Acquire) {
-            self.stats.record_drop();
+            self.stats.frames_dropped.inc();
             return;
         }
         // Exactly one writer (and so one outbound connection) per peer,
@@ -242,14 +252,20 @@ impl SendPipeline {
             // resumes (the watchdog measures non-drain time, not idle).
             writer.progress_ns.store(enqueued_ns, Ordering::Relaxed);
         }
-        match writer.tx.try_send(QueuedFrame {
+        // Counted before the frame is visible to the writer, so its
+        // decrement can never run first and drive the gauge negative.
+        self.send_queue.inc();
+        let sent = writer.tx.try_send(QueuedFrame {
             payload,
             enqueued_ns,
             trace,
-        }) {
-            Ok(()) => self.gauge_queue(1),
-            Err(TrySendError::Full(_)) => self.stats.record_shed(),
-            Err(TrySendError::Disconnected(_)) => self.stats.record_drop(),
+        });
+        if let Err(e) = sent {
+            self.send_queue.dec();
+            match e {
+                TrySendError::Full(_) => self.stats.shed(),
+                TrySendError::Disconnected(_) => self.stats.frames_dropped.inc(),
+            }
         }
     }
 
@@ -283,16 +299,6 @@ impl SendPipeline {
             let _ = h.join();
         }
     }
-
-    fn with_obs(&self, f: impl FnOnce(&PipeObs)) {
-        if let Some(obs) = self.obs.lock().as_ref() {
-            f(obs);
-        }
-    }
-
-    fn gauge_queue(&self, delta: i64) {
-        self.with_obs(|obs| obs.send_queue.add(delta));
-    }
 }
 
 /// One peer's writer: dial state machine plus coalescing drain loop.
@@ -315,12 +321,12 @@ fn writer_loop(
         let Some(stream) = conn.as_mut() else {
             if pipe.closed.load(Ordering::Acquire) {
                 // Nothing to flush to: shed the remainder, counted.
-                let mut shed = 0i64;
+                let mut shed = 0;
                 while rx.try_recv().is_ok() {
-                    pipe.stats.record_drop();
                     shed += 1;
                 }
-                pipe.gauge_queue(-shed);
+                pipe.stats.frames_dropped.add(shed);
+                pipe.send_queue.add(-(shed as i64));
                 return;
             }
             let now = Instant::now();
@@ -332,22 +338,17 @@ fn writer_loop(
                 if dialed.is_some() {
                     last_dial = Some((dial_start, now_ns()));
                 }
-                pipe.stats.record_dial(dialed.is_none());
-                pipe.with_obs(|obs| {
-                    obs.reg.counter("tcp.dials").inc();
-                    if dialed.is_none() {
-                        obs.reg.counter("tcp.dial_failures").inc();
-                    }
-                });
+                pipe.stats.dials.inc();
                 match dialed {
                     Some(s) => {
                         s.set_nodelay(true).ok();
                         conn = Some(s);
                         backoff = tuning.dial_backoff_min;
-                        pipe.with_obs(|obs| obs.reg.gauge("tcp.connected_peers").inc());
+                        pipe.connected_peers.inc();
                         continue;
                     }
                     None => {
+                        pipe.stats.dial_failures.inc();
                         // Exponential backoff with up to 50% jitter.
                         let jitter = Duration::from_nanos(
                             rand::rng().random_range(0..=backoff.as_nanos() as u64 / 2),
@@ -372,7 +373,7 @@ fn writer_loop(
         // the sender, and `recv` still hands over every queued frame
         // before it reports the disconnect: the graceful drain.
         let Ok(first) = rx.recv() else {
-            pipe.with_obs(|obs| obs.reg.gauge("tcp.connected_peers").dec());
+            pipe.connected_peers.dec();
             return;
         };
         // Coalesce everything pending (up to the byte budget) into one
@@ -398,78 +399,53 @@ fn writer_loop(
         }
         let dequeue_ns = now_ns();
         progress.store(dequeue_ns, Ordering::Relaxed);
-        if !traced.is_empty() {
+        let obs = pipe.obs().filter(|_| !traced.is_empty());
+        if let Some(reg) = obs {
             // Retroactive queue-residency spans: [enqueue, dequeue],
             // with any overlapping successful dial carved out into its
             // own `dial`-stage span so the report can tell "waiting in
             // the send queue" apart from "waiting for the connection".
-            pipe.with_obs(|obs| {
-                for &(ctx, enq) in &traced {
-                    let dial = last_dial
-                        .map(|(ds, de)| (ds.max(enq), de.min(dequeue_ns)))
-                        .filter(|&(ds, de)| ds < de);
-                    match dial {
-                        Some((ds, de)) => {
-                            if ds > enq {
-                                obs.reg.record_span_staged(
-                                    "xport-queue",
-                                    stage::XPORT_QUEUE,
-                                    ctx,
-                                    enq,
-                                    ds,
-                                );
-                            }
-                            obs.reg.record_span_staged("dial", stage::DIAL, ctx, ds, de);
-                            if dequeue_ns > de {
-                                obs.reg.record_span_staged(
-                                    "xport-queue",
-                                    stage::XPORT_QUEUE,
-                                    ctx,
-                                    de,
-                                    dequeue_ns,
-                                );
-                            }
-                        }
-                        None => {
-                            obs.reg.record_span_staged(
-                                "xport-queue",
-                                stage::XPORT_QUEUE,
-                                ctx,
-                                enq,
-                                dequeue_ns,
-                            );
-                        }
+            for &(ctx, enq) in &traced {
+                let dial = last_dial
+                    .map(|(ds, de)| (ds.max(enq), de.min(dequeue_ns)))
+                    .filter(|&(ds, de)| ds < de);
+                let queue_end = dial.map_or(dequeue_ns, |(ds, _)| ds);
+                if dial.is_none() || queue_end > enq {
+                    reg.record_span_staged("xport-queue", stage::XPORT_QUEUE, ctx, enq, queue_end);
+                }
+                if let Some((ds, de)) = dial {
+                    reg.record_span_staged("dial", stage::DIAL, ctx, ds, de);
+                    if dequeue_ns > de {
+                        reg.record_span_staged(
+                            "xport-queue",
+                            stage::XPORT_QUEUE,
+                            ctx,
+                            de,
+                            dequeue_ns,
+                        );
                     }
                 }
-            });
+            }
         }
-        pipe.gauge_queue(-(frames as i64));
-        pipe.stats.record_batch();
-        pipe.with_obs(|obs| obs.batch_frames.record(frames));
+        pipe.send_queue.add(-(frames as i64));
+        pipe.stats.batches_sent.inc();
+        pipe.batch_frames.record(frames);
         let write_ok = stream.write_all(&batch).is_ok();
-        if write_ok && !traced.is_empty() {
+        if let (true, Some(reg)) = (write_ok, obs) {
             let write_end = now_ns();
-            pipe.with_obs(|obs| {
-                for &(ctx, _) in &traced {
-                    obs.reg.record_span_staged(
-                        "batch-write",
-                        stage::WRITE,
-                        ctx,
-                        dequeue_ns,
-                        write_end,
-                    );
-                }
-            });
+            for &(ctx, _) in &traced {
+                reg.record_span_staged("batch-write", stage::WRITE, ctx, dequeue_ns, write_end);
+            }
         }
         if !write_ok {
             // Best-effort: the burst is lost, the connection is dropped,
             // and the state machine re-enters dialing (immediately, so a
             // restarted peer is picked up fast; failures then back off).
-            pipe.stats.record_drops(frames);
+            pipe.stats.frames_dropped.add(frames);
             conn = None;
             next_dial = Instant::now();
             backoff = tuning.dial_backoff_min;
-            pipe.with_obs(|obs| obs.reg.gauge("tcp.connected_peers").dec());
+            pipe.connected_peers.dec();
         }
     }
 }

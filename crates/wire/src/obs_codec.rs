@@ -16,17 +16,9 @@ use std::collections::BTreeMap;
 use eden_obs::export::NodeMetrics;
 use eden_obs::hist::{bucket_count, HistogramSnapshot};
 use eden_obs::trace::{intern_name, stage};
-use eden_obs::{FlightEvent, InboundDropReason, KernelEvent, ObsRegistry, SpanRecord};
+use eden_obs::{FlightEvent, KernelEvent, ObsRegistry, RawField, SpanRecord};
 
 use crate::Value;
-
-fn u128_to_value(v: u128) -> Value {
-    Value::Str(format!("{v:#x}"))
-}
-
-fn u128_from_value(v: &Value) -> Option<u128> {
-    u128::from_str_radix(v.as_str()?.strip_prefix("0x")?, 16).ok()
-}
 
 /// Encodes a histogram snapshot as a map with sparse buckets.
 pub fn hist_to_value(s: &HistogramSnapshot) -> Value {
@@ -169,193 +161,33 @@ pub fn spans_from_value(v: &Value) -> Option<Vec<SpanRecord>> {
     v.as_list()?.iter().map(span_from_value).collect()
 }
 
-/// Encodes one flight-recorder event tagged with its recording node.
+/// Encodes one flight-recorder event tagged with its recording node:
+/// the header, the kind token, then each field as a `U64` or a `Str`.
 pub fn event_to_value(node: u16, e: &FlightEvent) -> Value {
     let mut m = BTreeMap::new();
     m.insert("seq".to_string(), Value::U64(e.seq));
     m.insert("at".to_string(), Value::U64(e.at_ns));
     m.insert("node".to_string(), Value::U64(node as u64));
-    let mut field = |k: &str, v: Value| {
-        m.insert(k.to_string(), v);
-    };
-    match &e.event {
-        KernelEvent::Crash { obj } => {
-            field("kind", Value::Str("crash".into()));
-            field("obj", u128_to_value(*obj));
-        }
-        KernelEvent::Reincarnation { obj, version } => {
-            field("kind", Value::Str("reincarnation".into()));
-            field("obj", u128_to_value(*obj));
-            field("version", Value::U64(*version));
-        }
-        KernelEvent::CheckpointWrite { obj, version } => {
-            field("kind", Value::Str("checkpoint".into()));
-            field("obj", u128_to_value(*obj));
-            field("version", Value::U64(*version));
-        }
-        KernelEvent::MoveOut { obj, dst } => {
-            field("kind", Value::Str("move_out".into()));
-            field("obj", u128_to_value(*obj));
-            field("dst", Value::U64(*dst as u64));
-        }
-        KernelEvent::MoveIn { obj, src } => {
-            field("kind", Value::Str("move_in".into()));
-            field("obj", u128_to_value(*obj));
-            field("src", Value::U64(*src as u64));
-        }
-        KernelEvent::Forward { obj, dst } => {
-            field("kind", Value::Str("forward".into()));
-            field("obj", u128_to_value(*obj));
-            field("dst", Value::U64(*dst as u64));
-        }
-        KernelEvent::Retransmit { inv_id, dst } => {
-            field("kind", Value::Str("retransmit".into()));
-            field("inv_id", Value::U64(*inv_id));
-            field("dst", Value::U64(*dst as u64));
-        }
-        KernelEvent::RemoteTimeout { dst } => {
-            field("kind", Value::Str("remote_timeout".into()));
-            field("dst", Value::U64(*dst as u64));
-        }
-        KernelEvent::WhereIsBroadcast { obj } => {
-            field("kind", Value::Str("where_is".into()));
-            field("obj", u128_to_value(*obj));
-        }
-        KernelEvent::DirectoryQuery { obj, home } => {
-            field("kind", Value::Str("dir_query".into()));
-            field("obj", u128_to_value(*obj));
-            field("home", Value::U64(*home as u64));
-        }
-        KernelEvent::DirectoryRegister { obj, home } => {
-            field("kind", Value::Str("dir_register".into()));
-            field("obj", u128_to_value(*obj));
-            field("home", Value::U64(*home as u64));
-        }
-        KernelEvent::MemberSuspect { node } => {
-            field("kind", Value::Str("member_suspect".into()));
-            field("member", Value::U64(*node as u64));
-        }
-        KernelEvent::MemberDead { node } => {
-            field("kind", Value::Str("member_dead".into()));
-            field("member", Value::U64(*node as u64));
-        }
-        KernelEvent::MemberAlive { node } => {
-            field("kind", Value::Str("member_alive".into()));
-            field("member", Value::U64(*node as u64));
-        }
-        KernelEvent::VprocStall {
-            worker,
-            age_ms,
-            queued,
-        } => {
-            field("kind", Value::Str("vproc_stall".into()));
-            field("worker", Value::U64(*worker as u64));
-            field("age_ms", Value::U64(*age_ms));
-            field("queued", Value::U64(*queued));
-        }
-        KernelEvent::WriterStall {
-            dst,
-            age_ms,
-            queued,
-        } => {
-            field("kind", Value::Str("writer_stall".into()));
-            field("dst", Value::U64(*dst as u64));
-            field("age_ms", Value::U64(*age_ms));
-            field("queued", Value::U64(*queued));
-        }
-        KernelEvent::SlowInvocation {
-            inv_id,
-            age_ms,
-            trace,
-        } => {
-            field("kind", Value::Str("slow_invocation".into()));
-            field("inv_id", Value::U64(*inv_id));
-            field("age_ms", Value::U64(*age_ms));
-            field("trace", Value::U64(*trace));
-        }
-        KernelEvent::InboundDropped { peer, reason } => {
-            field("kind", Value::Str("inbound_dropped".into()));
-            field("peer", Value::Str(peer.to_string()));
-            field("reason", Value::Str(reason.as_str().into()));
-        }
-        KernelEvent::NodeShutdown => field("kind", Value::Str("shutdown".into())),
-    }
+    m.insert("kind".to_string(), Value::Str(e.event.kind().into()));
+    e.event.visit_fields(|key, field| {
+        let v = match field.number() {
+            Some(n) => Value::U64(n),
+            None => Value::Str(field.text()),
+        };
+        m.insert(key.to_string(), v);
+    });
     Value::Map(m)
 }
 
 /// Decodes one event (inverse of [`event_to_value`]).
 pub fn event_from_value(v: &Value) -> Option<(u16, FlightEvent)> {
     let m = v.as_map()?;
-    let obj = || u128_from_value(m.get("obj")?);
-    let version = || m.get("version")?.as_u64();
-    let dst = || Some(m.get("dst")?.as_u64()? as u16);
-    let event = match m.get("kind")?.as_str()? {
-        "crash" => KernelEvent::Crash { obj: obj()? },
-        "reincarnation" => KernelEvent::Reincarnation {
-            obj: obj()?,
-            version: version()?,
-        },
-        "checkpoint" => KernelEvent::CheckpointWrite {
-            obj: obj()?,
-            version: version()?,
-        },
-        "move_out" => KernelEvent::MoveOut {
-            obj: obj()?,
-            dst: dst()?,
-        },
-        "move_in" => KernelEvent::MoveIn {
-            obj: obj()?,
-            src: m.get("src")?.as_u64()? as u16,
-        },
-        "forward" => KernelEvent::Forward {
-            obj: obj()?,
-            dst: dst()?,
-        },
-        "retransmit" => KernelEvent::Retransmit {
-            inv_id: m.get("inv_id")?.as_u64()?,
-            dst: dst()?,
-        },
-        "remote_timeout" => KernelEvent::RemoteTimeout { dst: dst()? },
-        "where_is" => KernelEvent::WhereIsBroadcast { obj: obj()? },
-        "dir_query" => KernelEvent::DirectoryQuery {
-            obj: obj()?,
-            home: m.get("home")?.as_u64()? as u16,
-        },
-        "dir_register" => KernelEvent::DirectoryRegister {
-            obj: obj()?,
-            home: m.get("home")?.as_u64()? as u16,
-        },
-        "member_suspect" => KernelEvent::MemberSuspect {
-            node: m.get("member")?.as_u64()? as u16,
-        },
-        "member_dead" => KernelEvent::MemberDead {
-            node: m.get("member")?.as_u64()? as u16,
-        },
-        "member_alive" => KernelEvent::MemberAlive {
-            node: m.get("member")?.as_u64()? as u16,
-        },
-        "vproc_stall" => KernelEvent::VprocStall {
-            worker: m.get("worker")?.as_u64()? as u16,
-            age_ms: m.get("age_ms")?.as_u64()?,
-            queued: m.get("queued")?.as_u64()?,
-        },
-        "writer_stall" => KernelEvent::WriterStall {
-            dst: dst()?,
-            age_ms: m.get("age_ms")?.as_u64()?,
-            queued: m.get("queued")?.as_u64()?,
-        },
-        "slow_invocation" => KernelEvent::SlowInvocation {
-            inv_id: m.get("inv_id")?.as_u64()?,
-            age_ms: m.get("age_ms")?.as_u64()?,
-            trace: m.get("trace")?.as_u64()?,
-        },
-        "inbound_dropped" => KernelEvent::InboundDropped {
-            peer: m.get("peer")?.as_str()?.parse().ok()?,
-            reason: InboundDropReason::parse(m.get("reason")?.as_str()?)?,
-        },
-        "shutdown" => KernelEvent::NodeShutdown,
-        _ => return None,
-    };
+    let event = KernelEvent::from_fields(m.get("kind")?.as_str()?, |key| {
+        let v = m.get(key)?;
+        v.as_u64()
+            .map(RawField::Num)
+            .or_else(|| v.as_str().map(RawField::Str))
+    })?;
     Some((
         m.get("node")?.as_u64()? as u16,
         FlightEvent {
@@ -376,6 +208,10 @@ pub fn events_to_value(node: u16, events: &[FlightEvent]) -> Value {
 pub fn events_from_value(v: &Value) -> Option<Vec<(u16, FlightEvent)>> {
     v.as_list()?.iter().map(event_from_value).collect()
 }
+
+// The round-trip tests below name it through `super::*`.
+#[cfg(test)]
+use eden_obs::InboundDropReason;
 
 #[cfg(test)]
 mod tests {

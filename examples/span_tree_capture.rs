@@ -4,11 +4,14 @@
 //! monitor object and writes it as Chrome-trace JSON (load the file in
 //! Perfetto or `chrome://tracing`), validating the JSON before exit;
 //! `--critpath <path>` writes the same trace's critical-path breakdown
-//! as a text table:
+//! as a text table; `--events <path>` writes the monitor's merged
+//! flight-recorder stream as JSONL, and `--prom <path>` its Prometheus
+//! text exposition:
 //!
 //! ```sh
 //! cargo run --example span_tree_capture -- \
-//!     --chrome trace.json --critpath critpath.txt
+//!     --chrome trace.json --critpath critpath.txt \
+//!     --events events.jsonl --prom metrics.prom
 //! ```
 
 use eden::apps::counter::CounterType;
@@ -28,6 +31,8 @@ fn main() {
     };
     let chrome_path = flag("--chrome");
     let critpath_path = flag("--critpath");
+    let events_path = flag("--events");
+    let prom_path = flag("--prom");
 
     let c = Cluster::builder()
         .nodes(2)
@@ -53,7 +58,8 @@ fn main() {
         .collect();
     print!("{}", render_trace(&spans, root.trace_id));
 
-    if chrome_path.is_some() || critpath_path.is_some() {
+    let scrape = [&chrome_path, &critpath_path, &events_path, &prom_path];
+    if scrape.iter().any(|p| p.is_some()) {
         let monitor = MonitorClient::for_cluster(&c).expect("create monitor");
         if let Some(path) = chrome_path {
             let json = monitor
@@ -73,6 +79,16 @@ fn main() {
                 "wrote critical-path table ({:.1}% accounted) to {path}",
                 cp.coverage() * 100.0
             );
+        }
+        if let Some(path) = events_path {
+            let jsonl = monitor.events_jsonl().expect("scrape events");
+            std::fs::write(&path, &jsonl).expect("write events");
+            eprintln!("wrote {} flight events to {path}", jsonl.lines().count());
+        }
+        if let Some(path) = prom_path {
+            let text = monitor.prometheus().expect("scrape metrics");
+            std::fs::write(&path, &text).expect("write metrics");
+            eprintln!("wrote {} bytes of Prometheus text to {path}", text.len());
         }
     }
     c.shutdown();
