@@ -10,12 +10,16 @@
 //! [`Node`] is one kernel instance. Its pieces:
 //!
 //! * an **object table** (the virtual memory) of [`ObjectSlot`]s;
-//! * the **virtual processors** ([`VirtualProcessorPool`]):
-//!   [`NodeConfig::virtual_processors`] worker threads that execute
-//!   every invocation process, async invoke, move, reincarnation and
-//!   redelivery — the paper's fixed processor complement (§3; the
-//!   default of 2 mirrors the two GDPs of the default Eden node
-//!   machine, "field upgradable" to 4 — see experiment F2). A process
+//! * the **virtual processors** ([`VirtualProcessorPool`]): the
+//!   paper's fixed complement of [`NodeConfig::virtual_processors`]
+//!   processors (§3; the default of 2 mirrors the two GDPs of the
+//!   default Eden node machine, "field upgradable" to 4 — see
+//!   experiment F2). Worker threads run async invokes, moves,
+//!   reincarnations and every invocation a thread cannot run itself.
+//!   When a processor is free and nothing is queued, the pool lends it
+//!   to the thread that readied the invocation instead: a client thread
+//!   runs its own local invocation, and a receive thread the single
+//!   invocation its batch readied, with no thread hand-off. A process
 //!   blocked in a nested invocation, a remote wait or an object
 //!   semaphore yields its processor ([`blocking`]), so waiting can
 //!   never deadlock the node. Excess work queues up to
@@ -29,7 +33,10 @@
 //!   a forwarding chain is walked once, not on every call;
 //! * the **lifecycle machinery**: checkpoint / checksite / crash /
 //!   reincarnation (§4.4), move (§4.3), freeze + replica caching (§4.3);
-//! * a **receive loop** servicing the kernel-to-kernel protocol.
+//! * a **receive loop** servicing the kernel-to-kernel protocol, run by
+//!   two `eden-recv` threads that pass one receive role between them:
+//!   the holder receives and handles every frame, so one thread is
+//!   always receiving while the other runs an invocation.
 //!
 //! Two mechanisms carry the traffic:
 //!
@@ -60,7 +67,7 @@ use eden_wire::{
     DirRegisterKind, DirState, Frame, HeldState, MemberStatus, Message, ObjectImage, Reader,
     Status, Value, WireDecode, WireEncode, Writer,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::ctx::OpCtx;
 use crate::error::{EdenError, Result};
@@ -72,11 +79,17 @@ use crate::object::{
 };
 use crate::repr::Representation;
 use crate::types::TypeRegistry;
-use crate::vproc::{blocking, BatchTask, SubmitError, VirtualProcessorPool, VprocStats};
+use crate::vproc::{
+    blocking, BatchTask, Lent, SubmitError, VirtualProcessorPool, VprocStats, SHUTDOWN_GRACE,
+};
 use crate::waiter::{LocationAnswer, QueryCollector, Waiter};
 
 /// How many frames the receive loop asks the transport for per wakeup.
 const RECV_BATCH_MAX: usize = 128;
+
+/// Receive threads per node: the holder of the receive role, and one
+/// that runs an invocation or stands by to take the role over.
+const RECEIVERS: usize = 2;
 
 /// An invocation `pump` moved to running, awaiting `Node::dispatch`.
 type Ready = (Arc<ObjectSlot>, PendingInvocation);
@@ -311,6 +324,31 @@ struct LocationService {
     queries: Mutex<HashMap<u64, Arc<QueryCollector>>>,
 }
 
+/// The node's own threads: the receive role its receive threads pass
+/// between them, and the waits of the watchdog and `Node::shutdown`.
+/// Its lock is a leaf, never held while a frame is handled.
+struct NodeThreads {
+    role: Mutex<RecvRole>,
+    /// Wakes a standby receiver when the role is handed over.
+    handover: Condvar,
+    /// Wakes the watchdog and `Node::shutdown`: signalled at shutdown
+    /// and as each receive thread exits.
+    halt: Condvar,
+}
+
+struct RecvRole {
+    /// A receive thread holds the role; only the holder receives and
+    /// handles frames, so they are handled in arrival order.
+    held: bool,
+    /// Receive threads waiting for the role.
+    standby: usize,
+    /// When the holder next ticks gossip, carried with the role so a
+    /// hand-over keeps the gossip schedule.
+    next_gossip: Instant,
+    /// Receive threads that have not exited.
+    running: usize,
+}
+
 pub(crate) struct NodeInner {
     id: NodeId,
     config: NodeConfig,
@@ -336,7 +374,8 @@ pub(crate) struct NodeInner {
     invoke_metrics: InvokeMetrics,
     obs: Arc<ObsRegistry>,
     last_move_rejection: Mutex<Option<String>>,
-    recv_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    threads: NodeThreads,
+    recv_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The most recent watchdog diagnostic snapshot, if any stall has
     /// ever been detected on this node (scraped via `get_watchdog`).
     watchdog_snapshot: Mutex<Option<String>>,
@@ -457,17 +496,29 @@ impl Node {
             invoke_metrics: InvokeMetrics::new(&obs),
             obs,
             last_move_rejection: Mutex::new(None),
-            recv_thread: Mutex::new(None),
+            threads: NodeThreads {
+                role: Mutex::new(RecvRole {
+                    held: false,
+                    standby: 0,
+                    next_gossip: Instant::now(),
+                    running: RECEIVERS,
+                }),
+                handover: Condvar::new(),
+                halt: Condvar::new(),
+            },
+            recv_threads: Mutex::new(Vec::with_capacity(RECEIVERS)),
             watchdog_snapshot: Mutex::new(None),
             watchdog_thread: Mutex::new(None),
         });
         let node = Node { inner };
-        let recv_node = node.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("eden-recv-{id}"))
-            .spawn(move || recv_node.recv_loop())
-            .expect("spawn receive loop");
-        *node.inner.recv_thread.lock() = Some(handle);
+        for i in 0..RECEIVERS {
+            let recv_node = node.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("eden-recv-{id}-{i}"))
+                .spawn(move || recv_node.recv_loop())
+                .expect("spawn receive loop");
+            node.inner.recv_threads.lock().push(handle);
+        }
         if node.inner.config.enable_watchdog {
             let dog = node.clone();
             let handle = std::thread::Builder::new()
@@ -1146,8 +1197,11 @@ impl Node {
     }
 
     /// Validates and enqueues an invocation on a local slot, then waits.
-    /// `None` when the invocation was rerouted because the slot left the
-    /// object table.
+    /// When the enqueue made the invocation ready and the pool lends this
+    /// thread a processor, the invoker runs it itself: it then returns
+    /// when the operation returns, and `deadline` bounds only the wait
+    /// for a processor. `None` when the invocation was rerouted because
+    /// the slot left the object table.
     fn invoke_on_slot(
         &self,
         slot: &Arc<ObjectSlot>,
@@ -1166,7 +1220,17 @@ impl Node {
             };
         let mut ready = Vec::new();
         self.enqueue(slot, pending, &mut ready);
+        let mine = ready
+            .iter()
+            .position(|(_, p)| matches!(&p.sink, ReplySink::Local(w) if Arc::ptr_eq(w, &waiter)));
+        let in_place = mine.and_then(|i| {
+            let cpu = self.inner.vprocs.lend(ready[i].1.trace)?;
+            Some((cpu, ready.remove(i)))
+        });
         self.dispatch(ready);
+        if let Some((cpu, (slot, pending))) = in_place {
+            self.run_lent(cpu, slot, pending);
+        }
         let budget = deadline.saturating_duration_since(Instant::now());
         // A pool worker waiting here (async or nested invocation) yields
         // its place: the reply it waits for may itself need a worker.
@@ -1448,6 +1512,14 @@ impl Node {
                 }
             }
         });
+    }
+
+    /// Runs a ready invocation on the calling thread, which `cpu` lends
+    /// a processor until the invocation is done.
+    fn run_lent(&self, cpu: Lent, slot: Arc<ObjectSlot>, pending: PendingInvocation) {
+        self.inner.metrics.bump_process();
+        self.run_invocation(slot, pending);
+        drop(cpu);
     }
 
     /// The body of one invocation process.
@@ -2031,7 +2103,8 @@ impl Node {
                 },
             ));
         }
-        for pending in self.drain_queue(&mut slot.coord.lock()) {
+        let queued = self.drain_queue(&mut slot.coord.lock());
+        for pending in queued {
             let trace = pending.trace;
             self.send_reply(pending.sink, Status::Destroyed, Vec::new(), trace);
         }
@@ -2141,7 +2214,8 @@ impl Node {
     /// answers the invocations queued on it with `status`.
     fn fail_reincarnation(&self, slot: &Arc<ObjectSlot>, status: Status) {
         self.inner.objects.write().remove(&slot.name);
-        for pending in self.drain_queue(&mut slot.coord.lock()) {
+        let queued = self.drain_queue(&mut slot.coord.lock());
+        for pending in queued {
             let trace = pending.trace;
             self.send_reply(pending.sink, status.clone(), Vec::new(), trace);
         }
@@ -2489,19 +2563,47 @@ impl Node {
             return;
         }
         self.inner.obs.recorder().record(KernelEvent::NodeShutdown);
+        let threads = &self.inner.threads;
+        {
+            let _role = threads.role.lock();
+            threads.halt.notify_all();
+            threads.handover.notify_all();
+        }
         if let Some(h) = self.inner.watchdog_thread.lock().take() {
             let _ = h.join();
         }
         self.inner.endpoint.shutdown();
-        if let Some(h) = self.inner.recv_thread.lock().take() {
-            let _ = h.join();
-        }
-        // Teardown before the pool drain: it wakes behaviors (and their
-        // port waits), so pool tasks blocked on object state can finish.
+        // Teardown before the receive threads are joined and the pool
+        // drains: it wakes behaviors (and their port waits), so an
+        // operation parked on object state, on a receive thread or a
+        // pool worker, can finish.
         for slot in self.inner.objects.read().values() {
             slot.short.teardown();
         }
+        // A receive thread wedged in a long operation is abandoned after
+        // the pool's grace, like a wedged worker.
+        let all_exited = self.halt_wait(SHUTDOWN_GRACE, |role| role.running == 0);
+        for h in self.inner.recv_threads.lock().drain(..) {
+            if all_exited || h.is_finished() {
+                let _ = h.join();
+            }
+        }
         self.inner.vprocs.shutdown();
+    }
+
+    /// Waits on the `halt` condvar until `done` holds or `timeout`
+    /// passes; whether `done` held.
+    fn halt_wait(&self, timeout: Duration, mut done: impl FnMut(&RecvRole) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        let threads = &self.inner.threads;
+        let mut role = threads.role.lock();
+        while !done(&role) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if threads.halt.wait_for(&mut role, left).timed_out() {
+                return done(&role);
+            }
+        }
+        true
     }
 
     // ================= The stall watchdog =================
@@ -2523,18 +2625,9 @@ impl Node {
         // Per-finding report times, so a persistent stall re-reports
         // once per deadline period instead of once per probe tick.
         let mut last_report: HashMap<(u8, u64), u64> = HashMap::new();
-        loop {
-            // Sleep in small slices so shutdown joins promptly even
-            // with a long probe interval.
-            let mut slept = Duration::ZERO;
-            while slept < interval {
-                if self.inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let nap = (interval - slept).min(Duration::from_millis(10));
-                std::thread::sleep(nap);
-                slept += nap;
-            }
+        // Shutdown signals `halt`, so it joins this thread at once even
+        // with a long probe interval.
+        while !self.halt_wait(interval, |_| self.inner.shutdown.load(Ordering::Acquire)) {
             let now = now_ns();
             let mut due = |key: (u8, u64)| match last_report.get(&key) {
                 Some(&t) if now.saturating_sub(t) < deadline_ns => false,
@@ -2620,15 +2713,15 @@ impl Node {
             let _ = writeln!(s, "  stall: {e}");
         }
         let v = self.inner.vprocs.stats();
+        let _ = write!(s, "  threads:");
+        for i in 0..RECEIVERS {
+            let _ = write!(s, " eden-recv-{id}-{i}");
+        }
+        let _ = writeln!(s, " eden-watchdog-{id} eden-vproc-{id}-[0..{}]", v.live);
         let _ = writeln!(
             s,
-            "  threads: eden-recv-{id} eden-watchdog-{id} eden-vproc-{id}-[0..{}]",
-            v.live
-        );
-        let _ = writeln!(
-            s,
-            "  vprocs: queued={} live={} blocked={} executed={} rejected={}",
-            v.queued, v.live, v.blocked, v.executed, v.rejected
+            "  vprocs: queued={} live={} lent={} blocked={} executed={} rejected={}",
+            v.queued, v.live, v.lent, v.blocked, v.executed, v.rejected
         );
         for (dst, age, queued) in self.inner.endpoint.writer_probe() {
             let _ = writeln!(
@@ -2673,49 +2766,88 @@ impl Node {
 
     // ================= The receive loop =================
 
+    /// The body of each `eden-recv-<id>-<i>` thread: take the receive
+    /// role when it is free, hold it (see [`hold_role`](Self::hold_role)),
+    /// and when the holder hands the role over to run an invocation, run
+    /// it and then stand by for the role again.
     fn recv_loop(&self) {
+        let threads = &self.inner.threads;
+        loop {
+            let mut next_gossip = {
+                let mut role = threads.role.lock();
+                while role.held && !self.inner.shutdown.load(Ordering::Acquire) {
+                    role.standby += 1;
+                    threads.handover.wait(&mut role);
+                    role.standby -= 1;
+                }
+                if self.inner.shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                role.held = true;
+                role.next_gossip
+            };
+            let run_here = self.hold_role(&mut next_gossip);
+            {
+                let mut role = threads.role.lock();
+                role.held = false;
+                role.next_gossip = next_gossip;
+                threads.handover.notify_one();
+            }
+            let Some((cpu, (slot, pending))) = run_here else {
+                break;
+            };
+            self.run_lent(cpu, slot, pending);
+        }
+        threads.role.lock().running -= 1;
+        threads.halt.notify_all();
+    }
+
+    /// Receives and handles frames while holding the receive role, until
+    /// shutdown or a closed endpoint (`None`). A batch that readied
+    /// exactly one invocation, while the pool lends this thread a
+    /// processor and the other receive thread stands by, ends the hold:
+    /// the invocation comes back to run here, and the standby takes the
+    /// role. Every other batch's invocations go to the pool.
+    fn hold_role(&self, next_gossip: &mut Instant) -> Option<(Lent, Ready)> {
         // Gossip rides the receive loop (no thread of its own): the
         // state machine's timers are checked between frames, at most
         // every half protocol period and at least every recv timeout.
         let tick_every = (self.inner.config.gossip_interval / 2)
             .clamp(Duration::from_millis(5), Duration::from_millis(50));
-        let mut next_gossip = Instant::now();
+        let mut ready = Vec::new();
         loop {
             if self.inner.shutdown.load(Ordering::Acquire) {
-                return;
+                return None;
             }
-            if self.inner.directory.is_some() {
+            if let Some(dir) = &self.inner.directory {
                 let now = Instant::now();
-                if now >= next_gossip {
-                    let out = self
-                        .inner
-                        .directory
-                        .as_ref()
-                        .map(|dir| dir.lock().tick(now));
-                    if let Some(out) = out {
-                        self.apply_dir_output(out);
-                    }
-                    next_gossip = now + tick_every;
+                if now >= *next_gossip {
+                    let out = dir.lock().tick(now);
+                    self.apply_dir_output(out);
+                    *next_gossip = now + tick_every;
                 }
             }
-            match self
+            // Frames are handled in arrival order (so replies, gossip
+            // and location traffic keep their ordering), and the
+            // invocations they make ready go to the pool as one batch:
+            // one lock and one wakeup for the whole batch.
+            let batch = self
                 .inner
                 .endpoint
                 .recv_batch(RECV_BATCH_MAX, Duration::from_millis(50))
-            {
-                // Frames are handled in arrival order (so replies, gossip
-                // and location traffic keep their ordering), and the
-                // invocations they make ready go to the pool as one
-                // batch: one lock and one wakeup for the whole batch.
-                Ok(batch) => {
-                    let mut ready = Vec::new();
-                    for frame in batch {
-                        self.handle_frame(frame, &mut ready);
-                    }
-                    self.dispatch(ready);
-                }
-                Err(_) => return,
+                .ok()?;
+            for frame in batch {
+                self.handle_frame(frame, &mut ready);
             }
+            if ready.len() == 1 {
+                if let Some(cpu) = self.inner.vprocs.lend(ready[0].1.trace) {
+                    let standby = self.inner.threads.role.lock().standby;
+                    if standby > 0 {
+                        return Some((cpu, ready.pop().expect("one ready invocation")));
+                    }
+                }
+            }
+            self.dispatch(std::mem::take(&mut ready));
         }
     }
 

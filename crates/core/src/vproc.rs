@@ -4,8 +4,9 @@
 //! processors (two GDPs, "field upgradable" to four) over however many
 //! invocation processes exist. [`VirtualProcessorPool`] is that
 //! complement: [`NodeConfig::virtual_processors`](crate::NodeConfig)
-//! worker threads run every invocation process, async invoke, move,
-//! reincarnation and redelivery. Excess work queues, and past
+//! processors run every invocation process, async invoke, move,
+//! reincarnation and redelivery, on the pool's worker threads or on a
+//! thread the pool lends a processor to. Excess work queues, and past
 //! [`NodeConfig::vproc_queue_cap`](crate::NodeConfig) the kernel sheds
 //! load with `Status::Overloaded` instead of falling over.
 //!
@@ -23,9 +24,23 @@
 //! while more than the complement are unblocked: a spare retires once
 //! the queue is empty or the complement is full again, and a base worker
 //! waits for it. Blocked processes cost memory, not processors.
+//!
+//! ## Lending a processor
+//!
+//! Handing a ready invocation to a worker costs a thread hand-off. When
+//! a processor of the complement is free and nothing is queued,
+//! [`VirtualProcessorPool::lend`] lends it to the calling thread
+//! instead (LRPC's handoff scheduling): a client thread runs its own
+//! local invocation, and a receive thread the one invocation its batch
+//! readied. While it holds the processor the thread counts as a worker
+//! — [`blocking`] yields the processor, the stall probe sees it under
+//! its own id, and `vproc.executed` counts it — and dropping the
+//! [`Lent`] guard, by unwinding too, gives the processor back. Lent and
+//! pooled processors together never run more than the complement.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,11 +51,11 @@ use eden_obs::{now_ns, stage, Counter, Gauge, Histogram, ObsRegistry, TraceCtx};
 use crate::sync::shim::{self, Condvar, Mutex};
 
 thread_local! {
-    /// The pool whose worker loop owns this thread, so [`blocking`]
-    /// yields the processor of the calling worker's own pool — and does
-    /// nothing on other threads (a client thread waiting inside
-    /// `Node::invoke` holds no processor). Empty inside a blocking
-    /// scope, so a nested scope does not yield twice.
+    /// The pool whose worker loop owns this thread, or that lent it a
+    /// processor, so [`blocking`] yields the processor of the calling
+    /// worker's own pool — and does nothing on other threads (a client
+    /// thread waiting inside `Node::invoke` holds no processor). Empty
+    /// inside a blocking scope, so a nested scope does not yield twice.
     static WORKER_OF: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
 }
 
@@ -81,6 +96,15 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// How long [`VirtualProcessorPool::shutdown`] waits for processors
+/// wedged in a long-running operation before abandoning them.
+pub(crate) const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+
+/// The first stall-probe id of a lent processor; base workers and
+/// spares number from 0 below it, and `u16::MAX` is the queue-age
+/// pseudo-worker.
+const LENT_IDS: u16 = 0x8000;
+
 /// One entry of a [`VirtualProcessorPool::submit_batch`]: the job and the
 /// trace context it runs under.
 pub type BatchTask = (Job, Option<TraceCtx>);
@@ -100,11 +124,13 @@ struct State {
     live: usize,
     /// Workers parked on the condvar waiting for work.
     idle: usize,
-    /// Workers inside a [`blocking`] scope.
+    /// Workers inside a [`blocking`] scope, lent processors included.
     blocked: usize,
+    /// Processors lent to threads outside the pool ([`Lent`]).
+    lent: usize,
     /// Per-worker busy-since timestamps (worker id → ns), maintained
-    /// around task execution so the stall watchdog can spot a worker
-    /// wedged in one task past the deadline.
+    /// around task execution and lending so the stall watchdog can spot
+    /// a worker wedged in one task past the deadline.
     busy_since: std::collections::BTreeMap<u16, u64>,
     stop: bool,
 }
@@ -112,6 +138,8 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
+    /// Signalled as the last processor exits or returns after stop.
+    exited: Condvar,
     node: NodeId,
     /// Target number of unblocked workers (the configured pool size).
     workers: usize,
@@ -129,10 +157,10 @@ struct Shared {
 }
 
 impl State {
-    /// Workers holding a processor: neither parked for work nor blocked
-    /// in a wait (a worker asking counts itself).
+    /// Workers and lent threads holding a processor: neither parked for
+    /// work nor blocked in a wait (a worker asking counts itself).
     fn running(&self) -> usize {
-        self.live - self.blocked - self.idle
+        self.live + self.lent - self.blocked - self.idle
     }
 }
 
@@ -149,13 +177,25 @@ impl Shared {
         need
     }
 
+    /// A processor came free — a worker exited or a lent processor came
+    /// back: a worker parked while the complement was full may now run
+    /// the queue, and shutdown waits for the last one.
+    fn freed(&self, st: &State) {
+        if !st.queue.is_empty() {
+            self.cv.notify_one();
+        }
+        if st.stop && st.live + st.lent == 0 {
+            self.exited.notify_all();
+        }
+    }
+
     fn spawn_spare(self: &Arc<Self>) {
         self.spares.inc();
         let n = self.spares.get();
         let shared = Arc::clone(self);
         // Spare ids live above the base range so a probe can tell them
-        // apart; u16::MAX is reserved for the queue-age pseudo-worker.
-        let wid = (self.workers as u64 + n).min(u16::MAX as u64 - 1) as u16;
+        // apart, and below the lent range.
+        let wid = (self.workers as u64 + n).min(LENT_IDS as u64 - 1) as u16;
         let spawned = shim::thread::Builder::new()
             .name(format!("eden-vproc-{}-s{n}", self.node))
             .spawn(move || worker_loop(shared, true, wid));
@@ -201,6 +241,8 @@ pub struct VprocStats {
     pub idle: usize,
     /// Workers parked inside a blocking scope (nested/remote waits).
     pub blocked: usize,
+    /// Processors lent to threads outside the pool.
+    pub lent: usize,
     /// Tasks waiting in the queue.
     pub queued: usize,
     /// Queue capacity before `Overloaded` shedding starts.
@@ -235,10 +277,12 @@ impl VirtualProcessorPool {
                 live: workers,
                 idle: 0,
                 blocked: 0,
+                lent: 0,
                 busy_since: std::collections::BTreeMap::new(),
                 stop: false,
             }),
             cv: Condvar::new(),
+            exited: Condvar::new(),
             node,
             workers,
             queue_cap: queue_cap.max(1),
@@ -374,6 +418,7 @@ impl VirtualProcessorPool {
             live: st.live,
             idle: st.idle,
             blocked: st.blocked,
+            lent: st.lent,
             queued: st.queue.len(),
             queue_cap: self.shared.queue_cap,
             executed: self.shared.executed.get(),
@@ -383,28 +428,95 @@ impl VirtualProcessorPool {
         }
     }
 
-    /// Stops accepting work and drains: base workers finish every task
-    /// already queued, then exit. Workers wedged in a long-running
-    /// operation are abandoned after a grace period rather than hanging
-    /// the caller (they still exit once their task completes).
-    pub fn shutdown(&self) {
-        {
-            let mut st = self.shared.state.lock();
-            if st.stop {
-                return;
-            }
-            st.stop = true;
+    /// Lends the calling thread a free processor of the complement, so
+    /// it runs a ready task itself instead of handing it to a worker.
+    /// `None` unless the caller is not a pool worker, nothing is
+    /// queued, and fewer than the complement are running. A traced
+    /// task's `vproc-wait` span is recorded as the empty interval.
+    /// Dropping the guard gives the processor back; see the module docs.
+    pub fn lend(&self, trace: Option<TraceCtx>) -> Option<Lent> {
+        if WORKER_OF.with(|w| w.borrow().is_some()) {
+            return None;
         }
-        self.shared.cv.notify_all();
-        let deadline = Instant::now() + Duration::from_millis(500);
-        for handle in self.base.lock().drain(..) {
-            while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
+        let now = now_ns();
+        let wid = {
+            let mut st = self.shared.state.lock();
+            if st.stop || !st.queue.is_empty() || st.running() >= self.shared.workers {
+                return None;
             }
-            if handle.is_finished() {
+            st.lent += 1;
+            let wid = (LENT_IDS..u16::MAX)
+                .find(|id| !st.busy_since.contains_key(id))
+                .unwrap_or(u16::MAX - 1);
+            st.busy_since.insert(wid, now);
+            wid
+        };
+        WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&self.shared)));
+        self.shared.busy.inc();
+        self.shared.task_wait.record(0);
+        if let Some(trace) = trace {
+            self.shared
+                .obs
+                .record_span_staged("vproc-wait", stage::VPROC_QUEUE, trace, now, now);
+        }
+        Some(Lent {
+            shared: Arc::clone(&self.shared),
+            wid,
+            _thread: PhantomData,
+        })
+    }
+
+    /// Stops accepting work and drains: base workers finish every task
+    /// already queued, then exit, and lent processors come back.
+    /// Processors wedged in a long-running operation are abandoned
+    /// after a grace period rather than hanging the caller (they still
+    /// exit once their task completes).
+    pub fn shutdown(&self) {
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        let mut st = self.shared.state.lock();
+        if st.stop {
+            return;
+        }
+        st.stop = true;
+        self.shared.cv.notify_all();
+        while st.live + st.lent > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if self.shared.exited.wait_for(&mut st, left).timed_out() {
+                break;
+            }
+        }
+        let all_exited = st.live == 0;
+        drop(st);
+        for handle in self.base.lock().drain(..) {
+            if all_exited || handle.is_finished() {
                 let _ = handle.join();
             }
         }
+    }
+}
+
+/// A processor of the complement lent to a thread outside the pool by
+/// [`VirtualProcessorPool::lend`]; dropping it gives the processor back
+/// and counts the task it ran as executed.
+pub struct Lent {
+    shared: Arc<Shared>,
+    wid: u16,
+    /// Not `Send`: the guard marks its own thread as a worker.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Lent {
+    fn drop(&mut self) {
+        WORKER_OF.with(|w| *w.borrow_mut() = None);
+        self.shared.busy.dec();
+        self.shared.executed.inc();
+        if std::thread::panicking() {
+            self.shared.panicked.inc();
+        }
+        let mut st = self.shared.state.lock();
+        st.lent -= 1;
+        st.busy_since.remove(&self.wid);
+        self.shared.freed(&st);
     }
 }
 
@@ -470,11 +582,7 @@ fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
     }
     let mut st = shared.state.lock();
     st.live -= 1;
-    // The processor this worker held may be the one a parked worker
-    // waits for.
-    if !st.queue.is_empty() {
-        shared.cv.notify_one();
-    }
+    shared.freed(&st);
 }
 
 #[cfg(test)]
@@ -706,6 +814,48 @@ mod tests {
         let after = p.stall_probe();
         assert_eq!(after.queued, 0);
         assert!(after.busiest.is_none(), "probe after drain: {after:?}");
+    }
+
+    #[test]
+    fn a_lent_processor_counts_against_the_complement() {
+        let p = Arc::new(pool(1, 64));
+        // A worker counts as running until it has parked for work.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.stats().idle == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let cpu = p.lend(None).expect("an idle pool lends its processor");
+        assert_eq!(p.stats().lent, 1);
+        assert!(p
+            .stall_probe()
+            .busiest
+            .is_some_and(|(wid, _)| wid >= LENT_IDS));
+        // The complement is full, and the holder counts as a worker.
+        let p2 = p.clone();
+        assert!(std::thread::spawn(move || p2.lend(None).is_none())
+            .join()
+            .unwrap());
+        assert!(p.lend(None).is_none());
+        // A task queued behind the lent processor runs once it is back.
+        let done = Arc::new(AtomicUsize::new(0));
+        let (d, p3) = (done.clone(), p.clone());
+        p.submit(move || {
+            assert!(p3.lend(None).is_none(), "a worker is never lent one");
+            d.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(done.load(Ordering::SeqCst), 0, "ran past the complement");
+        drop(cpu);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while done.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+        p.shutdown();
+        let stats = p.stats();
+        assert_eq!((stats.lent, stats.executed), (0, 2));
+        assert!(p.lend(None).is_none(), "a stopped pool lends nothing");
     }
 
     #[test]

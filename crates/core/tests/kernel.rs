@@ -449,10 +449,13 @@ fn wrong_argument_types_report_type_error() {
 
 #[test]
 fn user_supplied_timeout_is_honored() {
-    let cluster = standard_cluster(1);
+    // A remote invoker: a local invocation may run on its invoker's
+    // thread, where the timeout bounds only the wait for a processor
+    // (see `handoff::a_local_timeout_bounds_only_the_wait_for_a_processor`).
+    let cluster = standard_cluster(2);
     let cap = cluster.node(0).create_object("rogue", &[]).unwrap();
     let err = cluster
-        .node(0)
+        .node(1)
         .invoke_with_timeout(
             cap,
             "sleep_ms",
@@ -461,7 +464,7 @@ fn user_supplied_timeout_is_honored() {
         )
         .unwrap_err();
     assert!(err.is_timeout());
-    assert_eq!(cluster.node(0).metrics().timeouts, 1);
+    assert_eq!(cluster.node(1).metrics().timeouts, 1);
 }
 
 #[test]
@@ -551,7 +554,7 @@ fn virtual_processors_bound_concurrent_execution() {
     let peak = Arc::new(AtomicU64::new(0));
     let (c2, p2) = (current.clone(), peak.clone());
     let cluster = Cluster::builder()
-        .nodes(1)
+        .nodes(2)
         .register(move || {
             Box::new(Gauged {
                 current: c2.clone(),
@@ -560,16 +563,30 @@ fn virtual_processors_bound_concurrent_execution() {
             })
         })
         .build();
-    let cap = cluster.node(0).create_object("gauged", &[]).unwrap();
+    let (node, peer) = (cluster.node(0), cluster.node(1));
+    let cap = node.create_object("gauged", &[]).unwrap();
     // Each async invoke parks a worker on its reply, and spares cover
     // for it; workers coming back must not push execution past the
-    // default complement of two.
-    let handles: Vec<_> = (0..12)
-        .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
-        .collect();
-    for h in handles {
-        h.wait(Duration::from_secs(10)).unwrap();
-    }
+    // default complement of two. Client threads calling locally and
+    // receive threads serving remote calls run invocations on lent
+    // processors of the same complement.
+    std::thread::scope(|s| {
+        for caller in [node, node, node, peer, peer] {
+            s.spawn(move || {
+                for _ in 0..8 {
+                    caller
+                        .invoke_with_timeout(cap, "work", &[], Duration::from_secs(10))
+                        .unwrap();
+                }
+            });
+        }
+        let handles: Vec<_> = (0..12)
+            .map(|_| node.invoke_async(cap, "work", &[]))
+            .collect();
+        for h in handles {
+            h.wait(Duration::from_secs(10)).unwrap();
+        }
+    });
     assert_eq!(peak.load(Ordering::SeqCst), 2);
 }
 

@@ -1,7 +1,8 @@
 //! Loom models for the virtual-processor pool's load-bearing
 //! properties: queue-full shedding, blocked-worker spare injection, a
-//! process parked on an object semaphore yielding its processor, and
-//! shutdown draining. Compiled only under `RUSTFLAGS="--cfg loom"` —
+//! process parked on an object semaphore yielding its processor,
+//! shutdown draining, and processors lent to outside threads sharing
+//! the complement. Compiled only under `RUSTFLAGS="--cfg loom"` —
 //! run them with `scripts/ci.sh loom`, which also swaps the kernel's
 //! sync shims (see `eden_kernel::sync::shim`) to loom's instrumented
 //! primitives so the pool's lock/condvar traffic is under the model's
@@ -166,5 +167,91 @@ fn model_shutdown_drains_then_closes() {
         assert_eq!(done.load(Ordering::SeqCst), accepted);
         assert_eq!(p.submit(|| {}), Err(SubmitError::Closed));
         assert_eq!(done.load(Ordering::SeqCst), accepted, "no task ran twice");
+    });
+}
+
+/// Marks one thread as running on a processor while `f` runs, keeping
+/// the peak count.
+fn on_processor(inside: &AtomicUsize, peak: &AtomicUsize, f: impl FnOnce()) {
+    let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+    peak.fetch_max(now, Ordering::SeqCst);
+    loom::thread::yield_now();
+    f();
+    inside.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Client threads that run work on lent processors, and the pool's
+/// workers, together never run more than the complement, whichever of
+/// lending and submitting wins each race.
+#[test]
+fn model_lent_processors_share_the_complement() {
+    loom::model(|| {
+        let p = std::sync::Arc::new(pool(2, 64));
+        let inside = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
+        let clients: Vec<_> = (0..3)
+            .map(|_| {
+                let (p, inside, peak, done) =
+                    (p.clone(), inside.clone(), peak.clone(), done.clone());
+                loom::thread::spawn(move || {
+                    for _ in 0..2 {
+                        let (i, k, d) = (inside.clone(), peak.clone(), done.clone());
+                        let work = move || {
+                            on_processor(&i, &k, || {});
+                            d.fetch_add(1, Ordering::SeqCst);
+                        };
+                        match p.lend(None) {
+                            Some(cpu) => {
+                                work();
+                                drop(cpu);
+                            }
+                            None => p.submit(work).unwrap(),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        assert!(
+            wait_until(Duration::from_secs(5), || done.load(Ordering::SeqCst) == 6),
+            "queued work never ran"
+        );
+        assert!(peak.load(Ordering::SeqCst) <= 2, "ran past the complement");
+        p.shutdown();
+        assert_eq!(p.stats().lent, 0);
+    });
+}
+
+/// A worker parked behind a lent processor — the complement was full
+/// when work arrived — is woken when the processor comes back.
+#[test]
+fn model_returning_a_lent_processor_wakes_a_parked_worker() {
+    loom::model(|| {
+        let p = pool(1, 64);
+        let inside = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
+        // A worker counts as running until it has parked for work.
+        assert!(wait_until(Duration::from_secs(5), || p.stats().idle == 1));
+        let cpu = p.lend(None).expect("an idle pool lends its processor");
+        on_processor(&inside, &peak, || {
+            let (i, k, d) = (inside.clone(), peak.clone(), done.clone());
+            p.submit(move || {
+                on_processor(&i, &k, || {});
+                d.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+            loom::thread::yield_now();
+        });
+        drop(cpu);
+        assert!(
+            wait_until(Duration::from_secs(5), || done.load(Ordering::SeqCst) == 1),
+            "returning the lent processor did not wake the worker"
+        );
+        assert_eq!(peak.load(Ordering::SeqCst), 1, "ran past the complement");
+        p.shutdown();
     });
 }

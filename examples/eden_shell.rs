@@ -211,13 +211,14 @@ commands:
                     .ok_or(format!("vprocs <node>  (0..{})", NODES - 1))?;
                 let s = self.cluster.node(node).vproc_stats();
                 Ok(format!(
-                    "workers    {} configured, {} live ({} idle, {} blocked)\n\
+                    "workers    {} configured, {} live ({} idle, {} blocked), {} lent\n\
                      queue      {} of {} slots used\n\
                      lifetime   {} executed, {} rejected, {} spares spawned, {} panicked",
                     s.workers,
                     s.live,
                     s.idle,
                     s.blocked,
+                    s.lent,
                     s.queued,
                     s.queue_cap,
                     s.executed,
