@@ -1,7 +1,7 @@
 //! E12 — fan-out under a bounded virtual-processor pool.
 //!
 //! §3 gives each node machine a small, fixed processor complement; the
-//! kernel mirrors that with a bounded [`VirtualProcessorPool`] instead
+//! kernel mirrors that with a bounded [`VirtualProcessorPool`](eden_kernel::vproc::VirtualProcessorPool) instead
 //! of spawning an OS thread per invocation (the shape the kernel had
 //! before the pool). This experiment drives one node with 64 concurrent
 //! clients spread over 8 objects and compares:

@@ -14,14 +14,14 @@
 //! * **baseline** — each connection runs one-RTT-per-call (`call_sync`):
 //!   request, block for the reply, repeat.
 //! * **pipelined** — each connection keeps a window of
-//!   [`WINDOW`] calls outstanding, harvesting oldest-first while it
+//!   `WINDOW` calls outstanding, harvesting oldest-first while it
 //!   issues.
 //!
 //! Acceptance: pipelined throughput ≥3x the baseline at 64 connections,
 //! and the server's reader-thread count stays at the configured pool
 //! size at every scale.
 //!
-//! Each scale runs against a wall-clock budget ([`SCALE_BUDGET`]). A
+//! Each scale runs against a wall-clock budget (`SCALE_BUDGET`). A
 //! scale that misses it stops issuing calls, is torn down, and enters
 //! the artifact as a failure with its elapsed time — the run finishes
 //! either way instead of hanging.
@@ -182,7 +182,7 @@ fn drive_baseline(client: &Node, cap: Capability, deadline: Instant) -> u64 {
     ok
 }
 
-/// Windowed driver: keep [`WINDOW`] calls outstanding, harvest the
+/// Windowed driver: keep `WINDOW` calls outstanding, harvest the
 /// oldest as each new one is issued — until `deadline`. Returns Ok
 /// count.
 fn drive_pipelined(client: &Node, cap: Capability, deadline: Instant) -> u64 {
@@ -251,7 +251,7 @@ pub struct ScalePoint {
 /// One connection count's outcome: a measured point, or the budget it
 /// missed.
 pub enum ScaleOutcome {
-    /// Both modes finished within [`SCALE_BUDGET`].
+    /// Both modes finished within `SCALE_BUDGET`.
     Done(ScalePoint),
     /// The scale was still running when its budget ran out.
     OverBudget {
@@ -265,7 +265,7 @@ pub enum ScaleOutcome {
     },
 }
 
-/// Runs both modes at one connection count within [`SCALE_BUDGET`].
+/// Runs both modes at one connection count within `SCALE_BUDGET`.
 fn run_scale(connections: usize) -> ScaleOutcome {
     let start = Instant::now();
     let deadline = start + SCALE_BUDGET;

@@ -28,14 +28,13 @@
 //! [`call`]: PipelinedClient::call
 //! [`wait`]: PendingCall::wait
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId};
 use eden_wire::{Status, Value};
 use parking_lot::Mutex;
 
-use crate::node::{ends_search, Node, Ticket};
+use crate::node::{Node, Ticket};
 
 impl Node {
     /// Creates a pipelined client for `cap`, aimed at this node's best
@@ -43,8 +42,7 @@ impl Node {
     /// birth node). The aim self-corrects: each completed call re-aims
     /// the client at the node that actually answered.
     pub fn pipelined_client(&self, cap: Capability) -> PipelinedClient {
-        let (dst, _) = self.hints(cap.name())[0];
-        self.pipelined_client_to(cap, dst)
+        self.pipelined_client_to(cap, self.hints(cap.name()).best())
     }
 
     /// [`pipelined_client`](Self::pipelined_client) with an explicit
@@ -141,17 +139,11 @@ impl PendingCall<'_> {
     /// node that gave it.
     pub fn wait(self, budget: Duration) -> (Status, Vec<Value>) {
         let deadline = Instant::now() + budget;
-        let (node, cap) = (&self.client.node, self.client.cap);
-        let (dst, trace) = (self.ticket.dst, self.ticket.trace);
-        let mut answer = node.await_invoke(self.ticket, cap, &self.op, &self.args, budget);
-        if matches!(answer.0, Status::NoSuchObject) {
-            // `NoSuchObject` means the request executed nowhere, so
-            // sending it on to another holder keeps at-most-once.
-            let tried = HashSet::from([dst]);
-            answer = node.search(cap, &self.op, &self.args, deadline, trace, tried);
-        }
-        let (status, results, from) = answer;
-        if ends_search(&status) {
+        let (node, cap, trace) = (&self.client.node, self.client.cap, self.ticket.trace);
+        let answer = node.await_invoke(self.ticket, cap, &self.op, &self.args, budget);
+        let (status, results, from) =
+            node.resume_search(cap, &self.op, &self.args, deadline, trace, answer);
+        if let Some(from) = from {
             *self.client.dst.lock() = from;
         }
         (status, results)

@@ -95,6 +95,38 @@ fn activate_here_refuses_when_the_object_is_active_elsewhere() {
 }
 
 #[test]
+fn activate_here_does_not_resurrect_a_moved_object_from_its_old_checkpoint() {
+    let c = cluster(2);
+    let cap = c.node(0).create_object("counter", &[]).unwrap();
+    c.node(0).invoke(cap, "add", &[Value::I64(1)]).unwrap();
+    c.node(0).invoke(cap, "checkpoint", &[]).unwrap();
+    c.node(0).move_object(cap, NodeId(1)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while c.node(0).is_local(cap.name()) {
+        assert!(Instant::now() < deadline, "the move never completed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    c.node(1).invoke(cap, "add", &[Value::I64(10)]).unwrap();
+
+    // Node 0 still holds the checkpoint it took before the move, but its
+    // forwarding address says the object is active elsewhere.
+    let err = c.node(0).activate_here(cap).unwrap_err();
+    assert!(
+        matches!(&err, EdenError::BadRequest(m) if m.contains("active elsewhere")),
+        "got {err:?}"
+    );
+    assert!(!c.node(0).is_local(cap.name()));
+    assert_eq!(
+        c.node(0).invoke(cap, "get", &[]).unwrap(),
+        vec![Value::I64(11)]
+    );
+    assert_eq!(
+        c.node(1).invoke(cap, "get", &[]).unwrap(),
+        vec![Value::I64(11)]
+    );
+}
+
+#[test]
 fn activate_here_fails_without_any_checkpoint() {
     let c = cluster(2);
     let cap = c.node(0).create_object("counter", &[]).unwrap();

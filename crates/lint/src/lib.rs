@@ -14,15 +14,16 @@
 //! built on a per-function model of the workspace (lock-guard
 //! acquisitions with hold spans, an approximate intra-crate call
 //! graph, blocking-call sites, and the wire-schema inventory — see
-//! [`model`] for the soundness caveats):
+//! `model` for the soundness caveats):
 //!
 //! * **L1 `pool-discipline`** — no `thread::spawn` /
 //!   `thread::Builder::…spawn` in `eden-core` outside `vproc.rs` and
 //!   the allowlisted `eden-recv` receive loop and `eden-watchdog`
-//!   stall watchdog in `node.rs`. Everything else must go through
+//!   stall watchdog spawned in `node.rs`. Everything else must go through
 //!   `VirtualProcessorPool`.
 //! * **L2 `capability-discipline`** — every *public* kernel entry point
-//!   in `node.rs` / `object.rs` that accepts a `Capability` must either
+//!   in `node.rs`, the `node/` section files or `object.rs` that
+//!   accepts a `Capability` must either
 //!   call a rights check (`permits` / `check_rights` / `require_rights`)
 //!   or forward the capability into another checked call *before* any
 //!   store, transport, or dispatch effect on that path.
@@ -468,7 +469,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
             f.suppressed = lines.contains_key(&f.line);
         }
     }
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
 

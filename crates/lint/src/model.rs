@@ -203,8 +203,8 @@ pub(crate) struct FileModel {
 /// declaration map the lock-identity resolution uses.
 pub(crate) struct Workspace {
     pub(crate) files: Vec<FileModel>,
-    /// lock field name → stems of the files declaring it.
-    pub(crate) lock_decls: BTreeMap<String, BTreeSet<String>>,
+    /// lock field name → `(crate, stem)` of the files declaring it.
+    pub(crate) lock_decls: BTreeMap<String, BTreeSet<(String, String)>>,
     /// (crate, fn name) → every function of that name in the crate.
     fns_by_name: HashMap<(String, String), Vec<FnRef>>,
     /// (crate, field name) → the declared types of that field.
@@ -223,13 +223,13 @@ impl Workspace {
                 (rel.clone(), model, locks)
             })
             .collect();
-        let mut lock_decls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut lock_decls: BTreeMap<String, BTreeSet<(String, String)>> = BTreeMap::new();
         for (rel, _, locks) in &lexed {
             for f in locks {
                 lock_decls
                     .entry(f.clone())
                     .or_default()
-                    .insert(stem_of(rel));
+                    .insert((crate_key_of(rel), stem_of(rel)));
             }
         }
         let all_lock_fields: BTreeSet<String> = lock_decls.keys().cloned().collect();
@@ -315,17 +315,26 @@ impl Workspace {
     /// The canonical identity of a lock field acquired in `file`:
     /// `<declaring-file-stem>.<field>`. A field declared in the
     /// acquiring file resolves locally; otherwise to its unique
-    /// declaring file; ambiguous fields attribute to the acquirer.
+    /// declaring file, in the workspace or else in the acquirer's crate
+    /// (so a struct's methods may live in several files of one crate);
+    /// ambiguous fields attribute to the acquirer.
     pub(crate) fn lock_id(&self, file: &FileModel, field: &str) -> String {
         if file.lock_fields.iter().any(|f| f == field) {
             return format!("{}.{field}", file.stem);
         }
-        match self.lock_decls.get(field) {
-            Some(stems) if stems.len() == 1 => {
-                format!("{}.{field}", stems.iter().next().expect("non-empty"))
-            }
-            _ => format!("{}.{field}", file.stem),
-        }
+        let decls = self.lock_decls.get(field);
+        let unique = |mut decls: Vec<&(String, String)>| match decls.len() {
+            1 => decls.pop().map(|(_, stem)| stem.clone()),
+            _ => None,
+        };
+        let stem = decls
+            .and_then(|d| unique(d.iter().collect()))
+            .or_else(|| {
+                let local = decls?.iter().filter(|(k, _)| *k == file.crate_key);
+                unique(local.collect())
+            })
+            .unwrap_or_else(|| file.stem.clone());
+        format!("{stem}.{field}")
     }
 
     /// Enum declarations across the whole workspace, name → variants.
@@ -362,7 +371,7 @@ fn declared_lock_fields(model: &SourceModel) -> Vec<String> {
     let mut out = Vec::new();
     for ty in ["Mutex", "RwLock"] {
         for at in word_occurrences(&model.code, ty) {
-            if model.code[at..].as_bytes().get(ty.len()) != Some(&b'<') {
+            if model.code.as_bytes()[at..].get(ty.len()) != Some(&b'<') {
                 continue;
             }
             let line = model.line_of(at);
@@ -1004,26 +1013,24 @@ fn extract_enums(model: &SourceModel) -> Vec<EnumDef> {
                 b'{' | b'(' | b'[' | b'<' => depth += 1,
                 b'}' | b')' | b']' | b'>' => depth -= 1,
                 b',' if depth == 0 => expect_variant = true,
-                b'#' => {
-                    // Skip attribute groups `#[…]`.
-                    if bytes.get(i + 1) == Some(&b'[') {
-                        let mut d = 0i32;
-                        let mut j = i + 1;
-                        while j < bytes.len() {
-                            match bytes[j] {
-                                b'[' => d += 1,
-                                b']' => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        break;
-                                    }
+                // Skip attribute groups `#[…]`.
+                b'#' if bytes.get(i + 1) == Some(&b'[') => {
+                    let mut d = 0i32;
+                    let mut j = i + 1;
+                    while j < bytes.len() {
+                        match bytes[j] {
+                            b'[' => d += 1,
+                            b']' => {
+                                d -= 1;
+                                if d == 0 {
+                                    break;
                                 }
-                                _ => {}
                             }
-                            j += 1;
+                            _ => {}
                         }
-                        i = j;
+                        j += 1;
                     }
+                    i = j;
                 }
                 b if depth == 0 && expect_variant && b.is_ascii_uppercase() => {
                     if let Some(v) = ident_at(body, i) {

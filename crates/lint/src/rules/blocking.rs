@@ -9,6 +9,7 @@
 //! `crates/core/src/vproc.rs` is out of scope: it *is* the pool — its
 //! condvar waits are the scheduler, and `blocking()` itself must block.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::model::{FileModel, FnRef, Workspace};
@@ -28,8 +29,8 @@ pub(crate) fn check(ws: &Workspace, out: &mut Vec<Finding>) {
             for c in &f.calls {
                 if c.in_submit && !c.guarded && !c.in_spawn {
                     for callee in ws.callees(file, c) {
-                        if !reached.contains_key(&callee) {
-                            reached.insert(callee, c.callee.clone());
+                        if let Entry::Vacant(e) = reached.entry(callee) {
+                            e.insert(c.callee.clone());
                             queue.push_back(callee);
                         }
                     }
@@ -50,8 +51,8 @@ pub(crate) fn check(ws: &Workspace, out: &mut Vec<Finding>) {
                 continue;
             }
             for callee in ws.callees(file, c) {
-                if !reached.contains_key(&callee) {
-                    reached.insert(callee, root.clone());
+                if let Entry::Vacant(e) = reached.entry(callee) {
+                    e.insert(root.clone());
                     queue.push_back(callee);
                 }
             }

@@ -7,7 +7,11 @@ use crate::lexer::{
 use crate::{Finding, Rule};
 
 pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>) {
-    if !(rel_path == "crates/core/src/node.rs" || rel_path == "crates/core/src/object.rs") {
+    // The node's module root, its section files, and the object layer.
+    let in_scope = rel_path == "crates/core/src/node.rs"
+        || rel_path.starts_with("crates/core/src/node/")
+        || rel_path == "crates/core/src/object.rs";
+    if !in_scope {
         return;
     }
     const CHECKS: [&str; 3] = ["permits(", "check_rights", "require_rights"];
@@ -17,7 +21,7 @@ pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>)
         ".dispatch",
         "dispatch(",
         ".enqueue",
-        "remote_invoke(",
+        "send_invoke(",
         "locate_broadcast(",
     ];
     let code = &model.code;

@@ -6,6 +6,10 @@
 use crate::lexer::{word_occurrences, SourceModel};
 use crate::{Finding, Rule};
 
+/// The file whose `Node::new` spawns each node's `eden-recv` and
+/// `eden-watchdog` threads.
+const NODE_THREADS_FILE: &str = "crates/core/src/node.rs";
+
 pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>) {
     let in_core = rel_path.starts_with("crates/core/src/") && !rel_path.ends_with("vproc.rs");
     let in_transport = rel_path.starts_with("crates/transport/src/");
@@ -48,7 +52,7 @@ pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>)
             .copied()
             .unwrap_or(model.raw.len());
         let window = &model.raw[lo..hi];
-        if rel_path.ends_with("node.rs")
+        if rel_path == NODE_THREADS_FILE
             && (window.contains("eden-recv") || window.contains("eden-watchdog"))
         {
             continue;

@@ -99,6 +99,35 @@ fn capability_discipline_flags_unchecked_entry_points() {
 }
 
 #[test]
+fn capability_discipline_covers_the_node_section_files() {
+    let root = scan_fixture("cap_bad.rs", "crates/core/src/node.rs");
+    let section = scan_fixture("cap_bad.rs", "crates/core/src/node/mobility.rs");
+    let lines = |findings: &[Finding]| {
+        findings
+            .iter()
+            .filter(|f| f.rule == Rule::CapabilityDiscipline && !f.suppressed)
+            .map(|f| (f.line, f.message.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(lines(&section).len(), 2, "{section:?}");
+    assert_eq!(lines(&section), lines(&root));
+}
+
+#[test]
+fn pool_discipline_allows_node_threads_only_where_the_node_spawns_them() {
+    let src = "fn boot(id: u16) {\n    let _ = std::thread::Builder::new()\n        \
+               .name(format!(\"eden-recv-{id}\"))\n        .spawn(|| {});\n}\n";
+    let root = scan_source("crates/core/src/node.rs", src);
+    assert_eq!(count(&root, Rule::PoolDiscipline, false), 0, "{root:?}");
+    let section = scan_source("crates/core/src/node/recv.rs", src);
+    assert_eq!(
+        count(&section, Rule::PoolDiscipline, false),
+        1,
+        "{section:?}"
+    );
+}
+
+#[test]
 fn capability_discipline_accepts_checks_and_delegation() {
     let findings = scan_fixture("cap_good.rs", "crates/core/src/node.rs");
     assert_eq!(findings.len(), 0, "{findings:?}");

@@ -2,7 +2,7 @@
 //! per-invocation breakdown of where the wall-clock went.
 //!
 //! Every asynchronous hand-off an invocation crosses records a span
-//! tagged with a [`stage`](crate::trace::stage) constant — vproc queue
+//! tagged with a [`stage`] constant — vproc queue
 //! residency, transport send-queue wait, dial time, directory lookups,
 //! dispatch, execute. This module merges the spans of a trace (scraped
 //! from any number of nodes) and buckets the root span's duration into

@@ -2,7 +2,7 @@
 # CI entry point.
 #
 #   ./scripts/ci.sh            tier-1 gate: fmt, clippy, release build,
-#                              workspace tests, bench compile, eden-lint,
+#                              workspace tests, rustdoc, bench compile, eden-lint,
 #                              cargo-deny (if installed), telemetry smoke
 #   ./scripts/ci.sh lint       eden-lint only (human output + JSON artifact)
 #   ./scripts/ci.sh loom       concurrency models under --cfg loom
@@ -79,6 +79,8 @@ case "${1:-all}" in
     cargo clippy --all-targets -- -D warnings
     cargo build --release
     cargo test --workspace -q
+    # Rustdoc with warnings denied keeps every intra-doc link resolving.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     cargo bench --no-run
     run_lint
     if command -v cargo-deny >/dev/null 2>&1; then

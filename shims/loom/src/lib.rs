@@ -151,7 +151,7 @@ pub mod thread {
 }
 
 /// Loom-shaped sync primitives: parking_lot-flavoured API (guards, not
-/// `Result`s) with a [`step`](super::step) on every touch.
+/// `Result`s) with a [`step`] on every touch.
 pub mod sync {
     pub use std::sync::Arc;
 
