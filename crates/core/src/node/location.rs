@@ -79,12 +79,20 @@ pub(crate) struct Hints {
 }
 
 impl Hints {
+    /// The guesses, best first: the forwarding address, the cached
+    /// hint, then the birth node.
+    fn in_order(&self) -> impl Iterator<Item = (NodeId, Kind)> {
+        let forward = self.forward.map(|(fwd, _)| (fwd, Kind::Hearsay));
+        let cached = self.cached.map(|hint| (hint, Kind::Cached));
+        forward
+            .into_iter()
+            .chain(cached)
+            .chain([(self.birth, Kind::Hearsay)])
+    }
+
     /// The best single guess: the first candidate a search tries.
     pub(crate) fn best(&self) -> NodeId {
-        self.forward
-            .map(|(fwd, _)| fwd)
-            .or(self.cached)
-            .unwrap_or(self.birth)
+        self.in_order().next().map_or(self.birth, |(node, _)| node)
     }
 }
 
@@ -174,10 +182,8 @@ impl Search {
         directory: bool,
         broadcast_fallback: bool,
     ) -> Search {
-        let mut queue = Vec::with_capacity(3);
-        queue.push((hints.birth, Kind::Hearsay));
-        queue.extend(hints.cached.map(|n| (n, Kind::Cached)));
-        queue.extend(hints.forward.map(|(n, _)| (n, Kind::Hearsay)));
+        let mut queue: Vec<(NodeId, Kind)> = hints.in_order().collect();
+        queue.reverse();
         Search {
             me,
             peers,
