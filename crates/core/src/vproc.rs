@@ -661,7 +661,7 @@ mod tests {
         // Six tasks into a cap-4 queue: per-item verdicts, the first
         // four accepted, the tail shed with Overloaded.
         let done = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<BatchTask> = (0..6)
+        let tasks: Vec<(Box<dyn FnOnce() + Send>, Option<TraceCtx>)> = (0..6)
             .map(|_| {
                 let d = done.clone();
                 let job: Box<dyn FnOnce() + Send> = Box::new(move || {

@@ -371,7 +371,7 @@ fn declared_lock_fields(model: &SourceModel) -> Vec<String> {
     let mut out = Vec::new();
     for ty in ["Mutex", "RwLock"] {
         for at in word_occurrences(&model.code, ty) {
-            if model.code.as_bytes()[at..].get(ty.len()) != Some(&b'<') {
+            if model.code[at..].as_bytes().get(ty.len()) != Some(&b'<') {
                 continue;
             }
             let line = model.line_of(at);
@@ -1013,24 +1013,26 @@ fn extract_enums(model: &SourceModel) -> Vec<EnumDef> {
                 b'{' | b'(' | b'[' | b'<' => depth += 1,
                 b'}' | b')' | b']' | b'>' => depth -= 1,
                 b',' if depth == 0 => expect_variant = true,
-                // Skip attribute groups `#[…]`.
-                b'#' if bytes.get(i + 1) == Some(&b'[') => {
-                    let mut d = 0i32;
-                    let mut j = i + 1;
-                    while j < bytes.len() {
-                        match bytes[j] {
-                            b'[' => d += 1,
-                            b']' => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
+                b'#' => {
+                    // Skip attribute groups `#[…]`.
+                    if bytes.get(i + 1) == Some(&b'[') {
+                        let mut d = 0i32;
+                        let mut j = i + 1;
+                        while j < bytes.len() {
+                            match bytes[j] {
+                                b'[' => d += 1,
+                                b']' => {
+                                    d -= 1;
+                                    if d == 0 {
+                                        break;
+                                    }
                                 }
+                                _ => {}
                             }
-                            _ => {}
+                            j += 1;
                         }
-                        j += 1;
+                        i = j;
                     }
-                    i = j;
                 }
                 b if depth == 0 && expect_variant && b.is_ascii_uppercase() => {
                     if let Some(v) = ident_at(body, i) {

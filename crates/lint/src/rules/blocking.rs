@@ -9,7 +9,6 @@
 //! `crates/core/src/vproc.rs` is out of scope: it *is* the pool — its
 //! condvar waits are the scheduler, and `blocking()` itself must block.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::model::{FileModel, FnRef, Workspace};
@@ -29,8 +28,8 @@ pub(crate) fn check(ws: &Workspace, out: &mut Vec<Finding>) {
             for c in &f.calls {
                 if c.in_submit && !c.guarded && !c.in_spawn {
                     for callee in ws.callees(file, c) {
-                        if let Entry::Vacant(e) = reached.entry(callee) {
-                            e.insert(c.callee.clone());
+                        if !reached.contains_key(&callee) {
+                            reached.insert(callee, c.callee.clone());
                             queue.push_back(callee);
                         }
                     }
@@ -51,8 +50,8 @@ pub(crate) fn check(ws: &Workspace, out: &mut Vec<Finding>) {
                 continue;
             }
             for callee in ws.callees(file, c) {
-                if let Entry::Vacant(e) = reached.entry(callee) {
-                    e.insert(root.clone());
+                if !reached.contains_key(&callee) {
+                    reached.insert(callee, root.clone());
                     queue.push_back(callee);
                 }
             }

@@ -25,10 +25,6 @@ use crate::lexer::word_occurrences;
 use crate::model::Workspace;
 use crate::{Finding, Rule};
 
-/// Variant name → site line, for one side (encode or decode) of a
-/// codec pair.
-type Sites<'a> = BTreeMap<&'a str, usize>;
-
 pub(crate) fn check(ws: &Workspace, out: &mut Vec<Finding>) {
     let enum_map = ws.enum_map();
     let wire_files = || ws.files.iter().filter(|f| f.crate_key == "wire");
@@ -145,7 +141,8 @@ pub(crate) fn check(ws: &Workspace, out: &mut Vec<Finding>) {
     // *_to_value / *_from_value pairing per referenced enum.
     for file in wire_files() {
         // enum name → (encode refs, decode refs) with site lines.
-        let mut sides: BTreeMap<&str, (Sites, Sites)> = BTreeMap::new();
+        let mut sides: BTreeMap<&str, (BTreeMap<&str, usize>, BTreeMap<&str, usize>)> =
+            BTreeMap::new();
         for cf in &file.codec_fns {
             for r in &cf.refs {
                 let entry = sides.entry(r.enum_name.as_str()).or_default();

@@ -288,17 +288,6 @@ mod tests {
             Leaf(u8),
             Node(Vec<Tree>),
         }
-        impl Tree {
-            fn leaves(&self) -> usize {
-                match self {
-                    Tree::Leaf(v) => {
-                        assert!(*v < 16);
-                        1
-                    }
-                    Tree::Node(kids) => kids.iter().map(Tree::leaves).sum(),
-                }
-            }
-        }
         let strat = (0u8..16)
             .prop_map(Tree::Leaf)
             .prop_recursive(3, 16, 4, |inner| {
@@ -306,7 +295,7 @@ mod tests {
             });
         let mut rng = TestRng::from_seed(9);
         for _ in 0..100 {
-            let _ = strat.generate(&mut rng).leaves();
+            let _ = strat.generate(&mut rng);
         }
     }
 }
