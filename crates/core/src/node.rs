@@ -82,7 +82,6 @@ mod request;
 mod watchdog;
 
 pub use invoke::InvocationHandle;
-pub(crate) use location::Search;
 pub(crate) use request::Ticket;
 
 use location::LocationService;

@@ -71,11 +71,11 @@ pub(super) enum Here {
 pub(crate) struct Hints {
     /// The forwarding address a move left here, with the time from which
     /// it is known.
-    pub(crate) forward: Option<(NodeId, u64)>,
+    forward: Option<(NodeId, u64)>,
     /// The hint cache's last known holder.
-    pub(crate) cached: Option<NodeId>,
+    cached: Option<NodeId>,
     /// The birth node baked into the name.
-    pub(crate) birth: NodeId,
+    birth: NodeId,
 }
 
 impl Hints {

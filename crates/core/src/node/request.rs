@@ -11,7 +11,8 @@ use eden_capability::{Capability, NodeId};
 use eden_obs::{now_ns, KernelEvent, TraceCtx};
 use eden_wire::{Frame, Message, Status, Value};
 
-use super::{Node, Search};
+use super::location::Search;
+use super::Node;
 use crate::vproc::blocking;
 use crate::waiter::Waiter;
 
