@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use eden_kernel::NodeConfig;
-use eden_wire::Value;
+use eden_wire::{Status, Value};
 
 use crate::table::Table;
 use crate::types::{bench_cluster_with, HoldType};
@@ -43,7 +43,8 @@ pub fn throughput_for_limit(limit: usize) -> f64 {
         })
         .collect();
     for h in handles {
-        h.wait(Duration::from_secs(60)).expect("hold completes");
+        let (status, _) = h.wait(Duration::from_secs(60));
+        assert_eq!(status, Status::Ok, "hold completes");
     }
     let elapsed = start.elapsed().as_secs_f64();
     let total = (CLIENTS * INVOCATIONS_PER_CLIENT) as f64;

@@ -19,7 +19,7 @@
 use std::time::{Duration, Instant};
 
 use eden_kernel::NodeConfig;
-use eden_wire::Value;
+use eden_wire::{Status, Value};
 
 use crate::table::Table;
 use crate::types::{bench_cluster_with, HoldType, SpinType};
@@ -55,7 +55,8 @@ fn batch_seconds(vprocs: usize, cpu_bound: bool) -> f64 {
         })
         .collect();
     for h in handles {
-        h.wait(Duration::from_secs(120)).expect("task");
+        let (status, _) = h.wait(Duration::from_secs(120));
+        assert_eq!(status, Status::Ok, "task");
     }
     let secs = start.elapsed().as_secs_f64();
     cluster.shutdown();

@@ -12,17 +12,18 @@
 //! [`BehaviorCtx`]. Behaviors are cooperative: the kernel requests a stop
 //! (on crash, move-out, or node shutdown) by raising a flag and closing
 //! the object's ports; a well-written behavior loop checks
-//! [`BehaviorCtx::should_stop`] (or blocks on a port, which unblocks with
-//! `None` on closure) and exits. "A simple, single-thread traditional
+//! [`BehaviorCtx::should_stop`] (or blocks in [`BehaviorCtx::wait`],
+//! which the request wakes, or on a port, which unblocks with `None` on
+//! closure) and exits. "A simple, single-thread traditional
 //! program might be implemented as an object with a single behavior and
 //! no invocable operations."
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_capability::Capability;
 use eden_wire::Value;
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::Result;
 use crate::node::Node;
@@ -31,17 +32,23 @@ use crate::repr::Representation;
 use crate::sync::{EdenSemaphore, MessagePort};
 use crate::types::OpError;
 
+/// A behavior's stop request: a flag the kernel raises once, and the
+/// condition a behavior sleeping in [`BehaviorCtx::wait`] blocks on.
+type Stop = (Mutex<bool>, Condvar);
+
 /// The kernel's handle on one running behavior.
 pub struct BehaviorHandle {
     label: String,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
 impl BehaviorHandle {
-    /// Raises the stop flag. The thread is detached; it observes the flag
-    /// (or a closed port) and exits on its own.
+    /// Raises the stop flag and wakes the behavior if it sleeps in
+    /// [`BehaviorCtx::wait`]. The thread is detached; it observes the
+    /// flag (or a closed port) and exits on its own.
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        *self.stop.0.lock() = true;
+        self.stop.1.notify_all();
     }
 
     /// The label given at spawn time.
@@ -55,26 +62,25 @@ impl BehaviorHandle {
 pub struct BehaviorCtx {
     pub(crate) node: Node,
     pub(crate) slot: Arc<ObjectSlot>,
-    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) stop: Arc<Stop>,
 }
 
 impl BehaviorCtx {
     /// Whether the kernel has asked this behavior to exit.
     pub fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        *self.stop.0.lock()
     }
 
     /// Sleeps up to `d`, waking early if a stop is requested. Returns
     /// `true` if the behavior should keep running.
     pub fn wait(&self, d: Duration) -> bool {
         let deadline = Instant::now() + d;
-        while Instant::now() < deadline {
-            if self.should_stop() {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2).min(deadline - Instant::now()));
+        let mut stop = self.stop.0.lock();
+        while !*stop && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.stop.1.wait_for(&mut stop, left);
         }
-        !self.should_stop()
+        !*stop
     }
 
     /// A full-rights capability for the behavior's own object.
@@ -127,7 +133,7 @@ pub(crate) fn spawn_behavior(
     label: &str,
     body: impl FnOnce(BehaviorCtx) + Send + 'static,
 ) {
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stop::default());
     let handle = BehaviorHandle {
         label: label.to_string(),
         stop: stop.clone(),
@@ -152,14 +158,14 @@ mod tests {
 
     #[test]
     fn handle_raises_the_flag() {
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::default());
         let h = BehaviorHandle {
             label: "gc".into(),
             stop: stop.clone(),
         };
         assert_eq!(h.label(), "gc");
-        assert!(!stop.load(Ordering::Acquire));
+        assert!(!*stop.0.lock());
         h.request_stop();
-        assert!(stop.load(Ordering::Acquire));
+        assert!(*stop.0.lock());
     }
 }

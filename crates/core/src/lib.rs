@@ -90,10 +90,7 @@ pub use ctx::OpCtx;
 pub use error::{EdenError, Result};
 pub use lru::LruMap;
 pub use metrics::KernelMetrics;
-pub use node::{
-    node_object_cap, node_object_name, InvocationHandle, Node, NodeConfig, ObjectInfo,
-    ReliabilityLevel,
-};
+pub use node::{node_object_cap, node_object_name, Node, NodeConfig, ObjectInfo, ReliabilityLevel};
 pub use object::ObjStatus;
 pub use pipeline::{PendingCall, PipelinedClient};
 pub use repr::Representation;

@@ -12,10 +12,10 @@
 //! ([`VirtualProcessorPool`]), the paper's fixed complement of
 //! [`NodeConfig::virtual_processors`] processors (§3; the default of 2
 //! mirrors the two GDPs of the default Eden node machine, "field
-//! upgradable" to 4 — see experiment F2). Worker threads run async
-//! invokes, moves, reincarnations and every invocation a thread cannot
-//! run itself. When a processor is free and nothing is queued, the pool
-//! lends it to the thread that readied the invocation instead: a client
+//! upgradable" to 4 — see experiment F2). Worker threads run moves,
+//! reincarnations and every invocation a thread cannot run itself. When
+//! a processor is free and nothing is queued, the pool lends it to the
+//! thread that readied the invocation instead: a client
 //! thread runs its own local invocation, and a receive thread the single
 //! invocation its batch readied, with no thread hand-off. A process
 //! blocked in a nested invocation, a remote wait or an object semaphore
@@ -27,18 +27,21 @@
 //! This file boots and stops a node and holds its state. The kernel's
 //! work is one `impl Node` spread over a file per section of the paper:
 //!
-//! * `invoke` (§4.2) — invocation: the local fast path, the coordinator
-//!   and its **one dispatch path** (`pump` moves ready invocations to
-//!   running under the coordinator lock, `dispatch` submits them as one
-//!   pool batch once the lock is released, and one routine releases a
-//!   finished or refused invocation and completes a requested crash or
-//!   destroy once nothing runs), the invocation process, and the reply;
+//! * `invoke` (§4.2) — invocation: the one local/passive/remote decision
+//!   that starts a blocking or asynchronous invocation and the wait that
+//!   finishes it, the coordinator and its **one dispatch path** (`pump`
+//!   moves ready invocations to running under the coordinator lock,
+//!   `dispatch` submits them as one pool batch once the lock is released,
+//!   and one routine releases a finished or refused invocation and
+//!   completes a requested crash or destroy once nothing runs), the
+//!   invocation process, and the reply;
 //! * `request` — the **one request/reply engine**: every
-//!   kernel-to-kernel request (invocation, blocking or pipelined,
-//!   directory query, checkpoint write, move transfer, replica or
-//!   checkpoint fetch, ping) is registered in one reply registry, sent,
-//!   and awaited inside `blocking`. A blocking remote invocation is a
-//!   pipelined call's send followed at once by its wait;
+//!   kernel-to-kernel request (invocation, blocking, asynchronous or
+//!   pipelined, directory query, checkpoint write, move transfer,
+//!   replica or checkpoint fetch, ping) is registered in one reply
+//!   registry, sent, and awaited inside `blocking`. A blocking remote
+//!   invocation is an asynchronous one's send followed at once by its
+//!   wait;
 //! * `location` (§2) — the location-independent address space: the pure
 //!   `Search` (forwarding address → hint cache → birth node → directory
 //!   home → broadcast `WhereIs`), what this node itself knows of a name,
@@ -60,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NameGenerator, NodeId, ObjName, Rights};
 use eden_directory::{DirectoryService, GossipConfig};
-use eden_obs::{KernelEvent, ObsRegistry, TraceCtx, TraceSampling};
+use eden_obs::{now_ns, KernelEvent, ObsRegistry, TraceCtx, TraceSampling};
 use eden_store::CheckpointStore;
 use eden_transport::Endpoint;
 use eden_wire::{Frame, Message, Status};
@@ -81,7 +84,7 @@ mod recv;
 mod request;
 mod watchdog;
 
-pub use invoke::InvocationHandle;
+pub(crate) use invoke::Started;
 pub(crate) use request::Ticket;
 
 use location::LocationService;
@@ -99,8 +102,8 @@ type Ready = (Arc<ObjectSlot>, PendingInvocation);
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// The node machine's processors (its GDPs, §3): the worker threads
-    /// of the pool that runs every invocation process, async invoke,
-    /// move, reincarnation and redelivery. A worker blocked in a wait
+    /// of the pool that runs every invocation process, move,
+    /// reincarnation and redelivery. A worker blocked in a wait
     /// yields its processor, so at most this many run at once.
     pub virtual_processors: usize,
     /// Default invocation timeout when the invoker does not supply one.
@@ -407,6 +410,11 @@ impl Node {
         self.inner.id
     }
 
+    /// The configuration this kernel booted with.
+    pub(crate) fn config(&self) -> &NodeConfig {
+        &self.inner.config
+    }
+
     /// The type registry (register types before creating objects).
     pub fn registry(&self) -> &Arc<TypeRegistry> {
         &self.inner.registry
@@ -462,6 +470,19 @@ impl Node {
     /// Records `event` in this node's flight recorder.
     fn log_event(&self, event: KernelEvent) {
         self.inner.obs.recorder().record(event);
+    }
+
+    /// Records a span of `stage`, from `start_ns` to now, in the trace
+    /// `ctx` belongs to, if any; returns the span's context.
+    fn trace_stage(
+        &self,
+        name: &'static str,
+        stage: &'static str,
+        ctx: Option<TraceCtx>,
+        start_ns: u64,
+    ) -> Option<TraceCtx> {
+        let obs = &self.inner.obs;
+        ctx.map(|t| obs.record_span_staged(name, stage, t, start_ns, now_ns()))
     }
 
     /// A frame carrying `msg` from this node to `dst`, with `trace` on it

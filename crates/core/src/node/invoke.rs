@@ -13,11 +13,13 @@ use eden_capability::{Capability, NodeId, Rights};
 use eden_obs::{now_ns, stage, Gauge, TraceCtx};
 use eden_wire::{obs_codec, MemberStatus, Message, Status, Value};
 
-use super::{node_object_name, Node, Ready};
+use super::location::Searching;
+use super::{node_object_name, Node, Ready, Ticket};
 use crate::ctx::OpCtx;
 use crate::error::{EdenError, Result};
-use crate::object::{CoordState, ObjStatus, ObjectSlot, PendingInvocation, ReplySink};
-use crate::vproc::{blocking, BatchTask, Lent, SubmitError};
+use crate::object::{CoordState, LocalReply, ObjStatus, ObjectSlot, PendingInvocation, ReplySink};
+use crate::pipeline::PendingCall;
+use crate::vproc::{blocking, BatchTask, Lent};
 use crate::waiter::Waiter;
 
 /// The teardown `pump` found due: a crash or destroy was requested and
@@ -32,26 +34,20 @@ fn value_map<const N: usize>(pairs: [(&str, Value); N]) -> Value {
     Value::Map(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// A handle on an asynchronous invocation (§4.2 promises asynchronous
-/// invocation "through a separate kernel primitive"; this is it).
-pub struct InvocationHandle {
-    waiter: Arc<Waiter<Result<Vec<Value>>>>,
-}
-
-impl InvocationHandle {
-    /// Blocks until the invocation completes or `timeout` elapses. A
-    /// pool worker waiting here yields its processor.
-    pub fn wait(&self, timeout: Duration) -> Result<Vec<Value>> {
-        match blocking(|| self.waiter.wait(timeout)) {
-            Some(r) => r,
-            None => Err(EdenError::Invoke(Status::Timeout)),
-        }
-    }
-
-    /// Non-blocking poll.
-    pub fn try_take(&self) -> Option<Result<Vec<Value>>> {
-        self.waiter.try_take()
-    }
+/// An invocation [`Node::start_invoke`] began, for
+/// [`Node::finish_invoke`] to finish.
+pub(crate) enum Started {
+    /// Answered before anything was queued or sent.
+    Answered(Status, Vec<Value>),
+    /// Queued at the coordinator of an object on this node, at the
+    /// `now_ns` given: the waiter gets the answer, or `None` when the
+    /// invocation was rerouted because the slot left the object table.
+    Local(Arc<Waiter<LocalReply>>, u64),
+    /// Sent to the one node a pipelined client aims at; a `NoSuchObject`
+    /// answer goes on to the location search.
+    Aimed(Ticket),
+    /// The location search, its first candidate asked if it had one.
+    Search(Searching),
 }
 
 impl Node {
@@ -74,7 +70,24 @@ impl Node {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(EdenError::ShuttingDown);
         }
-        let (status, results) = self.do_invoke(cap, op, args, timeout);
+        let deadline = Instant::now() + timeout;
+        // Telemetry scrape of this kernel: served inline, before any
+        // span opens, so scraping never perturbs the traces it reads.
+        // A scrape of a *remote* kernel takes the ordinary remote path —
+        // the sentinel name's birth hint routes it.
+        let (status, results) = self.serve_node_object(cap, op, args).unwrap_or_else(|| {
+            // The root of this invocation's trace: every downstream span
+            // — client-send, net, dispatch, execute, reply — descends from
+            // it, across however many nodes the invocation visits.
+            // Subject to the node's sampling policy: `None` means this
+            // invocation is unsampled and no layer anywhere opens a span
+            // for it.
+            let root = self.inner.obs.sampled_root_span("invoke", op);
+            let ctx = root.as_ref().map(|r| r.ctx());
+            let started = self.start_invoke(cap, op, args, ctx, true);
+            let (status, results, _) = self.finish_invoke(started, cap, op, args, deadline, ctx);
+            (status, results)
+        });
         match status {
             Status::Ok => Ok(results),
             Status::Timeout => {
@@ -85,88 +98,136 @@ impl Node {
         }
     }
 
-    /// Starts an invocation without blocking; the returned handle
-    /// rendezvouses with the eventual result.
-    pub fn invoke_async(&self, cap: Capability, op: &str, args: &[Value]) -> InvocationHandle {
-        let waiter = Arc::new(Waiter::new());
-        let node = self.clone();
-        let op = op.to_string();
-        let args = args.to_vec();
-        let task_waiter = waiter.clone();
-        if let Err(e) = self.inner.vprocs.submit(move || {
-            let r = node.invoke(cap, &op, &args);
-            task_waiter.complete(r);
-        }) {
-            waiter.complete(Err(match e {
-                SubmitError::Overloaded => EdenError::Invoke(Status::Overloaded),
-                SubmitError::Closed => EdenError::ShuttingDown,
-            }));
+    /// Starts an invocation and returns at once (§4.2 offers
+    /// asynchronous invocation "through a separate kernel primitive";
+    /// this is it). An object on this node is queued at its coordinator,
+    /// never run on the calling thread; any other is sent to the first
+    /// node its location search names. [`PendingCall::wait`] finishes the
+    /// call with the answer a blocking [`Node::invoke`] would give.
+    pub fn invoke_async(&self, cap: Capability, op: &str, args: &[Value]) -> PendingCall<'static> {
+        let (started, trace) = match self.serve_node_object(cap, op, args) {
+            Some((status, results)) => (Started::Answered(status, results), None),
+            None => {
+                // The root span closes at once and marks the issue point,
+                // as a pipelined call's does.
+                let root = self.inner.obs.sampled_root_span("invoke", op);
+                let trace = root.map(|s| s.ctx());
+                (self.start_invoke(cap, op, args, trace, false), trace)
+            }
+        };
+        PendingCall {
+            node: self.clone(),
+            cap,
+            op: op.to_string(),
+            args: args.to_vec(),
+            trace,
+            started,
+            aim: None,
         }
-        InvocationHandle { waiter }
     }
 
-    /// The invocation state machine: local slot → local checkpoint →
-    /// located remote holder.
-    fn do_invoke(
+    /// Begins an invocation without waiting for it: the one
+    /// local/passive/remote decision. An object active (or a replica) on
+    /// this node, or passive here and reincarnated, is validated and
+    /// queued at its coordinator. With `in_place`, when the enqueue made
+    /// the invocation ready and the pool lends this thread a processor,
+    /// the invoker runs it itself before returning: the wait that
+    /// follows is then over at once, and the deadline bounds only the
+    /// wait for a processor. Any other object goes to the location
+    /// search, which asks its first hinted candidate at once.
+    pub(crate) fn start_invoke(
         &self,
         cap: Capability,
         op: &str,
         args: &[Value],
-        timeout: Duration,
-    ) -> (Status, Vec<Value>) {
-        let deadline = Instant::now() + timeout;
-        let name = cap.name();
-        // Telemetry scrape of this kernel: served inline, before any
-        // span opens, so scraping never perturbs the traces it reads.
-        // A scrape of a *remote* kernel falls through to the ordinary
-        // remote path below — the sentinel name's birth hint routes it.
-        if name == node_object_name(self.inner.id) {
-            return self.serve_node_object(cap, op, args);
-        }
-        // The root of this invocation's trace: every downstream span —
-        // client-send, net, dispatch, execute, reply — descends from it,
-        // across however many nodes the invocation visits. Subject to
-        // the node's sampling policy: `None` means this invocation is
-        // unsampled and no layer anywhere opens a span for it.
-        let root = self.inner.obs.sampled_root_span("invoke", op);
-        let ctx = root.as_ref().map(|r| r.ctx());
-
-        // Fast path: active (or replica) on this node, or passive here
-        // and reincarnated. The slot is looked up before the invocation
-        // blocks, so no table guard is held across the wait. A slot torn
-        // down between the lookup and the enqueue hands the invocation
-        // back, and the lookup runs again.
-        loop {
-            let slot = match self.local_slot(name) {
-                Ok(slot) => slot,
-                Err((status @ (Status::Destroyed | Status::Overloaded), _)) => {
-                    return (status, Vec::new())
-                }
-                Err(_) => break,
-            };
-            self.inner.metrics.bump_local();
-            if let Some(answer) = self.invoke_on_slot(&slot, cap, op, args, deadline, ctx) {
-                return answer;
+        ctx: Option<TraceCtx>,
+        in_place: bool,
+    ) -> Started {
+        let slot = match self.local_slot(cap.name()) {
+            Ok(slot) => slot,
+            Err((status @ (Status::Destroyed | Status::Overloaded), _)) => {
+                return Started::Answered(status, Vec::new())
             }
+            Err(_) => return self.start_search(cap, op, args, ctx),
+        };
+        self.inner.metrics.bump_local();
+        let start_ns = now_ns();
+        let waiter = Arc::new(Waiter::new());
+        let pending =
+            match self.validate(&slot, cap, op, args, ReplySink::Local(waiter.clone()), ctx) {
+                Ok(p) => p,
+                Err(status) => return Started::Answered(status, Vec::new()),
+            };
+        let mut ready = Vec::new();
+        self.enqueue(&slot, pending, &mut ready);
+        let mine = ready
+            .iter()
+            .position(|(_, p)| matches!(&p.sink, ReplySink::Local(w) if Arc::ptr_eq(w, &waiter)))
+            .filter(|_| in_place);
+        let lent = mine.and_then(|i| {
+            let cpu = self.inner.vprocs.lend(ready[i].1.trace)?;
+            Some((cpu, ready.remove(i)))
+        });
+        self.dispatch(ready);
+        if let Some((cpu, (slot, pending))) = lent {
+            self.run_lent(cpu, slot, pending);
         }
+        Started::Local(waiter, start_ns)
+    }
 
-        let (status, results, _) = self.search(cap, op, args, deadline, ctx, None);
-        (status, results)
+    /// Waits until `deadline` for the answer to an invocation
+    /// [`start_invoke`](Self::start_invoke) began; returns it and the
+    /// remote node that gave it. An invocation rerouted off a local slot
+    /// starts again.
+    pub(crate) fn finish_invoke(
+        &self,
+        started: Started,
+        cap: Capability,
+        op: &str,
+        args: &[Value],
+        deadline: Instant,
+        ctx: Option<TraceCtx>,
+    ) -> (Status, Vec<Value>, Option<NodeId>) {
+        match started {
+            Started::Answered(status, results) => (status, results, None),
+            Started::Local(waiter, start_ns) => {
+                let budget = deadline.saturating_duration_since(Instant::now());
+                // A pool worker waiting here (a nested invocation) yields
+                // its place: the reply it waits for may itself need a
+                // worker.
+                let (status, results) = match blocking(|| waiter.wait(budget)) {
+                    Some(Some(answer)) => answer,
+                    Some(None) => {
+                        let again = self.start_invoke(cap, op, args, ctx, true);
+                        return self.finish_invoke(again, cap, op, args, deadline, ctx);
+                    }
+                    None => (Status::Timeout, Vec::new()),
+                };
+                let elapsed = now_ns().saturating_sub(start_ns);
+                self.inner.invoke_metrics.local.record(elapsed);
+                (status, results, None)
+            }
+            Started::Aimed(ticket) => self.resume_search(ticket, cap, op, args, deadline, ctx),
+            Started::Search(searching) => self.run_search(searching, cap, op, args, deadline, ctx),
+        }
     }
 
     /// Serves an invocation on this kernel's reserved telemetry object
-    /// (see [`node_object_name`]). The kernel itself is the "object":
-    /// there is no slot, no coordinator, no queueing — a scrape reads
-    /// the observability registry and replies inline. `Rights::READ`
-    /// gates all three operations.
+    /// (see [`node_object_name`]); `None` when `cap` names another
+    /// object. The kernel itself is the "object": there is no slot, no
+    /// coordinator, no queueing — a scrape reads the observability
+    /// registry and replies inline. `Rights::READ` gates all operations.
     pub(super) fn serve_node_object(
         &self,
         cap: Capability,
         op: &str,
         args: &[Value],
-    ) -> (Status, Vec<Value>) {
+    ) -> Option<(Status, Vec<Value>)> {
+        if cap.name() != node_object_name(self.inner.id) {
+            return None;
+        }
         if let Err(status) = self.check_rights(cap, Rights::READ) {
-            return (status, Vec::new());
+            return Some((status, Vec::new()));
         }
         let obs = &self.inner.obs;
         let value = match op {
@@ -210,57 +271,9 @@ impl Node {
                     ("snapshot", Value::Str(snapshot.unwrap_or_default())),
                 ])
             }
-            other => return (Status::NoSuchOperation(other.to_string()), Vec::new()),
+            other => return Some((Status::NoSuchOperation(other.to_string()), Vec::new())),
         };
-        (Status::Ok, vec![value])
-    }
-
-    /// Validates and enqueues an invocation on a local slot, then waits.
-    /// When the enqueue made the invocation ready and the pool lends this
-    /// thread a processor, the invoker runs it itself: it then returns
-    /// when the operation returns, and `deadline` bounds only the wait
-    /// for a processor. `None` when the invocation was rerouted because
-    /// the slot left the object table.
-    fn invoke_on_slot(
-        &self,
-        slot: &Arc<ObjectSlot>,
-        cap: Capability,
-        op: &str,
-        args: &[Value],
-        deadline: Instant,
-        ctx: Option<TraceCtx>,
-    ) -> Option<(Status, Vec<Value>)> {
-        let start_ns = now_ns();
-        let waiter = Arc::new(Waiter::new());
-        let pending =
-            match self.validate(slot, cap, op, args, ReplySink::Local(waiter.clone()), ctx) {
-                Ok(p) => p,
-                Err(status) => return Some((status, Vec::new())),
-            };
-        let mut ready = Vec::new();
-        self.enqueue(slot, pending, &mut ready);
-        let mine = ready
-            .iter()
-            .position(|(_, p)| matches!(&p.sink, ReplySink::Local(w) if Arc::ptr_eq(w, &waiter)));
-        let in_place = mine.and_then(|i| {
-            let cpu = self.inner.vprocs.lend(ready[i].1.trace)?;
-            Some((cpu, ready.remove(i)))
-        });
-        self.dispatch(ready);
-        if let Some((cpu, (slot, pending))) = in_place {
-            self.run_lent(cpu, slot, pending);
-        }
-        let budget = deadline.saturating_duration_since(Instant::now());
-        // A pool worker waiting here (async or nested invocation) yields
-        // its place: the reply it waits for may itself need a worker.
-        let outcome = match blocking(|| waiter.wait(budget)) {
-            Some(Some(answer)) => answer,
-            Some(None) => return None, // Rerouted: look the object up again.
-            None => (Status::Timeout, Vec::new()),
-        };
-        let elapsed = now_ns().saturating_sub(start_ns);
-        self.inner.invoke_metrics.local.record(elapsed);
-        Some(outcome)
+        Some((Status::Ok, vec![value]))
     }
 
     /// Builds a validated [`PendingInvocation`], or the failure status.
@@ -463,16 +476,8 @@ impl Node {
             // invocation's remaining spans (the pool's `vproc-wait`, then
             // `execute`) parent on it, so the three intervals tile the
             // queue time without overlap.
-            let enqueue_ns = pending.enqueue_ns;
-            pending.trace = pending.trace.map(|t| {
-                self.inner.obs.record_span_staged(
-                    "dispatch",
-                    stage::DISPATCH,
-                    t,
-                    enqueue_ns,
-                    now_ns(),
-                )
-            });
+            let (trace, enqueue_ns) = (pending.trace, pending.enqueue_ns);
+            pending.trace = self.trace_stage("dispatch", stage::DISPATCH, trace, enqueue_ns);
             ready.push((slot.clone(), pending));
         }
         None
@@ -676,7 +681,7 @@ mod tests {
         // release finds nothing running, so the crash completes.
         node.dispatch(ready);
         assert_eq!(
-            waiter.try_take(),
+            waiter.wait(Duration::ZERO),
             Some(Some((Status::Overloaded, Vec::new())))
         );
         assert!(!node.is_local(cap.name()));

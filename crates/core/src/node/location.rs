@@ -26,7 +26,7 @@ use eden_wire::{
 };
 use parking_lot::{Mutex, RwLock};
 
-use super::Node;
+use super::{Node, Started, Ticket};
 use crate::lru::LruMap;
 use crate::object::ObjectSlot;
 use crate::vproc::blocking;
@@ -107,6 +107,11 @@ pub(crate) enum Outcome {
     /// No answer came in time; the request may have executed.
     Silent,
 }
+
+/// A location search under way: its decisions so far, and the request
+/// to the candidate it named last, with whether that was the hint
+/// cache's guess, while it is unanswered.
+pub(crate) struct Searching(Search, Option<(Ticket, bool)>);
 
 /// The next thing a [`Search`] needs done.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,24 +210,8 @@ impl Search {
     /// The next step; `dead` is gossip's verdict on a peer.
     pub(crate) fn next(&mut self, dead: impl Fn(NodeId) -> bool) -> Step {
         loop {
-            while let Some((node, kind)) = self.queue.pop() {
-                if node == self.me || self.tried.contains(&node) {
-                    continue;
-                }
-                if kind != Kind::Direct {
-                    if !self.peers.contains(&node) {
-                        continue;
-                    }
-                    if dead(node) {
-                        self.dead.push(node);
-                        continue;
-                    }
-                }
-                self.tried.push(node);
-                return Step::Try {
-                    node,
-                    cached: kind == Kind::Cached,
-                };
+            if let Some((node, cached)) = self.candidate(&dead) {
+                return Step::Try { node, cached };
             }
             match self.stage {
                 Stage::Hints if self.directory => {
@@ -248,6 +237,30 @@ impl Search {
                 }
             }
         }
+    }
+
+    /// The next candidate of the current stage to ask, and whether it is
+    /// a hint-cache guess, as [`Step::Try`] names them; `None` when the
+    /// stage has none left. The search stays in its stage either way, so
+    /// this never asks for a directory query or a broadcast.
+    pub(crate) fn candidate(&mut self, dead: impl Fn(NodeId) -> bool) -> Option<(NodeId, bool)> {
+        while let Some((node, kind)) = self.queue.pop() {
+            if node == self.me || self.tried.contains(&node) {
+                continue;
+            }
+            if kind != Kind::Direct {
+                if !self.peers.contains(&node) {
+                    continue;
+                }
+                if dead(node) {
+                    self.dead.push(node);
+                    continue;
+                }
+            }
+            self.tried.push(node);
+            return Some((node, kind == Kind::Cached));
+        }
+        None
     }
 
     /// Reports the status the last [`Step::Try`] candidate answered;
@@ -516,17 +529,9 @@ impl Node {
         if hit.is_some() {
             self.inner.metrics.bump_dir_hit();
         }
-        if let Some(t) = trace {
-            // Retroactive: covers the shard lookup or the DirQuery RTT,
-            // so the critical-path report can price directory time.
-            self.inner.obs.record_span_staged(
-                "dir-query",
-                stage::DIRECTORY,
-                t,
-                query_start,
-                now_ns(),
-            );
-        }
+        // Covers the shard lookup or the DirQuery RTT, so the
+        // critical-path report can price directory time.
+        self.trace_stage("dir-query", stage::DIRECTORY, trace, query_start);
         hit
     }
 
@@ -562,73 +567,86 @@ impl Node {
         }
     }
 
-    /// A [`Search`] for `name` from this node's tables and configuration.
-    fn new_search(&self, name: ObjName) -> Search {
-        Search::new(
+    /// A [`Search`] for `name` from this node's tables and
+    /// configuration; with `ctx`, the hint assembly is traced.
+    fn new_search(&self, name: ObjName, ctx: Option<TraceCtx>) -> Search {
+        let hint_start = now_ns();
+        let search = Search::new(
             self.inner.id,
             self.inner.endpoint.peers(),
             self.hints(name),
             self.inner.directory.is_some(),
             self.inner.config.enable_broadcast_fallback,
-        )
+        );
+        // Hint assembly (forwarding table + LRU cache + birth hint):
+        // usually nanoseconds, but visible in the report when lock
+        // contention makes it otherwise.
+        self.trace_stage("hint-probe", stage::DIRECTORY, ctx, hint_start);
+        search
     }
 
-    /// The location search for a remote holder, invoking `op` on each
-    /// candidate [`Search`] names, except `tried`. Returns the answer and
-    /// the node that gave it; `None` for the node when the search failed
-    /// or timed out.
-    pub(crate) fn search(
+    /// Starts the location search for a remote holder of `cap` without
+    /// waiting: `op` goes at once to the first candidate the hints name,
+    /// if any, and [`run_search`](Self::run_search) goes on from there.
+    /// A send the transport refuses answers at once.
+    pub(crate) fn start_search(
         &self,
+        cap: Capability,
+        op: &str,
+        args: &[Value],
+        ctx: Option<TraceCtx>,
+    ) -> Started {
+        let mut search = self.new_search(cap.name(), ctx);
+        let sent = match search.candidate(|n| self.peer_is_dead(n)) {
+            Some((node, cached)) => match self.send_invoke(node, cap, op, args, ctx) {
+                Ok(ticket) => Some((ticket, cached)),
+                Err(status) => return Started::Answered(status, Vec::new()),
+            },
+            None => None,
+        };
+        Started::Search(Searching(search, sent))
+    }
+
+    /// Runs a location search to its end, invoking `op` on each candidate
+    /// [`Search`] names until one answers, within `deadline`. Returns the
+    /// answer and the node that gave it; `None` for the node when the
+    /// search failed or timed out.
+    pub(crate) fn run_search(
+        &self,
+        searching: Searching,
         cap: Capability,
         op: &str,
         args: &[Value],
         deadline: Instant,
         ctx: Option<TraceCtx>,
-        tried: Option<NodeId>,
     ) -> (Status, Vec<Value>, Option<NodeId>) {
         let name = cap.name();
-        let hint_start = now_ns();
-        let mut search = self.new_search(name);
-        if let Some(t) = ctx {
-            // Hint assembly (forwarding table + LRU cache + birth hint):
-            // usually nanoseconds, but visible in the report when lock
-            // contention makes it otherwise.
-            self.inner.obs.record_span_staged(
-                "hint-probe",
-                stage::DIRECTORY,
-                t,
-                hint_start,
-                now_ns(),
-            );
-        }
-        if let Some(node) = tried {
-            search.exclude(node);
-        }
+        let Searching(mut search, mut sent) = searching;
         loop {
+            if let Some((ticket, cached)) = sent.take() {
+                if cached {
+                    self.inner.metrics.bump_cache_hit();
+                }
+                let left = deadline.saturating_duration_since(Instant::now());
+                let budget = left.min(self.inner.config.remote_try_timeout);
+                let (status, results, from) = self.await_invoke(ticket, cap, op, args, budget);
+                if search.answered(&status) {
+                    return (status, results, Some(from));
+                }
+                if cached {
+                    self.inner.location.cache.lock().remove(&name);
+                }
+            }
             let step = search.next(|n| self.peer_is_dead(n));
-            let now = Instant::now();
-            if now >= deadline && !matches!(step, Step::Fail(_)) {
+            if Instant::now() >= deadline && !matches!(step, Step::Fail(_)) {
                 return (Status::Timeout, Vec::new(), None);
             }
             match step {
-                Step::Try { node, cached } => {
-                    if cached {
-                        self.inner.metrics.bump_cache_hit();
-                    }
-                    let budget = (deadline - now).min(self.inner.config.remote_try_timeout);
-                    // A blocking remote invocation: the send, then at once
-                    // the wait.
-                    let (status, results, from) = match self.send_invoke(node, cap, op, args, ctx) {
-                        Ok(ticket) => self.await_invoke(ticket, cap, op, args, budget),
-                        Err(status) => (status, Vec::new(), node),
-                    };
-                    if search.answered(&status) {
-                        return (status, results, Some(from));
-                    }
-                    if cached {
-                        self.inner.location.cache.lock().remove(&name);
-                    }
-                }
+                Step::Try { node, cached } => match self.send_invoke(node, cap, op, args, ctx) {
+                    Ok(ticket) => sent = Some((ticket, cached)),
+                    // A refused send is `NodeUnreachable`: the search ends.
+                    Err(status) => return (status, Vec::new(), Some(node)),
+                },
                 // One message to the object's home node names the
                 // registered holder, where the seed paid a broadcast plus
                 // the locate window.
@@ -638,18 +656,10 @@ impl Node {
                 Step::Broadcast => {
                     let where_is_start = now_ns();
                     let answers = self.locate_broadcast(name);
-                    if let Some(t) = ctx {
-                        // The seed's safety net: a WhereIs broadcast plus
-                        // the locate window. When this dominates a trace,
-                        // the directory missed.
-                        self.inner.obs.record_span_staged(
-                            "where-is",
-                            stage::DIRECTORY,
-                            t,
-                            where_is_start,
-                            now_ns(),
-                        );
-                    }
+                    // The seed's safety net: a WhereIs broadcast plus the
+                    // locate window. When this dominates a trace, the
+                    // directory missed.
+                    self.trace_stage("where-is", stage::DIRECTORY, ctx, where_is_start);
                     search.broadcast_answered(&answers);
                 }
                 Step::Fail(status) => return (status, Vec::new(), None),
@@ -657,24 +667,29 @@ impl Node {
         }
     }
 
-    /// Finishes a call sent to one node ahead of the search: `answer` is
-    /// its status, results and the node that gave it. An answer stands;
+    /// Finishes a request sent to one chosen node ahead of any search
+    /// (a pipelined call), within `deadline`. An answer stands;
     /// `NoSuchObject` means the request executed nowhere, so the search
-    /// goes on among the other nodes, within `deadline`; silence stands
-    /// too, as the request may have executed.
+    /// goes on among the other nodes; silence stands too, as the request
+    /// may have executed. Returns the answer and the node that gave it.
     pub(crate) fn resume_search(
         &self,
+        ticket: Ticket,
         cap: Capability,
         op: &str,
         args: &[Value],
         deadline: Instant,
         ctx: Option<TraceCtx>,
-        answer: (Status, Vec<Value>, NodeId),
     ) -> (Status, Vec<Value>, Option<NodeId>) {
-        let (status, results, from) = answer;
+        let budget = deadline.saturating_duration_since(Instant::now());
+        let (status, results, from) = self.await_invoke(ticket, cap, op, args, budget);
         match Search::classify(&status) {
             Outcome::Answer => (status, results, Some(from)),
-            Outcome::NotHere => self.search(cap, op, args, deadline, ctx, Some(from)),
+            Outcome::NotHere => {
+                let mut search = self.new_search(cap.name(), ctx);
+                search.exclude(from);
+                self.run_search(Searching(search, None), cap, op, args, deadline, ctx)
+            }
             Outcome::Silent => (status, results, None),
         }
     }
@@ -743,7 +758,7 @@ impl Node {
         name: ObjName,
         mut fetch: impl FnMut(NodeId) -> Result<T, Status>,
     ) -> Result<T, Status> {
-        let mut search = self.new_search(name);
+        let mut search = self.new_search(name, None);
         loop {
             match search.next(|n| self.peer_is_dead(n)) {
                 Step::Try { node, .. } => match fetch(node) {
@@ -885,6 +900,17 @@ mod tests {
         assert_eq!(search.next(alive), Step::AskDirectory);
         search.directory_answered(None);
         assert_eq!(search.next(alive), Step::Fail(Status::NoSuchObject));
+    }
+
+    #[test]
+    fn a_candidate_is_offered_without_leaving_the_stage() {
+        let mut search = Search::new(ME, peers(), hints(Some(2), Some(3), 1), true, false);
+        assert_eq!(search.candidate(alive), Some((NodeId(2), false)));
+        assert_eq!(search.candidate(alive), Some((NodeId(3), true)));
+        assert_eq!(search.next(alive), try_node(1, false));
+        assert_eq!(search.candidate(alive), None);
+        assert_eq!(search.candidate(alive), None, "no directory step taken");
+        assert_eq!(search.next(alive), Step::AskDirectory);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use eden_wire::{
 };
 
 use super::location::Here;
-use super::{node_object_name, Node, Ready};
+use super::{Node, Ready};
 use crate::object::ReplySink;
 use crate::vproc::Lent;
 use crate::waiter::LocationAnswer;
@@ -431,8 +431,7 @@ impl Node {
         // ordinary invocation — `send_reply` records it done — so a
         // retransmitted scrape replays the cached reply instead of
         // re-executing and double-counting scrape-side metrics.
-        if name == node_object_name(self.inner.id) {
-            let (status, results) = self.serve_node_object(target, &operation, &args);
+        if let Some((status, results)) = self.serve_node_object(target, &operation, &args) {
             self.send_reply(sink, status, results, trace);
             return;
         }

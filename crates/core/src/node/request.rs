@@ -2,13 +2,14 @@
 //! waiter under a fresh id in the node's reply registry, is sent, and is
 //! awaited inside [`blocking`]. Replies rendezvous by id, so a caller
 //! may hold many tickets and harvest them in any order; that is all a
-//! `PipelinedClient` is.
+//! `PipelinedClient`, or a fan-out of `invoke_async` calls to remote
+//! objects, is.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId};
-use eden_obs::{now_ns, KernelEvent, TraceCtx};
+use eden_obs::{now_ns, stage, KernelEvent, TraceCtx};
 use eden_wire::{Frame, Message, Status, Value};
 
 use super::location::Search;
@@ -82,8 +83,8 @@ impl Node {
     }
 
     /// Waits up to `budget` for `ticket`'s reply. The wait is a blocking
-    /// scope: a pool worker parked here (async
-    /// invoke, redelivery, move) must not starve runnable local tasks.
+    /// scope: a pool worker parked here (a nested invocation,
+    /// redelivery, move) must not starve runnable local tasks.
     /// With `resend`, an unanswered request is re-sent every retransmit
     /// interval under the same id; the server dedupes (at-most-once
     /// execution; a lost reply is replayed from its reply cache).
@@ -133,9 +134,9 @@ impl Node {
             .map(|reply| reply.msg)
     }
 
-    /// The send half of every remote invocation, blocking or pipelined:
-    /// sends `op` on `cap` to `dst` with `trace` on the frame. Fails only
-    /// when the transport refuses the frame outright.
+    /// The send half of every remote invocation, blocking, asynchronous
+    /// or pipelined: sends `op` on `cap` to `dst` with `trace` on the
+    /// frame. Fails only when the transport refuses the frame outright.
     pub(crate) fn send_invoke(
         &self,
         dst: NodeId,
@@ -169,17 +170,12 @@ impl Node {
         let resend: Option<&dyn Fn(u64) -> Message> =
             self.inner.config.enable_retransmission.then_some(&resend);
         let reply = self.await_reply(&ticket, budget, resend);
-        let end_ns = now_ns();
-        if let Some(t) = ticket.trace {
-            // Recorded retroactively, since a pipelined ticket outlives
-            // any span guard; the serving kernel's spans parent on the
-            // same context, carried by the request frame.
-            self.inner
-                .obs
-                .record_span("client-send", t, ticket.start_ns, end_ns);
-        }
-        let elapsed = end_ns.saturating_sub(ticket.start_ns);
+        let elapsed = now_ns().saturating_sub(ticket.start_ns);
         self.inner.invoke_metrics.remote.record(elapsed);
+        // Recorded retroactively, since a pipelined or asynchronous
+        // ticket outlives any span guard; the serving kernel's spans
+        // parent on the same context, carried by the request frame.
+        self.trace_stage("client-send", stage::NONE, ticket.trace, ticket.start_ns);
         match reply.map(|frame| (frame.src, frame.msg)) {
             Some((
                 from,
@@ -211,10 +207,5 @@ impl Node {
             reply_to: self.inner.id,
             hops: self.inner.config.hop_limit,
         }
-    }
-
-    /// The default per-exchange reply budget for pipelined calls.
-    pub(crate) fn pipeline_default_budget(&self) -> Duration {
-        self.inner.config.default_invoke_timeout
     }
 }

@@ -1,24 +1,28 @@
-//! Client-side invocation pipelining.
+//! Asynchronous invocation: a [`PendingCall`] is an invocation started
+//! and not yet harvested.
 //!
-//! [`Node::invoke`] is one-RTT-per-call: each remote invocation sends a
-//! request and blocks until its reply returns. A [`PipelinedClient`]
-//! keeps **many invocations in flight on one connection**: [`call`]
-//! sends a request and returns immediately with a [`PendingCall`];
-//! [`wait`] harvests the reply later, in any order across outstanding
-//! calls, because replies rendezvous by invocation id.
+//! [`Node::invoke`] blocks for each answer. [`Node::invoke_async`]
+//! starts the same invocation and returns at once: an object on this
+//! node is queued at its coordinator, a remote one is sent to the first
+//! node its location search names under a reply ticket, and no thread
+//! waits for it until [`wait`] harvests the answer — the answer a
+//! blocking invoke would have given. A [`PipelinedClient`] keeps **many
+//! invocations of one remote object in flight on one connection**:
+//! [`call`] sends a request to the node it aims at and returns a
+//! [`PendingCall`] too; [`wait`] harvests replies in any order across
+//! outstanding calls, because replies rendezvous by invocation id.
 //!
-//! The at-most-once contract is unchanged. Every call carries a fresh
-//! `inv_id`; the serving kernel's dedup-and-replay bookkeeping treats a
-//! pipelined burst exactly like a sequence of individual invocations,
-//! and an unanswered call retransmits its request (same id) on the
+//! The at-most-once contract is unchanged. Every remote request carries
+//! a fresh `inv_id`; the serving kernel's dedup-and-replay bookkeeping
+//! treats a pipelined burst exactly like a sequence of individual
+//! invocations, and an unanswered request retransmits (same id) on the
 //! node's configured interval during [`wait`].
 //!
-//! There is no second protocol underneath: [`call`] and [`wait`] are the
-//! two halves of the kernel's one request/reply engine, and a blocking
-//! [`Node::invoke`] of a remote object is the same send followed at
-//! once by the same wait. Pipelined calls are location transparent too
+//! There is no second protocol underneath: a blocking invoke is the same
+//! start followed at once by the same wait, on the kernel's one
+//! request/reply engine. Pipelined calls are location transparent too
 //! (§2): a call that finds no object at its destination falls back to
-//! the blocking invoke's search.
+//! the location search.
 //!
 //! ```text
 //! sequential:  req1 ──► rep1 ──► req2 ──► rep2 ──► req3 ──► rep3
@@ -31,10 +35,11 @@
 use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId};
+use eden_obs::TraceCtx;
 use eden_wire::{Status, Value};
 use parking_lot::Mutex;
 
-use crate::node::{Node, Ticket};
+use crate::node::{Node, Started};
 
 impl Node {
     /// Creates a pipelined client for `cap`, aimed at this node's best
@@ -71,11 +76,6 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// The capability this client invokes.
-    pub fn capability(&self) -> Capability {
-        self.cap
-    }
-
     /// Where requests are currently being sent.
     pub fn dst(&self) -> NodeId {
         *self.dst.lock()
@@ -97,10 +97,13 @@ impl PipelinedClient {
             .node
             .send_invoke(self.dst(), self.cap, op, args, trace)?;
         Ok(PendingCall {
-            client: self,
-            ticket,
+            node: self.node.clone(),
+            cap: self.cap,
             op: op.to_string(),
             args: args.to_vec(),
+            trace,
+            started: Started::Aimed(ticket),
+            aim: Some(&self.dst),
         })
     }
 
@@ -109,49 +112,50 @@ impl PipelinedClient {
     /// measured against in experiment E16.
     pub fn call_sync(&self, op: &str, args: &[Value]) -> (Status, Vec<Value>) {
         match self.call(op, args) {
-            Ok(pending) => pending.wait_default(),
+            Ok(pending) => pending.wait(self.node.config().default_invoke_timeout),
             Err(status) => (status, Vec::new()),
         }
     }
 }
 
-/// One in-flight pipelined invocation. Dropping it un-harvested
-/// releases the reply waiter (the reply, if it arrives, is discarded).
+/// One invocation in flight: started by [`Node::invoke_async`] or
+/// [`PipelinedClient::call`], harvested by [`wait`](Self::wait).
+/// Dropping it un-harvested abandons the answer (a remote reply, if it
+/// arrives, is discarded; a local invocation still runs).
 pub struct PendingCall<'a> {
-    client: &'a PipelinedClient,
-    ticket: Ticket,
-    op: String,
-    args: Vec<Value>,
+    pub(crate) node: Node,
+    pub(crate) cap: Capability,
+    pub(crate) op: String,
+    pub(crate) args: Vec<Value>,
+    /// The trace context the invocation carries.
+    pub(crate) trace: Option<TraceCtx>,
+    pub(crate) started: Started,
+    /// A pipelined client's destination, re-aimed at the node that
+    /// answers.
+    pub(crate) aim: Option<&'a Mutex<NodeId>>,
 }
 
 impl PendingCall<'_> {
-    /// The invocation id this call is riding (its at-most-once key on
-    /// the serving kernel, scoped to this node's id).
-    pub fn inv_id(&self) -> u64 {
-        self.ticket.id
-    }
-
-    /// Waits for the reply, retransmitting the request (same `inv_id`;
-    /// the server dedupes) on the node's configured interval. A
-    /// `NoSuchObject` reply falls back, within the same budget, to the
-    /// blocking invoke's search (hints, the directory, then a broadcast)
-    /// among the other nodes. On an answer the client re-aims at the
-    /// node that gave it.
+    /// Waits up to `budget` for the answer. A remote request is
+    /// retransmitted (same `inv_id`; the server dedupes) on the node's
+    /// configured interval; a `NoSuchObject` reply goes on, within the
+    /// same budget, with the location search (hints, the directory, then
+    /// a broadcast) among the other nodes; a local invocation rerouted
+    /// by a move or crash is started again. A pipelined client re-aims
+    /// at the node that answered.
     pub fn wait(self, budget: Duration) -> (Status, Vec<Value>) {
         let deadline = Instant::now() + budget;
-        let (node, cap, trace) = (&self.client.node, self.client.cap, self.ticket.trace);
-        let answer = node.await_invoke(self.ticket, cap, &self.op, &self.args, budget);
-        let (status, results, from) =
-            node.resume_search(cap, &self.op, &self.args, deadline, trace, answer);
-        if let Some(from) = from {
-            *self.client.dst.lock() = from;
+        let (status, results, from) = self.node.finish_invoke(
+            self.started,
+            self.cap,
+            &self.op,
+            &self.args,
+            deadline,
+            self.trace,
+        );
+        if let (Some(aim), Some(from)) = (self.aim, from) {
+            *aim.lock() = from;
         }
         (status, results)
-    }
-
-    /// [`wait`](Self::wait) with the node's default invocation timeout.
-    pub fn wait_default(self) -> (Status, Vec<Value>) {
-        let budget = self.client.node.pipeline_default_budget();
-        self.wait(budget)
     }
 }

@@ -4,9 +4,9 @@
 //! processors (two GDPs, "field upgradable" to four) over however many
 //! invocation processes exist. [`VirtualProcessorPool`] is that
 //! complement: [`NodeConfig::virtual_processors`](crate::NodeConfig)
-//! processors run every invocation process, async invoke, move,
-//! reincarnation and redelivery, on the pool's worker threads or on a
-//! thread the pool lends a processor to. Excess work queues, and past
+//! processors run every invocation process, move, reincarnation and
+//! redelivery, on the pool's worker threads or on a thread the pool
+//! lends a processor to. Excess work queues, and past
 //! [`NodeConfig::vproc_queue_cap`](crate::NodeConfig) the kernel sheds
 //! load with `Status::Overloaded` instead of falling over.
 //!
@@ -661,10 +661,10 @@ mod tests {
         // Six tasks into a cap-4 queue: per-item verdicts, the first
         // four accepted, the tail shed with Overloaded.
         let done = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<(Box<dyn FnOnce() + Send>, Option<TraceCtx>)> = (0..6)
+        let tasks: Vec<BatchTask> = (0..6)
             .map(|_| {
                 let d = done.clone();
-                let job: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let job: Job = Box::new(move || {
                     d.fetch_add(1, Ordering::SeqCst);
                 });
                 (job, None)

@@ -54,11 +54,6 @@ impl<T> Waiter<T> {
             self.cv.wait_for(&mut slot, deadline - now);
         }
     }
-
-    /// Non-blocking check.
-    pub fn try_take(&self) -> Option<T> {
-        self.slot.lock().take()
-    }
 }
 
 impl<T> Default for Waiter<T> {

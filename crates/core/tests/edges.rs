@@ -164,7 +164,7 @@ fn timeout_while_queued_leaves_the_object_consistent() {
         .invoke_with_timeout(cap, "sleep_ms", &[Value::U64(0)], Duration::from_millis(50))
         .unwrap_err();
     assert!(err.is_timeout());
-    blocker.wait(Duration::from_secs(5)).unwrap();
+    assert_eq!(blocker.wait(Duration::from_secs(5)).0, Status::Ok);
     // The timed-out invocation still executes eventually (its reply is
     // dropped); the object keeps serving.
     let out = c.node(0).invoke(cap, "get", &[]).unwrap();
@@ -216,16 +216,18 @@ fn double_freeze_is_idempotent() {
 }
 
 #[test]
-fn async_handles_poll_without_blocking() {
+fn async_invocation_returns_before_the_operation_ends() {
     let c = cluster(1);
     let cap = c.node(0).create_object("omni", &[]).unwrap();
-    let h = c.node(0).invoke_async(cap, "sleep_ms", &[Value::U64(100)]);
-    assert!(h.try_take().is_none(), "must not be ready instantly");
     let start = Instant::now();
-    h.wait(Duration::from_secs(5)).unwrap();
+    let h = c.node(0).invoke_async(cap, "sleep_ms", &[Value::U64(100)]);
+    assert!(
+        start.elapsed() < Duration::from_millis(80),
+        "must not wait for the operation"
+    );
+    // `wait` takes the call by value, so it is harvested once.
+    assert_eq!(h.wait(Duration::from_secs(5)).0, Status::Ok);
     assert!(start.elapsed() >= Duration::from_millis(80));
-    // A second wait after consumption behaves like a timeout (one-shot).
-    assert!(h.wait(Duration::from_millis(10)).is_err());
 }
 
 #[test]
@@ -263,6 +265,6 @@ fn concurrent_class_queue_drains_in_order_per_class() {
         "a fast-class op must not wait behind the slow class"
     );
     for h in slow {
-        h.wait(Duration::from_secs(5)).unwrap();
+        assert_eq!(h.wait(Duration::from_secs(5)).0, Status::Ok);
     }
 }

@@ -11,7 +11,7 @@ use eden_kernel::{Cluster, Node, NodeConfig, OpCtx, OpError, OpResult, TypeManag
 use eden_obs::KernelEvent;
 use eden_store::MemStore;
 use eden_transport::TcpMesh;
-use eden_wire::Value;
+use eden_wire::{Status, Value};
 use parking_lot::Mutex;
 
 /// Each operation logs and returns the name and id of the thread it ran on.
@@ -117,15 +117,54 @@ fn a_local_invocation_runs_on_the_invoking_thread() {
     assert_eq!(out[1], Value::Str(thread_id()));
     assert!(name_of(&out[2]).starts_with("eden-vproc-"), "{out:?}");
 
-    // A local call from a pool worker goes through the pool too.
-    let out = node
+    // An asynchronous local call is queued for a pool worker, never run
+    // on the calling thread.
+    let (status, out) = node
         .invoke_async(cap, "whoami", &[])
-        .wait(Duration::from_secs(5))
-        .unwrap();
+        .wait(Duration::from_secs(5));
+    assert_eq!(status, Status::Ok);
     assert!(name_of(&out[0]).starts_with("eden-vproc-"), "{out:?}");
     let stats = node.vproc_stats();
     assert_eq!(stats.lent, 0, "every lent processor came back");
-    assert_eq!(stats.executed, 5, "lent runs count as executed: {stats:?}");
+    assert_eq!(stats.executed, 4, "lent runs count as executed: {stats:?}");
+}
+
+#[test]
+fn async_invocations_take_no_pool_task_of_their_own() {
+    for processors in [1, 8] {
+        let cluster = Cluster::builder()
+            .nodes(1)
+            .node_config(NodeConfig {
+                virtual_processors: processors,
+                ..Default::default()
+            })
+            .register(|| {
+                Box::new(Where {
+                    log: Arc::default(),
+                })
+            })
+            .build();
+        let node = cluster.node(0);
+        let cap = node.create_object("where", &[]).unwrap();
+        settle(cluster.nodes());
+        let before = node.vproc_stats();
+        let start = Instant::now();
+        let calls: Vec<_> = (0..16)
+            .map(|_| node.invoke_async(cap, "nap", &[Value::U64(40)]))
+            .collect();
+        for call in calls {
+            assert_eq!(call.wait(Duration::from_secs(10)).0, Status::Ok);
+        }
+        // The class admits 8 at once: 16 naps of 40 ms need at least
+        // two rounds, and one per processor below that.
+        let rounds = 16 / processors.min(8) as u32;
+        assert!(start.elapsed() >= Duration::from_millis(40) * rounds);
+        // A worker counts a task once it returns, after the reply.
+        settle(cluster.nodes());
+        let after = node.vproc_stats();
+        assert_eq!(after.spares_spawned - before.spares_spawned, 0, "{after:?}");
+        assert_eq!(after.executed - before.executed, 16, "{after:?}");
+    }
 }
 
 #[test]

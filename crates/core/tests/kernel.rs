@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId, Rights};
 use eden_kernel::{
-    Cluster, EdenError, NodeConfig, OpCtx, OpError, OpResult, ReliabilityLevel, TypeManager,
+    Cluster, EdenError, Node, NodeConfig, OpCtx, OpError, OpResult, ReliabilityLevel, TypeManager,
     TypeSpec,
 };
 use eden_wire::{Status, Value};
@@ -82,6 +82,38 @@ impl TypeManager for Counter {
     }
 }
 
+/// Its behavior sleeps in `BehaviorCtx::wait` until asked to stop, then
+/// reports how long it slept.
+struct Dozer(std::sync::mpsc::Sender<Duration>);
+
+impl TypeManager for Dozer {
+    fn spec(&self) -> TypeSpec {
+        TypeSpec::new("dozer")
+            .class("all", 1)
+            .op("crash", "all", Rights::OWNER)
+    }
+
+    fn initialize(&self, ctx: &OpCtx<'_>, _args: &[Value]) -> Result<(), OpError> {
+        let slept = self.0.clone();
+        ctx.spawn_behavior("dozer", move |bctx| {
+            let start = Instant::now();
+            while bctx.wait(Duration::from_secs(30)) {}
+            let _ = slept.send(start.elapsed());
+        });
+        Ok(())
+    }
+
+    fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
+        match op {
+            "crash" => {
+                ctx.crash();
+                Ok(vec![])
+            }
+            other => Err(OpError::no_such_op(other)),
+        }
+    }
+}
+
 /// Tracks concurrency inside operations via shared atomics.
 struct Gauged {
     current: Arc<AtomicU64>,
@@ -93,11 +125,15 @@ impl TypeManager for Gauged {
     fn spec(&self) -> TypeSpec {
         TypeSpec::new("gauged")
             .class("work", self.limit)
+            .class("relay", 16)
             .op("work", "work", Rights::EXECUTE)
+            .op("relay", "relay", Rights::EXECUTE)
     }
 
-    fn dispatch(&self, _ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
+    fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
         match op {
+            // Waits, ungauged, for a nested `work` on the same object.
+            "relay" => Ok(ctx.invoke(ctx.self_cap(), "work", &[])?),
             "work" => {
                 let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
                 self.peak.fetch_max(now, Ordering::SeqCst);
@@ -508,7 +544,7 @@ fn class_limit_one_gives_mutual_exclusion() {
         .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
         .collect();
     for h in handles {
-        h.wait(Duration::from_secs(10)).unwrap();
+        assert_eq!(h.wait(Duration::from_secs(10)).0, Status::Ok);
     }
     assert_eq!(
         peak.load(Ordering::SeqCst),
@@ -541,7 +577,7 @@ fn class_limit_k_allows_exactly_k_concurrent_processes() {
         .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
         .collect();
     for h in handles {
-        h.wait(Duration::from_secs(10)).unwrap();
+        assert_eq!(h.wait(Duration::from_secs(10)).0, Status::Ok);
     }
     let observed = peak.load(Ordering::SeqCst);
     assert!(observed <= 3, "class limit exceeded: {observed}");
@@ -565,10 +601,10 @@ fn virtual_processors_bound_concurrent_execution() {
         .build();
     let (node, peer) = (cluster.node(0), cluster.node(1));
     let cap = node.create_object("gauged", &[]).unwrap();
-    // Each async invoke parks a worker on its reply, and spares cover
-    // for it; workers coming back must not push execution past the
-    // default complement of two. Client threads calling locally and
-    // receive threads serving remote calls run invocations on lent
+    // Each async relay parks a pool worker on its nested `work`, and
+    // spares cover for it; workers coming back must not push execution
+    // past the default complement of two. Client threads calling locally
+    // and receive threads serving remote calls run invocations on lent
     // processors of the same complement.
     std::thread::scope(|s| {
         for caller in [node, node, node, peer, peer] {
@@ -581,12 +617,13 @@ fn virtual_processors_bound_concurrent_execution() {
             });
         }
         let handles: Vec<_> = (0..12)
-            .map(|_| node.invoke_async(cap, "work", &[]))
+            .map(|_| node.invoke_async(cap, "relay", &[]))
             .collect();
         for h in handles {
-            h.wait(Duration::from_secs(10)).unwrap();
+            assert_eq!(h.wait(Duration::from_secs(10)).0, Status::Ok);
         }
     });
+    assert!(node.vproc_stats().spares_spawned > 0, "no worker parked");
     assert_eq!(peak.load(Ordering::SeqCst), 2);
 }
 
@@ -626,9 +663,8 @@ fn a_process_parked_on_a_semaphore_yields_its_virtual_processor() {
     // processor only until it parks, so `release` gets to run and wake it.
     node.invoke_with_timeout(cap, "release", &[], Duration::from_secs(2))
         .expect("release runs while acquire is parked");
-    acquire
-        .wait(Duration::from_secs(2))
-        .expect("acquire completes");
+    let (status, _) = acquire.wait(Duration::from_secs(2));
+    assert_eq!(status, Status::Ok, "acquire completes");
 }
 
 #[test]
@@ -684,10 +720,110 @@ fn async_invocation_yields_a_usable_handle() {
     let cap = cluster.node(0).create_object("counter", &[]).unwrap();
     let h1 = cluster.node(0).invoke_async(cap, "add", &[Value::I64(1)]);
     let h2 = cluster.node(0).invoke_async(cap, "add", &[Value::I64(2)]);
-    h1.wait(Duration::from_secs(5)).unwrap();
-    h2.wait(Duration::from_secs(5)).unwrap();
+    assert_eq!(h1.wait(Duration::from_secs(5)).0, Status::Ok);
+    assert_eq!(h2.wait(Duration::from_secs(5)).0, Status::Ok);
     let out = cluster.node(0).invoke(cap, "get", &[]).unwrap();
     assert_eq!(out, vec![Value::I64(3)]);
+}
+
+/// How a test invokes: one answer as a status and results.
+type Invoker = fn(&Node, Capability, &str) -> (Status, Vec<Value>);
+
+fn invoke_blocking(node: &Node, cap: Capability, op: &str) -> (Status, Vec<Value>) {
+    match node.invoke_with_timeout(cap, op, &[], Duration::from_secs(10)) {
+        Ok(results) => (Status::Ok, results),
+        Err(EdenError::Invoke(status)) => (status, Vec::new()),
+        Err(other) => panic!("{other:?}"),
+    }
+}
+
+fn invoke_then_wait(node: &Node, cap: Capability, op: &str) -> (Status, Vec<Value>) {
+    node.invoke_async(cap, op, &[])
+        .wait(Duration::from_secs(10))
+}
+
+/// Three nodes whose remote tries give up after 300 ms; a counter born
+/// on `home` holds 5, checkpointed at node 2.
+fn counter_checkpointed_at_node_2(home: usize) -> (Cluster, Capability) {
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .node_config(NodeConfig {
+            remote_try_timeout: Duration::from_millis(300),
+            ..Default::default()
+        })
+        .register(|| Box::new(Counter))
+        .build();
+    let node = cluster.node(home);
+    let cap = node.create_object("counter", &[]).unwrap();
+    node.invoke(cap, "set_checksite", &[Value::U64(2)]).unwrap();
+    node.invoke(cap, "add_and_checkpoint", &[Value::I64(5)])
+        .unwrap();
+    (cluster, cap)
+}
+
+/// Node 0 moves the counter to node 1, which then crashes it: node 0
+/// holds a forwarding address to node 1, node 1 answers
+/// `NoSuchObject`, and the search finds the checkpoint at node 2.
+fn moved_then_crashed(invoke: Invoker) -> (Status, Vec<Value>) {
+    let (cluster, cap) = counter_checkpointed_at_node_2(0);
+    cluster.node(0).move_object(cap, NodeId(1)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cluster.node(1).is_local(cap.name()) {
+        assert!(Instant::now() < deadline, "the move never landed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    cluster.node(1).invoke(cap, "crash", &[]).unwrap();
+    assert!(!cluster.node(1).is_local(cap.name()));
+    assert_eq!(cluster.node(0).location_hint(cap.name()), Some(NodeId(1)));
+    let answer = invoke(cluster.node(0), cap, "get");
+    assert!(
+        cluster.node(2).is_local(cap.name()),
+        "reincarnated at node 2"
+    );
+    answer
+}
+
+/// The counter lives on node 1, which dies: node 0's hints name it, it
+/// stays silent, and the search finds the checkpoint at node 2.
+fn holder_killed(invoke: Invoker) -> (Status, Vec<Value>) {
+    let (cluster, cap) = counter_checkpointed_at_node_2(1);
+    assert_eq!(
+        invoke_blocking(cluster.node(0), cap, "get"),
+        (Status::Ok, vec![Value::I64(5)])
+    );
+    cluster.kill(1);
+    invoke(cluster.node(0), cap, "get")
+}
+
+#[test]
+fn async_invocation_answers_as_the_blocking_one_after_a_move_and_a_crash() {
+    let found = (Status::Ok, vec![Value::I64(5)]);
+    assert_eq!(moved_then_crashed(invoke_blocking), found);
+    assert_eq!(moved_then_crashed(invoke_then_wait), found);
+}
+
+#[test]
+fn async_invocation_answers_as_the_blocking_one_when_the_holder_dies() {
+    let found = (Status::Ok, vec![Value::I64(5)]);
+    assert_eq!(holder_killed(invoke_blocking), found);
+    assert_eq!(holder_killed(invoke_then_wait), found);
+}
+
+#[test]
+fn a_crash_wakes_a_behavior_waiting_for_its_stop() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cluster = Cluster::builder()
+        .nodes(1)
+        .register(move || Box::new(Dozer(tx.clone())))
+        .build();
+    let node = cluster.node(0);
+    let cap = node.create_object("dozer", &[]).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    node.invoke(cap, "crash", &[]).unwrap();
+    let slept = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the behavior stopped");
+    assert!(slept < Duration::from_secs(10), "slept {slept:?}");
 }
 
 #[test]

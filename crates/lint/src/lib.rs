@@ -469,7 +469,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
             f.suppressed = lines.contains_key(&f.line);
         }
     }
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
 

@@ -76,7 +76,7 @@ case "${1:-all}" in
   miri) run_miri ;;
   all)
     cargo fmt --check
-    cargo clippy --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
     cargo build --release
     cargo test --workspace -q
     # Rustdoc with warnings denied keeps every intra-doc link resolving.

@@ -293,9 +293,19 @@ mod tests {
             .prop_recursive(3, 16, 4, |inner| {
                 crate::collection::vec(inner, 0..4).prop_map(Tree::Node)
             });
+        // Levels of `Node` above the deepest leaf; every leaf is in range.
+        fn depth(t: &Tree) -> u32 {
+            match t {
+                Tree::Leaf(v) => {
+                    assert!(*v < 16, "leaf {v} out of range");
+                    0
+                }
+                Tree::Node(children) => 1 + children.iter().map(depth).max().unwrap_or(0),
+            }
+        }
         let mut rng = TestRng::from_seed(9);
         for _ in 0..100 {
-            let _ = strat.generate(&mut rng);
+            assert!(depth(&strat.generate(&mut rng)) <= 3);
         }
     }
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use eden::capability::Rights;
 use eden::kernel::{Cluster, OpCtx, OpError, OpResult, TypeManager, TypeSpec};
-use eden::wire::Value;
+use eden::wire::{Status, Value};
 
 /// A type whose representation and short-term state are separately
 /// observable.
@@ -190,8 +190,8 @@ fn invocations_are_the_fourth_part() {
         .collect();
     for h in handles {
         assert_eq!(
-            h.wait(Duration::from_secs(5)).unwrap(),
-            vec![Value::Str("shared".into())]
+            h.wait(Duration::from_secs(5)),
+            (Status::Ok, vec![Value::Str("shared".into())])
         );
     }
 }
