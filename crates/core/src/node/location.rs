@@ -549,7 +549,7 @@ impl Node {
             return Here::Forwarded(fwd);
         }
         let latest = self.inner.store.latest(name).ok().flatten();
-        let image = latest.and_then(|(v, b)| Some((v, ObjectImage::decode_from_bytes(&b).ok()?)));
+        let image = latest.and_then(|(v, b)| Some((v, ObjectImage::decode_shared(&b).ok()?)));
         image.map_or(Here::Absent, |(version, image)| {
             Here::Passive(version, image)
         })

@@ -281,7 +281,7 @@ impl Node {
                     .latest(name)
                     .ok()
                     .flatten()
-                    .and_then(|(_, bytes)| ObjectImage::decode_from_bytes(&bytes).ok());
+                    .and_then(|(_, bytes)| ObjectImage::decode_shared(&bytes).ok());
                 self.send_msg(
                     reply_to,
                     Message::CheckpointData {

@@ -9,21 +9,33 @@
 //!
 //! * Writes append a record and (optionally) fsync; the record becomes
 //!   visible in the index only after a fully successful append, so `put`
-//!   is atomic with respect to crashes.
-//! * Opening a store scans the log, rebuilding the in-memory index.
-//!   A record with a bad magic, a bad CRC, or a truncated payload ends the
-//!   scan and the tail is truncated — the torn-write recovery rule.
-//! * Every read is verified: the index keeps each record's CRC (computed
-//!   once, by `put` or by the recovery scan), and a payload that no
-//!   longer matches it is reported as [`StoreError::Corrupt`] rather than
-//!   handed to reincarnation. The slicing-by-16 kernel in [`crate::crc`]
-//!   makes the check cheap enough to run on every checkpoint and read.
+//!   is atomic with respect to crashes. The header and the payload go out
+//!   in one vectored write, without first being copied into one buffer.
+//! * The in-memory index holds one entry per live object: its latest
+//!   version, where that record's payload lies, the payload's CRC, and the
+//!   log offset at which the object's current life began (its first record
+//!   after its last tombstone). `put`, `latest`, `delete` and `names` use
+//!   that entry alone, so the index is bounded by the live objects, not by
+//!   the checkpoints ever written.
+//! * History lives in the log. `get` of a superseded version and
+//!   `versions` read the log forward from the start of the object's life;
+//!   `compact` makes one streaming pass over the whole log.
+//! * Opening a store scans the log through a fixed-size buffer, so
+//!   recovery costs the log's length in time, not in memory. A record with
+//!   a bad magic, a bad CRC, or a truncated payload ends the scan and the
+//!   tail is truncated — the torn-write recovery rule.
+//! * Every read is verified: a payload that no longer matches the CRC it
+//!   was written with (kept in the index for the latest record, read from
+//!   the record's header otherwise) is reported as [`StoreError::Corrupt`]
+//!   rather than handed to reincarnation. The slicing-by-16 kernel in
+//!   [`crate::crc`] makes the check cheap enough to run on every checkpoint
+//!   and read.
 //! * Deletions append a tombstone record (`tomb = 1`), so the log remains
 //!   append-only; `compact` rewrites live records to a fresh log.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,11 +44,14 @@ use eden_capability::ObjName;
 use eden_obs::{now_ns, Histogram, ObsRegistry};
 use parking_lot::{Mutex, RwLock};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::{CheckpointStore, StoreError};
 
 const MAGIC: u32 = 0xEDE1_1981;
 const HEADER_LEN: usize = 4 + 16 + 8 + 1 + 4 + 4;
+/// The read buffer of every pass over the log (recovery, history,
+/// compaction); records longer than it are streamed through it.
+const SCAN_BUF: usize = 64 * 1024;
 
 /// Durability policy for [`DiskStore`] writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +71,169 @@ struct Indexed {
     crc: u32,
 }
 
-/// Per-object version index rebuilt by the recovery scan.
-type Index = HashMap<ObjName, BTreeMap<u64, Indexed>>;
+/// The index entry of one live object.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The latest version, whose payload `at` locates.
+    version: u64,
+    at: Indexed,
+    /// Offset of the object's first record after its last tombstone: every
+    /// record of the object from here on belongs to its current life.
+    life: u64,
+}
+
+/// The latest record of every live object, rebuilt by the recovery scan.
+type Index = HashMap<ObjName, Entry>;
+
+/// One record's header.
+struct Header {
+    name: ObjName,
+    version: u64,
+    tomb: u8,
+    len: u32,
+    crc: u32,
+}
+
+impl Header {
+    fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut raw = [0u8; HEADER_LEN];
+        raw[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        raw[4..20].copy_from_slice(&self.name.to_u128().to_le_bytes());
+        raw[20..28].copy_from_slice(&self.version.to_le_bytes());
+        raw[28] = self.tomb;
+        raw[29..33].copy_from_slice(&self.len.to_le_bytes());
+        raw[33..37].copy_from_slice(&self.crc.to_le_bytes());
+        raw
+    }
+
+    /// The header in `raw`, or `None` if its magic is wrong.
+    fn decode(raw: &[u8; HEADER_LEN]) -> Option<Header> {
+        fn le<const N: usize>(raw: &[u8], at: usize) -> [u8; N] {
+            raw[at..at + N].try_into().unwrap()
+        }
+        if u32::from_le_bytes(le(raw, 0)) != MAGIC {
+            return None;
+        }
+        Some(Header {
+            name: ObjName::from_u128(u128::from_le_bytes(le(raw, 4))),
+            version: u64::from_le_bytes(le(raw, 20)),
+            tomb: raw[28],
+            len: u32::from_le_bytes(le(raw, 29)),
+            crc: u32::from_le_bytes(le(raw, 33)),
+        })
+    }
+}
+
+/// Reads records front to back through a [`SCAN_BUF`]-sized buffer.
+struct LogReader<'f> {
+    buf: BufReader<&'f File>,
+    /// Offset one past the last whole record returned.
+    at: u64,
+    /// Offset one past the last byte to read.
+    end: u64,
+    /// Payload bytes of the last record not yet read.
+    unread: u32,
+}
+
+impl<'f> LogReader<'f> {
+    fn new(mut file: &'f File, from: u64, end: u64) -> io::Result<Self> {
+        // Appends use the cursor implicitly (O_APPEND), so an explicit seek
+        // for reading is safe here.
+        file.seek(SeekFrom::Start(from))?;
+        Ok(LogReader {
+            buf: BufReader::with_capacity(SCAN_BUF, file),
+            at: from,
+            end,
+            unread: 0,
+        })
+    }
+
+    /// The next record's starting offset and header, skipping whatever
+    /// payload of the previous record was not read. `None` at the end, and
+    /// at a header that is torn, has a bad magic or claims a payload
+    /// running past the end.
+    fn next(&mut self) -> io::Result<Option<(u64, Header)>> {
+        self.buf
+            .seek_relative(i64::from(std::mem::take(&mut self.unread)))?;
+        let start = self.at;
+        if start + HEADER_LEN as u64 > self.end {
+            return Ok(None);
+        }
+        let mut raw = [0u8; HEADER_LEN];
+        self.buf.read_exact(&mut raw)?;
+        let Some(header) = Header::decode(&raw) else {
+            return Ok(None);
+        };
+        let next = start + HEADER_LEN as u64 + u64::from(header.len);
+        if next > self.end {
+            return Ok(None);
+        }
+        self.at = next;
+        self.unread = header.len;
+        Ok(Some((start, header)))
+    }
+
+    /// Streams the last record's payload through `sink` and returns its
+    /// CRC.
+    fn payload(&mut self, mut sink: impl FnMut(&[u8]) -> io::Result<()>) -> io::Result<u32> {
+        let mut crc = Crc32::new();
+        while self.unread > 0 {
+            let chunk = self.buf.fill_buf()?;
+            if chunk.is_empty() {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            let n = chunk.len().min(self.unread as usize);
+            crc.update(&chunk[..n]);
+            sink(&chunk[..n])?;
+            self.buf.consume(n);
+            self.unread -= n as u32;
+        }
+        Ok(crc.finish())
+    }
+
+    /// Fails unless every record up to the end was read: a walk over
+    /// records the recovery scan accepted must not stop short.
+    fn finished(&self) -> Result<(), StoreError> {
+        if self.at == self.end {
+            return Ok(());
+        }
+        Err(StoreError::Io(format!(
+            "damaged record header at log offset {}",
+            self.at
+        )))
+    }
+}
+
+/// Makes the record `h`, which starts at `start`, its object's latest.
+fn index_record(index: &mut Index, start: u64, h: &Header) {
+    let life = index.get(&h.name).map_or(start, |e| e.life);
+    let at = Indexed {
+        offset: start + HEADER_LEN as u64,
+        len: h.len,
+        crc: h.crc,
+    };
+    index.insert(
+        h.name,
+        Entry {
+            version: h.version,
+            at,
+            life,
+        },
+    );
+}
+
+/// `write_all` over several buffers, one vectored write per attempt.
+fn write_all_vectored(file: &mut File, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match file.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
 
 struct Inner {
     file: File,
@@ -82,9 +258,9 @@ struct Inner {
 pub struct DiskStore {
     path: PathBuf,
     sync: SyncPolicy,
-    /// Keep at most this many versions per object in the index
-    /// (0 = unlimited). Superseded records remain in the log until
-    /// [`DiskStore::compact`] rewrites it.
+    /// Retain at most this many versions per object (0 = unlimited): the
+    /// most recent ones of its current life. Superseded records remain in
+    /// the log until [`DiskStore::compact`] rewrites it.
     retain: usize,
     /// The `store.write` / `store.fsync` duration histograms of the
     /// attached observability registry, resolved once at attach.
@@ -105,8 +281,8 @@ impl DiskStore {
     }
 
     /// Opens the log retaining only the `retain` most recent versions of
-    /// each object in the index (0 = unlimited). Space is reclaimed at
-    /// the next [`DiskStore::compact`].
+    /// each object (0 = unlimited). Space is reclaimed at the next
+    /// [`DiskStore::compact`].
     pub fn open_with_retention(
         path: impl AsRef<Path>,
         sync: SyncPolicy,
@@ -116,34 +292,24 @@ impl DiskStore {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .create(true)
             .append(true)
             .open(&path)?;
-        let (index, end) = Self::scan(&mut file)?;
+        let (index, end) = Self::scan(&file)?;
         // Truncate any torn tail so future appends start at a clean edge.
         let file_len = file.metadata()?.len();
         if file_len > end {
             file.set_len(end)?;
         }
-        let store = DiskStore {
+        Ok(DiskStore {
             path,
             sync,
             retain,
             obs: RwLock::new(None),
             inner: Mutex::new(Inner { file, end, index }),
-        };
-        if retain > 0 {
-            let mut inner = store.inner.lock();
-            for versions in inner.index.values_mut() {
-                while versions.len() > retain {
-                    let oldest = *versions.keys().next().expect("nonempty");
-                    versions.remove(&oldest);
-                }
-            }
-        }
-        Ok(store)
+        })
     }
 
     /// The path of the backing log file.
@@ -151,69 +317,32 @@ impl DiskStore {
         &self.path
     }
 
-    /// Scans the log from the start, returning the rebuilt index and the
-    /// offset one past the last intact record.
-    fn scan(file: &mut File) -> Result<(Index, u64), StoreError> {
-        let mut index: Index = HashMap::new();
-        let len = file.metadata()?.len();
-        let mut buf = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut buf)?;
-        debug_assert_eq!(buf.len() as u64, len);
-
-        let mut off = 0usize;
-        while off + HEADER_LEN <= buf.len() {
-            let magic = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-            if magic != MAGIC {
-                break;
-            }
-            let name = ObjName::from_u128(u128::from_le_bytes(
-                buf[off + 4..off + 20].try_into().unwrap(),
-            ));
-            let version = u64::from_le_bytes(buf[off + 20..off + 28].try_into().unwrap());
-            let tomb = buf[off + 28];
-            let plen = u32::from_le_bytes(buf[off + 29..off + 33].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(buf[off + 33..off + 37].try_into().unwrap());
-            let payload_start = off + HEADER_LEN;
-            if payload_start + plen > buf.len() {
-                break; // Torn tail.
-            }
-            let payload = &buf[payload_start..payload_start + plen];
-            if crc32(payload) != crc {
+    /// Scans the log from the start, checking every record's CRC, and
+    /// returns the rebuilt index and the offset one past the last intact
+    /// record.
+    fn scan(file: &File) -> Result<(Index, u64), StoreError> {
+        let mut index = Index::new();
+        let mut log = LogReader::new(file, 0, file.metadata()?.len())?;
+        let mut end = 0;
+        while let Some((start, h)) = log.next()? {
+            if log.payload(|_| Ok(()))? != h.crc {
                 break; // Corrupt tail.
             }
-            match tomb {
-                0 => {
-                    index.entry(name).or_default().insert(
-                        version,
-                        Indexed {
-                            offset: payload_start as u64,
-                            len: plen as u32,
-                            crc,
-                        },
-                    );
-                }
+            match h.tomb {
+                0 => index_record(&mut index, start, &h),
                 1 => {
-                    index.remove(&name);
+                    index.remove(&h.name);
                 }
                 _ => break, // Unknown record kind: treat as corruption.
             }
-            off = payload_start + plen;
+            end = log.at;
         }
-        Ok((index, off as u64))
+        Ok((index, end))
     }
 
-    /// Encodes one log record around `payload`, whose CRC is `crc`.
-    fn record(name: ObjName, version: u64, tomb: u8, crc: u32, payload: &[u8]) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
-        rec.extend_from_slice(&MAGIC.to_le_bytes());
-        rec.extend_from_slice(&name.to_u128().to_le_bytes());
-        rec.extend_from_slice(&version.to_le_bytes());
-        rec.push(tomb);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc.to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec
+    /// Whether `version` of the object `e` indexes is retained.
+    fn retained(&self, e: &Entry, version: u64) -> bool {
+        version <= e.version && (self.retain == 0 || version + self.retain as u64 > e.version)
     }
 
     /// Appends one record, computing the payload CRC exactly once, and
@@ -228,9 +357,18 @@ impl DiskStore {
         payload: &[u8],
     ) -> Result<Indexed, StoreError> {
         let crc = crc32(payload);
-        let rec = Self::record(name, version, tomb, crc, payload);
+        let len = payload.len() as u32;
+        let header = Header {
+            name,
+            version,
+            tomb,
+            len,
+            crc,
+        }
+        .encode();
         let write_start = now_ns();
-        inner.file.write_all(&rec)?;
+        let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+        write_all_vectored(&mut inner.file, &mut bufs)?;
         let write_end = now_ns();
         if sync == SyncPolicy::Always {
             inner.file.sync_data()?;
@@ -242,12 +380,8 @@ impl DiskStore {
             obs.write.record(write_end.saturating_sub(write_start));
         }
         let offset = inner.end + HEADER_LEN as u64;
-        inner.end += rec.len() as u64;
-        Ok(Indexed {
-            offset,
-            len: payload.len() as u32,
-            crc,
-        })
+        inner.end = offset + u64::from(len);
+        Ok(Indexed { offset, len, crc })
     }
 
     /// Reads the payload `idx` points at and checks it against the CRC
@@ -269,55 +403,66 @@ impl DiskStore {
         Ok(Bytes::from(payload))
     }
 
-    /// Rewrites the log keeping only live records, reclaiming space from
-    /// superseded versions and tombstones. Returns bytes reclaimed.
+    /// Rewrites the log keeping only retained records, reclaiming space
+    /// from superseded versions, earlier lives and tombstones, in one
+    /// streaming pass. Each payload is verified on the way out and keeps
+    /// its stored CRC. Returns bytes reclaimed.
     pub fn compact(&self) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock();
         let old_end = inner.end;
         let tmp_path = self.path.with_extension("compact");
-        {
-            let mut tmp = OpenOptions::new()
+        let mut tmp = BufWriter::with_capacity(
+            SCAN_BUF,
+            OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(&tmp_path)?;
-            // Gather (name, version, location) triples, then rewrite. Each
-            // payload is verified on the way out and keeps its stored CRC.
-            let entries: Vec<(ObjName, u64, Indexed)> = inner
+                .open(&tmp_path)?,
+        );
+        let mut index = Index::with_capacity(inner.index.len());
+        let mut end = 0u64;
+        let mut log = LogReader::new(&inner.file, 0, old_end)?;
+        while let Some((start, h)) = log.next()? {
+            let live = inner
                 .index
-                .iter()
-                .flat_map(|(n, vs)| vs.iter().map(|(v, i)| (*n, *v, *i)))
-                .collect();
-            let mut new_index: Index = HashMap::new();
-            let mut new_end = 0u64;
-            for (name, version, idx) in entries {
-                let payload = Self::read_at(&mut inner, name, version, idx)?;
-                let rec = Self::record(name, version, 0, idx.crc, &payload);
-                tmp.write_all(&rec)?;
-                new_index.entry(name).or_default().insert(
-                    version,
-                    Indexed {
-                        offset: new_end + HEADER_LEN as u64,
-                        ..idx
-                    },
-                );
-                new_end += rec.len() as u64;
+                .get(&h.name)
+                .is_some_and(|e| h.tomb == 0 && start >= e.life && self.retained(e, h.version));
+            if !live {
+                continue;
             }
-            tmp.sync_data()?;
-            std::fs::rename(&tmp_path, &self.path)?;
-            inner.file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .open(&self.path)?;
-            inner.index = new_index;
-            inner.end = new_end;
+            tmp.write_all(&h.encode())?;
+            if log.payload(|chunk| tmp.write_all(chunk))? != h.crc {
+                return Err(StoreError::Corrupt {
+                    name: h.name,
+                    version: h.version,
+                });
+            }
+            index_record(&mut index, end, &h);
+            end += HEADER_LEN as u64 + u64::from(h.len);
         }
-        Ok(old_end - inner.end)
+        log.finished()?;
+        tmp.flush()?;
+        tmp.get_ref().sync_data()?;
+        drop(tmp);
+        std::fs::rename(&tmp_path, &self.path)?;
+        inner.file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(&self.path)?;
+        inner.index = index;
+        inner.end = end;
+        Ok(old_end - end)
     }
 
     /// Size of the log file in bytes.
     pub fn log_bytes(&self) -> u64 {
         self.inner.lock().end
+    }
+
+    /// The number of index entries: one per live object.
+    #[cfg(test)]
+    fn index_entries(&self) -> usize {
+        self.inner.lock().index.len()
     }
 }
 
@@ -325,12 +470,11 @@ impl CheckpointStore for DiskStore {
     fn put(&self, name: ObjName, image: &[u8]) -> Result<u64, StoreError> {
         let obs = self.obs.read().clone();
         let mut inner = self.inner.lock();
-        let version = inner
-            .index
-            .get(&name)
-            .and_then(|v| v.keys().next_back().copied())
-            .map_or(1, |v| v + 1);
-        let idx = Self::append(
+        let (version, life) = match inner.index.get(&name) {
+            Some(e) => (e.version + 1, e.life),
+            None => (1, inner.end),
+        };
+        let at = Self::append(
             &mut inner,
             self.sync,
             obs.as_deref(),
@@ -339,50 +483,62 @@ impl CheckpointStore for DiskStore {
             0,
             image,
         )?;
-        let versions = inner.index.entry(name).or_default();
-        versions.insert(version, idx);
-        if self.retain > 0 {
-            while versions.len() > self.retain {
-                let oldest = *versions.keys().next().expect("nonempty");
-                versions.remove(&oldest);
-            }
-        }
+        inner.index.insert(name, Entry { version, at, life });
         Ok(version)
     }
 
     fn latest(&self, name: ObjName) -> Result<Option<(u64, Bytes)>, StoreError> {
         let mut inner = self.inner.lock();
-        let Some((version, idx)) = inner
-            .index
-            .get(&name)
-            .and_then(|v| v.iter().next_back().map(|(ver, i)| (*ver, *i)))
-        else {
+        let Some(e) = inner.index.get(&name).copied() else {
             return Ok(None);
         };
-        let payload = Self::read_at(&mut inner, name, version, idx)?;
-        Ok(Some((version, payload)))
+        let payload = Self::read_at(&mut inner, name, e.version, e.at)?;
+        Ok(Some((e.version, payload)))
     }
 
     fn get(&self, name: ObjName, version: u64) -> Result<Option<Bytes>, StoreError> {
         let mut inner = self.inner.lock();
-        let Some(idx) = inner
-            .index
-            .get(&name)
-            .and_then(|v| v.get(&version).copied())
-        else {
+        let Some(e) = inner.index.get(&name).copied() else {
             return Ok(None);
         };
-        Ok(Some(Self::read_at(&mut inner, name, version, idx)?))
+        if version == e.version {
+            return Ok(Some(Self::read_at(&mut inner, name, version, e.at)?));
+        }
+        if !self.retained(&e, version) {
+            return Ok(None);
+        }
+        let mut log = LogReader::new(&inner.file, e.life, inner.end)?;
+        while let Some((_, h)) = log.next()? {
+            if h.name == name && h.tomb == 0 && h.version == version {
+                let mut payload = Vec::with_capacity(h.len as usize);
+                let crc = log.payload(|chunk| {
+                    payload.extend_from_slice(chunk);
+                    Ok(())
+                })?;
+                if crc != h.crc {
+                    return Err(StoreError::Corrupt { name, version });
+                }
+                return Ok(Some(Bytes::from(payload)));
+            }
+        }
+        log.finished()?;
+        Ok(None)
     }
 
     fn versions(&self, name: ObjName) -> Result<Vec<u64>, StoreError> {
-        Ok(self
-            .inner
-            .lock()
-            .index
-            .get(&name)
-            .map(|v| v.keys().copied().collect())
-            .unwrap_or_default())
+        let inner = self.inner.lock();
+        let Some(e) = inner.index.get(&name) else {
+            return Ok(Vec::new());
+        };
+        let mut versions = Vec::new();
+        let mut log = LogReader::new(&inner.file, e.life, inner.end)?;
+        while let Some((_, h)) = log.next()? {
+            if h.name == name && h.tomb == 0 && self.retained(e, h.version) {
+                versions.push(h.version);
+            }
+        }
+        log.finished()?;
+        Ok(versions)
     }
 
     fn delete(&self, name: ObjName) -> Result<(), StoreError> {
@@ -420,6 +576,7 @@ impl CheckpointStore for DiskStore {
 mod tests {
     use super::*;
     use eden_capability::{NameGenerator, NodeId};
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_log() -> PathBuf {
@@ -606,6 +763,157 @@ mod tests {
         let g = gen();
         store.put(g.next_name(), b"fresh").unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn index_holds_one_entry_per_object_while_the_log_keeps_history() {
+        let path = temp_log();
+        let a = gen().next_name();
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        for i in 1..=10_000u32 {
+            store.put(a, &i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(store.index_entries(), 1);
+        assert_eq!(
+            store.versions(a).unwrap(),
+            (1..=10_000).collect::<Vec<u64>>()
+        );
+        assert_eq!(&store.get(a, 1).unwrap().unwrap()[..], &1u32.to_le_bytes());
+        assert_eq!(
+            &store.get(a, 5_000).unwrap().unwrap()[..],
+            &5_000u32.to_le_bytes()
+        );
+        assert_eq!(
+            &store.latest(a).unwrap().unwrap().1[..],
+            &10_000u32.to_le_bytes()
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recovery_streams_records_larger_than_its_buffer() {
+        let path = temp_log();
+        let g = gen();
+        let (a, b) = (g.next_name(), g.next_name());
+        let big = |seed: u8| -> Vec<u8> {
+            (0..3 * SCAN_BUF + 7)
+                .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+                .collect()
+        };
+        {
+            let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+            store.put(a, &big(1)).unwrap();
+            store.put(b, b"small").unwrap();
+            store.put(a, &big(2)).unwrap();
+            store.put(a, &big(3)).unwrap();
+        }
+        // Tear the last record in the middle of its payload.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(len - SCAN_BUF as u64).unwrap();
+        drop(f);
+
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        let (v, data) = store.latest(a).unwrap().unwrap();
+        assert_eq!((v, &data[..]), (2, &big(2)[..]));
+        assert_eq!(store.versions(a).unwrap(), vec![1, 2]);
+        assert_eq!(&store.get(a, 1).unwrap().unwrap()[..], &big(1)[..]);
+        assert_eq!(&store.latest(b).unwrap().unwrap().1[..], b"small");
+        assert_eq!(store.log_bytes(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!(store.put(a, b"after recovery").unwrap(), 3);
+        drop(store);
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(store.versions(a).unwrap(), vec![1, 2, 3]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every retained version of every object, as the store must report it.
+    type Model = HashMap<ObjName, BTreeMap<u64, Vec<u8>>>;
+
+    fn check_against_model(store: &DiskStore, model: &Model, universe: &[ObjName], step: usize) {
+        for &name in universe {
+            let Some(versions) = model.get(&name) else {
+                assert_eq!(store.latest(name).unwrap(), None, "step {step}");
+                assert!(store.versions(name).unwrap().is_empty(), "step {step}");
+                assert_eq!(store.get(name, 1).unwrap(), None, "step {step}");
+                continue;
+            };
+            let (&last, bytes) = versions.iter().next_back().unwrap();
+            let (v, latest) = store.latest(name).unwrap().unwrap();
+            assert_eq!((v, &latest[..]), (last, &bytes[..]), "step {step}");
+            let listed: Vec<u64> = versions.keys().copied().collect();
+            assert_eq!(store.versions(name).unwrap(), listed, "step {step}");
+            for (&v, bytes) in versions {
+                let got = store.get(name, v).unwrap();
+                assert_eq!(got.as_deref(), Some(&bytes[..]), "step {step} v{v}");
+            }
+            let first = *versions.keys().next().unwrap();
+            for v in [0, first.wrapping_sub(1), last + 1] {
+                if !versions.contains_key(&v) {
+                    assert_eq!(store.get(name, v).unwrap(), None, "step {step} v{v}");
+                }
+            }
+        }
+        let mut names = store.names().unwrap();
+        names.sort();
+        let mut expect: Vec<ObjName> = model.keys().copied().collect();
+        expect.sort();
+        assert_eq!(names, expect, "step {step}");
+    }
+
+    fn run_model(retain: usize, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let path = temp_log();
+        let g = gen();
+        let universe: Vec<ObjName> = (0..4).map(|_| g.next_name()).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut model = Model::new();
+        let mut store = DiskStore::open_with_retention(&path, SyncPolicy::Never, retain).unwrap();
+        for step in 0..400 {
+            let name = universe[rng.random_range(0..universe.len())];
+            match rng.random_range(0..100u32) {
+                0..=69 => {
+                    let len = if rng.random_bool(0.02) {
+                        SCAN_BUF + 11
+                    } else {
+                        rng.random_range(0..64usize)
+                    };
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+                    let versions = model.entry(name).or_default();
+                    let next = versions.keys().next_back().map_or(1, |v| v + 1);
+                    assert_eq!(store.put(name, &bytes).unwrap(), next, "step {step}");
+                    versions.insert(next, bytes);
+                    while retain > 0 && versions.len() > retain {
+                        versions.pop_first();
+                    }
+                }
+                70..=84 => {
+                    store.delete(name).unwrap();
+                    model.remove(&name);
+                }
+                85..=92 => {
+                    store.compact().unwrap();
+                }
+                _ => {
+                    drop(store);
+                    store =
+                        DiskStore::open_with_retention(&path, SyncPolicy::Never, retain).unwrap();
+                }
+            }
+            assert_eq!(store.index_entries(), model.len(), "step {step}");
+            check_against_model(&store, &model, &universe, step);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn random_histories_match_a_model_of_every_retained_version() {
+        for seed in 1..=4 {
+            run_model(0, seed);
+            run_model(2, seed);
+        }
     }
 }
 

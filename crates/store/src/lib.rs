@@ -12,7 +12,9 @@
 //!   exercise durability.
 //! * [`DiskStore`] — an append-only, versioned log with recovery that
 //!   truncates torn tails; the reproduction's equivalent of the
-//!   file-server node's 300 MB disk (§3). Every record carries a CRC-32
+//!   file-server node's 300 MB disk (§3). Its memory holds one index
+//!   entry per live object; older versions are read back from the log.
+//!   Every record carries a CRC-32
 //!   (slicing-by-16, [`crc`]) that is checked on every read, so a damaged
 //!   record surfaces as [`StoreError::Corrupt`] instead of feeding
 //!   reincarnation.

@@ -2,8 +2,9 @@
 # CI entry point.
 #
 #   ./scripts/ci.sh            tier-1 gate: fmt, clippy, release build,
-#                              workspace tests, rustdoc, bench compile, eden-lint,
-#                              cargo-deny (if installed), telemetry smoke
+#                              workspace tests, rustdoc, bench compile, perfbench
+#                              check, eden-lint, cargo-deny (if installed),
+#                              telemetry smoke
 #   ./scripts/ci.sh lint       eden-lint only (human output + JSON artifact)
 #   ./scripts/ci.sh loom       concurrency models under --cfg loom
 #   ./scripts/ci.sh tsan       workspace tests under ThreadSanitizer
@@ -82,6 +83,10 @@ case "${1:-all}" in
     # Rustdoc with warnings denied keeps every intra-doc link resolving.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     cargo bench --no-run
+    # perfbench is a package of its own outside the workspace, and it
+    # implements `CheckpointStore` and `Endpoint`: check it, tests
+    # included, so a trait change that breaks the benchmark fails here.
+    cargo check --offline --all-targets --manifest-path perfbench/Cargo.toml
     run_lint
     if command -v cargo-deny >/dev/null 2>&1; then
       cargo deny check
