@@ -309,8 +309,8 @@ fn mark_test_lines(code: &str, line_starts: &[usize]) -> Vec<bool> {
 
 /// One line's suppression coverage: whether the `allow(...)` comment
 /// also carries a written rationale after the closing paren. The graph
-/// rules (lock-order, blocking-discipline, wire-schema-drift) only
-/// honor suppressions with a rationale.
+/// rules (lock-order, blocking-discipline) only honor suppressions with
+/// a rationale.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cover {
     pub(crate) with_rationale: bool,

@@ -8,13 +8,13 @@
 //! appears. Following Lampson's advice to make such invariants
 //! *checkable* rather than conventional, this crate parses the whole
 //! workspace (a purpose-built lexer — the build image has no network
-//! access for `syn`) and enforces eight rules.
+//! access for `syn`) and enforces seven rules.
 //!
-//! Rules 1–5 are per-file token rules; rules 6–8 are *graph* rules
+//! Rules 1–5 are per-file token rules; rules 6–7 are *graph* rules
 //! built on a per-function model of the workspace (lock-guard
 //! acquisitions with hold spans, an approximate intra-crate call
-//! graph, blocking-call sites, and the wire-schema inventory — see
-//! `model` for the soundness caveats):
+//! graph and blocking-call sites — see `model` for the soundness
+//! caveats):
 //!
 //! * **L1 `pool-discipline`** — no `thread::spawn` /
 //!   `thread::Builder::…spawn` in `eden-core` outside `vproc.rs` and
@@ -46,16 +46,16 @@
 //! * **L7 `blocking-discipline`** — blocking operations reachable from
 //!   a pool `submit(…)` closure must be wrapped in the pool's
 //!   `blocking(…)` spare-injection guard.
-//! * **L8 `wire-schema-drift`** — `TAG_*` constants, enum variant
-//!   lists, `WireEncode`/`WireDecode` impls and the obs_codec
-//!   `*_to_value`/`*_from_value` pairs must agree: no duplicate tags,
-//!   no encode-only or decode-only tags/variants, no codec arms for
-//!   retired variants.
+//!
+//! The wire schema needs no rule of its own: each wire enum is one
+//! `wire_enum!` table in `eden-wire` that generates the enum and both
+//! codec directions, so no variant can lack a codec arm and a duplicate
+//! tag fails to compile.
 //!
 //! Findings can be suppressed with a `// eden-lint: allow(<rule>)`
 //! comment on the offending line or on the line directly above it;
 //! suppressed findings are still counted and reported. The graph rules
-//! (6–8) only honor suppressions that carry a written rationale after
+//! (6–7) only honor suppressions that carry a written rationale after
 //! the closing paren — `// eden-lint: allow(lock-order): <why>`.
 //!
 //! Test code is exempt everywhere: files under `tests/`, `benches/`,
@@ -72,7 +72,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::path::Path;
 
-/// The eight invariants eden-lint enforces.
+/// The seven invariants eden-lint enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// L1: kernel work flows through the virtual-processor pool.
@@ -90,13 +90,11 @@ pub enum Rule {
     LockOrder,
     /// L7: no blocking calls on pool workers outside `blocking(…)`.
     BlockingDiscipline,
-    /// L8: tags, enum variants and Value codecs agree.
-    WireSchemaDrift,
 }
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::PoolDiscipline,
         Rule::CapabilityDiscipline,
         Rule::WireExhaustiveness,
@@ -104,7 +102,6 @@ impl Rule {
         Rule::MetricDiscipline,
         Rule::LockOrder,
         Rule::BlockingDiscipline,
-        Rule::WireSchemaDrift,
     ];
 
     /// The stable kebab-case name used in reports and suppressions.
@@ -117,7 +114,6 @@ impl Rule {
             Rule::MetricDiscipline => "metric-discipline",
             Rule::LockOrder => "lock-order",
             Rule::BlockingDiscipline => "blocking-discipline",
-            Rule::WireSchemaDrift => "wire-schema-drift",
         }
     }
 
@@ -126,13 +122,10 @@ impl Rule {
         Rule::ALL.iter().copied().find(|r| r.name() == name)
     }
 
-    /// Whether this is a workspace graph rule (6–8), whose suppressions
+    /// Whether this is a workspace graph rule (6–7), whose suppressions
     /// must carry a written rationale.
     pub fn is_graph_rule(self) -> bool {
-        matches!(
-            self,
-            Rule::LockOrder | Rule::BlockingDiscipline | Rule::WireSchemaDrift
-        )
+        matches!(self, Rule::LockOrder | Rule::BlockingDiscipline)
     }
 
     /// The rule's rationale and escape-hatch syntax, for `--explain`
@@ -188,15 +181,6 @@ impl Rule {
                  in vproc::blocking(…) so the pool injects a spare worker. \
                  Escape: `// eden-lint: allow(blocking-discipline): <rationale>` — the \
                  rationale is required."
-            }
-            Rule::WireSchemaDrift => {
-                "The wire schema lives in three places — TAG_* constants, enum variant \
-                 lists, and WireEncode/WireDecode impls plus the obs_codec *_to_value/\
-                 *_from_value pairs — and they drift independently: duplicate tag values, \
-                 encode-only or decode-only tags and variants, and codec arms for retired \
-                 variants are all flagged. Escape: \
-                 `// eden-lint: allow(wire-schema-drift): <rationale>` — the rationale is \
-                 required."
             }
         }
     }
@@ -481,12 +465,12 @@ pub struct Analysis {
     pub lock_dot: String,
 }
 
-/// Scans a file set (`(rel_path, source)` pairs) with all eight rules.
+/// Scans a file set (`(rel_path, source)` pairs) with all seven rules.
 pub fn scan_files(files: &[(String, String)], spec: &LockOrderSpec) -> Report {
     analyze_files(files, spec).report
 }
 
-/// Scans a file set with all eight rules and renders the lock graph.
+/// Scans a file set with all seven rules and renders the lock graph.
 pub fn analyze_files(files: &[(String, String)], spec: &LockOrderSpec) -> Analysis {
     let mut report = Report::default();
     let in_scope: Vec<(String, String)> = files
@@ -503,7 +487,6 @@ pub fn analyze_files(files: &[(String, String)], spec: &LockOrderSpec) -> Analys
     let mut graph_findings = Vec::new();
     let edges = rules::lock_order::check(&ws, spec, &mut graph_findings);
     rules::blocking::check(&ws, &mut graph_findings);
-    rules::wire_drift::check(&ws, &mut graph_findings);
 
     // Graph-rule suppressions only count with a written rationale; a
     // bare allow(...) is reported as such so the author adds one.

@@ -4,12 +4,9 @@
 //! offset-preserving views) into a [`FileModel`]: function spans,
 //! lock-guard acquisition sites with the locked *field's* name and an
 //! approximate hold span, direct intra-crate call sites, blocking-call
-//! sites, pool-submit closures, plus the wire-schema inventory (enum
-//! declarations, `TAG_*` constants, `WireEncode`/`WireDecode` impl
-//! blocks and `*_to_value`/`*_from_value` codec functions). The
-//! [`Workspace`] ties the files together so the graph rules
-//! (lock-order, blocking-discipline, wire-schema-drift) can reason
-//! across files.
+//! sites and pool-submit closures. The [`Workspace`] ties the files
+//! together so the graph rules (lock-order, blocking-discipline) can
+//! reason across files.
 //!
 //! ## Soundness caveats (by design — this is a linter, not a verifier)
 //!
@@ -141,46 +138,6 @@ pub(crate) struct FnModel {
     pub(crate) blocking: Vec<BlockSite>,
 }
 
-/// An `enum` declaration.
-#[derive(Debug, Clone)]
-pub(crate) struct EnumDef {
-    pub(crate) name: String,
-    pub(crate) variants: Vec<String>,
-}
-
-/// A `const TAG_*: u8 = N;` wire-tag constant declaration. Encode/
-/// decode uses are counted workspace-wide by the wire-drift rule.
-#[derive(Debug, Clone)]
-pub(crate) struct TagConst {
-    pub(crate) name: String,
-    pub(crate) value: u64,
-    pub(crate) line: usize,
-}
-
-/// One `Enum::Variant` reference inside a codec context.
-#[derive(Debug, Clone)]
-pub(crate) struct VariantRef {
-    pub(crate) enum_name: String,
-    pub(crate) variant: String,
-    pub(crate) line: usize,
-}
-
-/// One `impl WireEncode/WireDecode for E` block's variant references.
-#[derive(Debug, Clone)]
-pub(crate) struct CodecImpl {
-    pub(crate) enum_name: String,
-    pub(crate) encode: bool,
-    pub(crate) line: usize,
-    pub(crate) refs: Vec<VariantRef>,
-}
-
-/// One `*_to_value` / `*_from_value` codec function's variant references.
-#[derive(Debug, Clone)]
-pub(crate) struct CodecFn {
-    pub(crate) encode: bool,
-    pub(crate) refs: Vec<VariantRef>,
-}
-
 /// One file's full analysis model.
 pub(crate) struct FileModel {
     pub(crate) rel_path: String,
@@ -193,10 +150,6 @@ pub(crate) struct FileModel {
     pub(crate) lock_fields: Vec<String>,
     /// Struct fields declared here with their type (see [`head_type`]).
     pub(crate) field_types: Vec<(String, Option<String>)>,
-    pub(crate) enums: Vec<EnumDef>,
-    pub(crate) tags: Vec<TagConst>,
-    pub(crate) impls: Vec<CodecImpl>,
-    pub(crate) codec_fns: Vec<CodecFn>,
 }
 
 /// The workspace-wide model: every scanned file, plus the global lock
@@ -234,16 +187,12 @@ impl Workspace {
         }
         let all_lock_fields: BTreeSet<String> = lock_decls.keys().cloned().collect();
 
-        // Pass 2: per-file function + wire models.
+        // Pass 2: per-file function models.
         let file_models = lexed
             .drain(..)
             .map(|(rel, model, lock_fields)| {
                 let fns = extract_fns(&model, &all_lock_fields);
                 let field_types = extract_field_types(&model);
-                let enums = extract_enums(&model);
-                let tags = extract_tags(&model);
-                let impls = extract_codec_impls(&model);
-                let codec_fns = extract_codec_fns(&model, &fns);
                 FileModel {
                     stem: stem_of(&rel),
                     crate_key: crate_key_of(&rel),
@@ -252,10 +201,6 @@ impl Workspace {
                     fns,
                     lock_fields,
                     field_types,
-                    enums,
-                    tags,
-                    impls,
-                    codec_fns,
                 }
             })
             .collect::<Vec<FileModel>>();
@@ -335,17 +280,6 @@ impl Workspace {
             })
             .unwrap_or_else(|| file.stem.clone());
         format!("{stem}.{field}")
-    }
-
-    /// Enum declarations across the whole workspace, name → variants.
-    pub(crate) fn enum_map(&self) -> BTreeMap<&str, &EnumDef> {
-        let mut map = BTreeMap::new();
-        for file in &self.files {
-            for e in &file.enums {
-                map.entry(e.name.as_str()).or_insert(e);
-            }
-        }
-        map
     }
 }
 
@@ -976,212 +910,6 @@ fn enclosing_block_end(code: &str, at: usize, body_end: usize) -> usize {
     body_end
 }
 
-// ================= Wire-schema inventory =================
-
-fn extract_enums(model: &SourceModel) -> Vec<EnumDef> {
-    let code = &model.code;
-    let mut out = Vec::new();
-    for at in word_occurrences(code, "enum") {
-        if model.is_test_line(model.line_of(at)) {
-            continue;
-        }
-        let Some(name) = ident_at(code, skip_ws(code, at + 4)) else {
-            continue;
-        };
-        if !name.bytes().next().is_some_and(|b| b.is_ascii_uppercase()) {
-            continue;
-        }
-        let Some(open) = code[at..].find('{').map(|p| at + p) else {
-            continue;
-        };
-        // Generic enums (`enum E<T> {`) and where-clauses keep the `{`
-        // on the decl; a `;` first means this was `use …::enum` noise.
-        if code[at..open].contains(';') {
-            continue;
-        }
-        let Some(close) = matching_brace(code, open) else {
-            continue;
-        };
-        let body = &code[open + 1..close];
-        let mut variants = Vec::new();
-        let bytes = body.as_bytes();
-        let mut depth = 0i32;
-        let mut expect_variant = true;
-        let mut i = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' | b'(' | b'[' | b'<' => depth += 1,
-                b'}' | b')' | b']' | b'>' => depth -= 1,
-                b',' if depth == 0 => expect_variant = true,
-                // Skip attribute groups `#[…]`.
-                b'#' if bytes.get(i + 1) == Some(&b'[') => {
-                    let mut d = 0i32;
-                    let mut j = i + 1;
-                    while j < bytes.len() {
-                        match bytes[j] {
-                            b'[' => d += 1,
-                            b']' => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    i = j;
-                }
-                b if depth == 0 && expect_variant && b.is_ascii_uppercase() => {
-                    if let Some(v) = ident_at(body, i) {
-                        variants.push(v.to_string());
-                        i += v.len();
-                        expect_variant = false;
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        out.push(EnumDef {
-            name: name.to_string(),
-            variants,
-        });
-    }
-    out
-}
-
-fn extract_tags(model: &SourceModel) -> Vec<TagConst> {
-    let code = &model.code;
-    let mut out: Vec<TagConst> = Vec::new();
-    for at in word_occurrences(code, "const") {
-        if model.is_test_line(model.line_of(at)) {
-            continue;
-        }
-        let Some(name) = ident_at(code, skip_ws(code, at + 5)) else {
-            continue;
-        };
-        if !name.starts_with("TAG_") {
-            continue;
-        }
-        let line_code = model.code_line(model.line_of(at));
-        let Some(value) = line_code
-            .split('=')
-            .nth(1)
-            .and_then(|v| v.trim().trim_end_matches(';').trim().parse::<u64>().ok())
-        else {
-            continue;
-        };
-        out.push(TagConst {
-            name: name.to_string(),
-            value,
-            line: model.line_of(at),
-        });
-    }
-    out
-}
-
-/// `Enum::Variant` references within `span` (uppercase enum name,
-/// uppercase variant — module paths and assoc fns stay out).
-fn variant_refs(model: &SourceModel, span: (usize, usize)) -> Vec<VariantRef> {
-    let code = &model.code;
-    let slice = &code[span.0..span.1];
-    let bytes = slice.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < bytes.len() {
-        if bytes[i] == b':' && bytes[i + 1] == b':' {
-            let Some(enum_name) = ident_before(slice, i) else {
-                i += 2;
-                continue;
-            };
-            let variant_at = skip_ws(slice, i + 2);
-            let Some(variant) = ident_at(slice, variant_at) else {
-                i += 2;
-                continue;
-            };
-            let e_upper = enum_name
-                .bytes()
-                .next()
-                .is_some_and(|b| b.is_ascii_uppercase());
-            let v_upper = variant
-                .bytes()
-                .next()
-                .is_some_and(|b| b.is_ascii_uppercase());
-            // Exclude deeper paths (`a::b::c`) on the variant side.
-            let after = variant_at + variant.len();
-            let deeper = slice[after..].trim_start().starts_with("::");
-            if e_upper && v_upper && !deeper {
-                out.push(VariantRef {
-                    enum_name: enum_name.to_string(),
-                    variant: variant.to_string(),
-                    line: model.line_of(span.0 + i),
-                });
-            }
-            i = variant_at + variant.len();
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-fn extract_codec_impls(model: &SourceModel) -> Vec<CodecImpl> {
-    let code = &model.code;
-    let mut out = Vec::new();
-    for at in word_occurrences(code, "impl") {
-        if model.is_test_line(model.line_of(at)) {
-            continue;
-        }
-        let Some(open) = code[at..].find('{').map(|p| at + p) else {
-            continue;
-        };
-        let header = &code[at..open];
-        if header.contains(';') {
-            continue;
-        }
-        let encode = header.contains("WireEncode for");
-        let decode = header.contains("WireDecode for");
-        if !encode && !decode {
-            continue;
-        }
-        let Some(target) = header.split("for").nth(1) else {
-            continue;
-        };
-        let target = target.trim();
-        let Some(enum_name) = ident_at(target, 0) else {
-            continue;
-        };
-        let Some(close) = matching_brace(code, open) else {
-            continue;
-        };
-        out.push(CodecImpl {
-            enum_name: enum_name.to_string(),
-            encode,
-            line: model.line_of(at),
-            refs: variant_refs(model, (open, close)),
-        });
-    }
-    out
-}
-
-fn extract_codec_fns(model: &SourceModel, fns: &[FnModel]) -> Vec<CodecFn> {
-    fns.iter()
-        .filter_map(|f| {
-            let encode = f.name.ends_with("to_value");
-            let decode = f.name.ends_with("from_value");
-            if !encode && !decode {
-                return None;
-            }
-            Some(CodecFn {
-                encode,
-                refs: variant_refs(model, f.body),
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1235,17 +963,5 @@ mod tests {
         assert_eq!(f.blocking.len(), 2);
         assert!(f.blocking[0].guarded);
         assert!(!f.blocking[1].guarded);
-    }
-
-    #[test]
-    fn enum_and_tag_inventory() {
-        let src = "pub enum E { A, B(u8), C { x: u8 } }\n\
-                   pub const TAG_A: u8 = 0;\n\
-                   pub const TAG_B: u8 = 1;\n";
-        let w = ws(src);
-        let file = &w.files[0];
-        assert_eq!(file.enums[0].variants, vec!["A", "B", "C"]);
-        assert_eq!(file.tags.len(), 2);
-        assert_eq!(file.tags[1].value, 1);
     }
 }

@@ -1,4 +1,4 @@
-//! One module per rule. Rules 1–5 are per-file token rules; rules 6–8
+//! One module per rule. Rules 1–5 are per-file token rules; rules 6–7
 //! are workspace graph rules built on the [`model`](crate::model).
 
 pub(crate) mod blocking;
@@ -7,5 +7,4 @@ pub(crate) mod lock_order;
 pub(crate) mod metric;
 pub(crate) mod panic;
 pub(crate) mod pool;
-pub(crate) mod wire_drift;
 pub(crate) mod wire_exhaustive;

@@ -1,4 +1,4 @@
-//! Fixture suite for the eight eden-lint rules: each rule has at least
+//! Fixture suite for the seven eden-lint rules: each rule has at least
 //! one known-good and one known-bad snippet with exact expected finding
 //! counts, plus suppression fixtures proving `eden-lint: allow(...)`
 //! comments cover (and count) findings — with a mandatory rationale for
@@ -25,7 +25,7 @@ fn scan_fixture(fixture: &str, virtual_path: &str) -> Vec<Finding> {
     scan_source(virtual_path, &fixture_source(fixture))
 }
 
-/// Loads fixtures as a virtual workspace and runs all eight rules.
+/// Loads fixtures as a virtual workspace and runs all seven rules.
 fn scan_graph(fixtures: &[(&str, &str)], spec: &LockOrderSpec) -> Vec<Finding> {
     let files: Vec<(String, String)> = fixtures
         .iter()
@@ -340,56 +340,16 @@ fn blocking_discipline_accepts_guarded_waits_and_dedicated_threads() {
 }
 
 #[test]
-fn wire_drift_flags_tag_impl_and_codec_drift() {
-    let spec = LockOrderSpec::default();
-    let findings = scan_graph(&[("wiredrift_bad.rs", "crates/wire/src/message.rs")], &spec);
-    // 1 duplicate tag value, 3 tag-use gaps (PONG undecoded, GONE
-    // undecoded, DUP retired), 2 encode-impl gaps (Halt missing, Retired
-    // stale), 2 decode-impl gaps (Pong and Halt missing).
-    assert_eq!(
-        count(&findings, Rule::WireSchemaDrift, false),
-        8,
-        "{findings:?}"
-    );
-    let messages: Vec<&str> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::WireSchemaDrift)
-        .map(|f| f.message.as_str())
-        .collect();
-    assert!(messages.iter().any(|m| m.contains("duplicate wire tag")));
-    assert!(messages.iter().any(|m| m.contains("retired wire tag")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("no `TAG_PONG =>` decode arm") || m.contains("`TAG_PONG` is encoded")));
-    assert!(messages.iter().any(|m| m.contains("Message::Halt")));
-    assert!(messages.iter().any(|m| m.contains("Message::Retired")));
-}
-
-#[test]
-fn wire_drift_accepts_a_consistent_schema() {
-    let spec = LockOrderSpec::default();
-    let findings = scan_graph(
-        &[("wiredrift_good.rs", "crates/wire/src/message.rs")],
-        &spec,
-    );
-    assert_eq!(
-        count(&findings, Rule::WireSchemaDrift, false),
-        0,
-        "{findings:?}"
-    );
-}
-
-#[test]
 fn suppressions_cover_and_count_each_rule() {
     // Line rules: one covered violation per rule in suppressed.rs.
-    // Graph rules: one rationale-carrying allow each in the two graph
-    // fixtures, analyzed together as one virtual workspace.
+    // Graph rules: one rationale-carrying allow each in the graph
+    // fixture, analyzed together with suppressed.rs as one virtual
+    // workspace.
     let spec = LockOrderSpec::parse("order = [\"graph.alpha\", \"graph.beta\"]");
     let findings = scan_graph(
         &[
             ("suppressed.rs", "crates/core/src/node.rs"),
             ("suppressed_graph.rs", "crates/core/src/graph.rs"),
-            ("suppressed_wire.rs", "crates/wire/src/legacy.rs"),
         ],
         &spec,
     );

@@ -6,6 +6,8 @@
 //! malformed input with a [`CodecError`] rather than panicking, because
 //! frames arrive from the network.
 
+use std::collections::BTreeMap;
+
 use bytes::{BufMut, Bytes, BytesMut};
 use eden_capability::{Capability, NodeId, ObjName, Rights};
 
@@ -371,6 +373,96 @@ pub trait WireDecode: Sized {
     }
 }
 
+/// Defines a tagged wire enum from one table: one row per variant, as
+/// `tag => Variant "kind-name"`, then its fields in wire order, named
+/// `{ field: Type, … }` or tuple-style `(field: Type, …)`. The table
+/// generates the enum, its kind-name accessor (named by the `fn` line),
+/// and its `WireEncode`/`WireDecode` impls: the tag byte, then each field
+/// through its type's own codec. A tag used twice fails to compile.
+///
+/// ```text
+/// wire_enum! {
+///     /// What a reply says.
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub enum Answer {
+///         /// A stable short label for logs.
+///         pub fn label;
+///
+///         /// Nothing to say.
+///         0 => Empty "empty",
+///         /// A number.
+///         1 => Count "count" (n: u64),
+///         /// A named value.
+///         2 => Named "named" { name: String, value: Option<u64> },
+///     }
+/// }
+/// ```
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(#[$kind_meta:meta])*
+            $kind_vis:vis fn $kind_fn:ident;
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $kind:literal
+                $(($($tfield:ident: $tty:ty),* $(,)?))?
+                $({$($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)?})?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $(($($tty),*))? $({$($(#[$fmeta])* $field: $fty),*})?,
+            )*
+        }
+
+        impl $name {
+            $(#[$kind_meta])*
+            $kind_vis fn $kind_fn(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $kind,)*
+                }
+            }
+        }
+
+        impl $crate::codec::WireEncode for $name {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $($name::$variant $(($($tfield),*))? $({$($field),*})? => {
+                        w.put_u8($tag);
+                        $($($crate::codec::WireEncode::encode($tfield, w);)*)?
+                        $($($crate::codec::WireEncode::encode($field, w);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::codec::WireDecode for $name {
+            #[deny(unreachable_patterns)]
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match r.get_u8()? {
+                    $($tag => $name::$variant
+                        $(($(<$tty as $crate::codec::WireDecode>::decode(r)?),*))?
+                        $({$($field: <$fty as $crate::codec::WireDecode>::decode(r)?),*})?,)*
+                    tag => {
+                        return Err($crate::codec::CodecError::BadTag {
+                            what: stringify!($name),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
+}
+
+pub(crate) use wire_enum;
+
 impl WireEncode for String {
     fn encode(&self, w: &mut Writer) {
         w.put_str(self);
@@ -383,15 +475,90 @@ impl WireDecode for String {
     }
 }
 
-impl WireEncode for u64 {
+/// Implements the codec of a type that one `Writer::put_*` /
+/// `Reader::get_*` pair writes and reads by value.
+macro_rules! primitive_codec {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {$(
+        impl WireEncode for $ty {
+            fn encode(&self, w: &mut Writer) {
+                w.$put(*self);
+            }
+        }
+
+        impl WireDecode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+primitive_codec! {
+    u8 => put_u8, get_u8;
+    bool => put_bool, get_bool;
+    u64 => put_u64, get_u64;
+    i64 => put_i64, get_i64;
+    f64 => put_f64, get_f64;
+}
+
+/// An `i32` travels as its `u32` bit pattern.
+impl WireEncode for i32 {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(*self);
+        w.put_u32(*self as u32);
     }
 }
 
-impl WireDecode for u64 {
+impl WireDecode for i32 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.get_u64()
+        Ok(r.get_u32()? as i32)
+    }
+}
+
+impl<T: WireEncode> WireEncode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_seq(self);
+    }
+}
+
+impl<T: WireDecode> WireDecode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_seq()
+    }
+}
+
+impl<T: WireEncode> WireEncode for Option<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_option(self);
+    }
+}
+
+impl<T: WireDecode> WireDecode for Option<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_option()
+    }
+}
+
+/// A string-keyed map travels as a `u32` entry count followed by each
+/// key and value, in key order.
+impl<T: WireEncode> WireEncode for BTreeMap<String, T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(self.len() as u32);
+        for (k, v) in self {
+            w.put_str(k);
+            v.encode(w);
+        }
+    }
+}
+
+impl<T: WireDecode> WireDecode for BTreeMap<String, T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.get_u32()? as usize;
+        let mut m = BTreeMap::new();
+        for _ in 0..n {
+            let k = r.get_str()?;
+            m.insert(k, T::decode(r)?);
+        }
+        Ok(m)
     }
 }
 

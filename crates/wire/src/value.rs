@@ -9,59 +9,48 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use eden_capability::Capability;
 
-use crate::codec::{CodecError, Reader, WireDecode, WireEncode, Writer};
+use crate::codec::wire_enum;
 
-/// A single invocation parameter or result.
-///
-/// # Examples
-///
-/// ```
-/// use eden_wire::Value;
-///
-/// let v = Value::List(vec![Value::I64(1), Value::Str("two".into())]);
-/// assert_eq!(v.type_name(), "list");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// The absence of a value.
-    Unit,
-    /// A boolean.
-    Bool(bool),
-    /// A signed 64-bit integer.
-    I64(i64),
-    /// An unsigned 64-bit integer.
-    U64(u64),
-    /// A 64-bit IEEE-754 float.
-    F64(f64),
-    /// A UTF-8 string.
-    Str(String),
-    /// An uninterpreted byte string.
-    Blob(Bytes),
-    /// An ordered list of values.
-    List(Vec<Value>),
-    /// A string-keyed map of values (deterministic order).
-    Map(BTreeMap<String, Value>),
-    /// A capability — the only value that conveys authority.
-    Cap(Capability),
+wire_enum! {
+    /// A single invocation parameter or result.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eden_wire::Value;
+    ///
+    /// let v = Value::List(vec![Value::I64(1), Value::Str("two".into())]);
+    /// assert_eq!(v.type_name(), "list");
+    /// ```
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Value {
+        /// A short name for the value's runtime type, used in error messages.
+        pub fn type_name;
+
+        /// The absence of a value.
+        0 => Unit "unit",
+        /// A boolean.
+        1 => Bool "bool" (b: bool),
+        /// A signed 64-bit integer.
+        2 => I64 "i64" (v: i64),
+        /// An unsigned 64-bit integer.
+        3 => U64 "u64" (v: u64),
+        /// A 64-bit IEEE-754 float.
+        4 => F64 "f64" (v: f64),
+        /// A UTF-8 string.
+        5 => Str "str" (s: String),
+        /// An uninterpreted byte string.
+        6 => Blob "blob" (b: Bytes),
+        /// An ordered list of values.
+        7 => List "list" (items: Vec<Value>),
+        /// A string-keyed map of values (deterministic order).
+        8 => Map "map" (m: BTreeMap<String, Value>),
+        /// A capability — the only value that conveys authority.
+        9 => Cap "cap" (c: Capability),
+    }
 }
 
 impl Value {
-    /// A short name for the value's runtime type, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Unit => "unit",
-            Value::Bool(_) => "bool",
-            Value::I64(_) => "i64",
-            Value::U64(_) => "u64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "str",
-            Value::Blob(_) => "blob",
-            Value::List(_) => "list",
-            Value::Map(_) => "map",
-            Value::Cap(_) => "cap",
-        }
-    }
-
     /// Extracts a bool, if this is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -208,95 +197,10 @@ impl From<Vec<Value>> for Value {
     }
 }
 
-const TAG_UNIT: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_I64: u8 = 2;
-const TAG_U64: u8 = 3;
-const TAG_F64: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_BLOB: u8 = 6;
-const TAG_LIST: u8 = 7;
-const TAG_MAP: u8 = 8;
-const TAG_CAP: u8 = 9;
-
-impl WireEncode for Value {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Value::Unit => w.put_u8(TAG_UNIT),
-            Value::Bool(b) => {
-                w.put_u8(TAG_BOOL);
-                w.put_bool(*b);
-            }
-            Value::I64(v) => {
-                w.put_u8(TAG_I64);
-                w.put_i64(*v);
-            }
-            Value::U64(v) => {
-                w.put_u8(TAG_U64);
-                w.put_u64(*v);
-            }
-            Value::F64(v) => {
-                w.put_u8(TAG_F64);
-                w.put_f64(*v);
-            }
-            Value::Str(s) => {
-                w.put_u8(TAG_STR);
-                w.put_str(s);
-            }
-            Value::Blob(b) => {
-                w.put_u8(TAG_BLOB);
-                w.put_bytes(b);
-            }
-            Value::List(items) => {
-                w.put_u8(TAG_LIST);
-                w.put_seq(items);
-            }
-            Value::Map(m) => {
-                w.put_u8(TAG_MAP);
-                w.put_u32(m.len() as u32);
-                for (k, v) in m {
-                    w.put_str(k);
-                    v.encode(w);
-                }
-            }
-            Value::Cap(c) => {
-                w.put_u8(TAG_CAP);
-                c.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for Value {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            TAG_UNIT => Ok(Value::Unit),
-            TAG_BOOL => Ok(Value::Bool(r.get_bool()?)),
-            TAG_I64 => Ok(Value::I64(r.get_i64()?)),
-            TAG_U64 => Ok(Value::U64(r.get_u64()?)),
-            TAG_F64 => Ok(Value::F64(r.get_f64()?)),
-            TAG_STR => Ok(Value::Str(r.get_str()?)),
-            TAG_BLOB => Ok(Value::Blob(r.get_bytes()?)),
-            TAG_LIST => Ok(Value::List(r.get_seq()?)),
-            TAG_MAP => {
-                let n = r.get_u32()? as usize;
-                let mut m = BTreeMap::new();
-                for _ in 0..n {
-                    let k = r.get_str()?;
-                    let v = Value::decode(r)?;
-                    m.insert(k, v);
-                }
-                Ok(Value::Map(m))
-            }
-            TAG_CAP => Ok(Value::Cap(Capability::decode(r)?)),
-            tag => Err(CodecError::BadTag { what: "Value", tag }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{WireDecode, WireEncode};
     use eden_capability::{NameGenerator, NodeId, Rights};
     use proptest::prelude::*;
 
@@ -333,8 +237,7 @@ mod tests {
         }
 
         #[test]
-        fn wire_size_is_exact_for_flat_values(s in ".{0,64}") {
-            let v = Value::Str(s);
+        fn wire_size_is_exact_for_every_value(v in any_value()) {
             prop_assert_eq!(v.wire_size(), v.encode_to_bytes().len());
         }
     }
