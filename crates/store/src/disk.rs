@@ -11,6 +11,8 @@
 //!   visible in the index only after a fully successful append, so `put`
 //!   is atomic with respect to crashes. The header and the payload go out
 //!   in one vectored write, without first being copied into one buffer.
+//!   A write or fsync that fails cuts the file back to the last whole
+//!   record, so a partly written record never sits under later ones.
 //! * The in-memory index holds one entry per live object: its latest
 //!   version, where that record's payload lies, the payload's CRC, and the
 //!   log offset at which the object's current life began (its first record
@@ -240,6 +242,23 @@ struct Inner {
     /// Byte offset one past the last valid record.
     end: u64,
     index: Index,
+    /// Test seam: the next append writes this many bytes of its record
+    /// and then fails, as a full disk or a device error would.
+    #[cfg(test)]
+    fail_after: Option<usize>,
+}
+
+impl Inner {
+    /// Appends `bufs` to the log file.
+    fn write(&mut self, bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(n) = self.fail_after.take() {
+            let record: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            self.file.write_all(&record[..n.min(record.len())])?;
+            return Err(io::Error::other("injected write failure"));
+        }
+        write_all_vectored(&mut self.file, bufs)
+    }
 }
 
 /// A durable [`CheckpointStore`] backed by a single append-only log file.
@@ -308,7 +327,13 @@ impl DiskStore {
             sync,
             retain,
             obs: RwLock::new(None),
-            inner: Mutex::new(Inner { file, end, index }),
+            inner: Mutex::new(Inner {
+                file,
+                end,
+                index,
+                #[cfg(test)]
+                fail_after: None,
+            }),
         })
     }
 
@@ -366,18 +391,27 @@ impl DiskStore {
             crc,
         }
         .encode();
-        let write_start = now_ns();
-        let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
-        write_all_vectored(&mut inner.file, &mut bufs)?;
-        let write_end = now_ns();
-        if sync == SyncPolicy::Always {
-            inner.file.sync_data()?;
-            if let Some(obs) = obs {
-                obs.fsync.record(now_ns().saturating_sub(write_end));
+        let mut write = || -> io::Result<()> {
+            let write_start = now_ns();
+            inner.write(&mut [IoSlice::new(&header), IoSlice::new(payload)])?;
+            let write_end = now_ns();
+            if sync == SyncPolicy::Always {
+                inner.file.sync_data()?;
+                if let Some(obs) = obs {
+                    obs.fsync.record(now_ns().saturating_sub(write_end));
+                }
             }
-        }
-        if let Some(obs) = obs {
-            obs.write.record(write_end.saturating_sub(write_start));
+            if let Some(obs) = obs {
+                obs.write.record(write_end.saturating_sub(write_start));
+            }
+            Ok(())
+        };
+        if let Err(e) = write() {
+            // Part of the record may have reached the file. Cut the log
+            // back to its last whole record, so the next append lands
+            // where the index expects it and recovery meets no torn tail.
+            inner.file.set_len(inner.end)?;
+            return Err(e.into());
         }
         let offset = inner.end + HEADER_LEN as u64;
         inner.end = offset + u64::from(len);
@@ -544,8 +578,11 @@ impl CheckpointStore for DiskStore {
     fn delete(&self, name: ObjName) -> Result<(), StoreError> {
         let obs = self.obs.read().clone();
         let mut inner = self.inner.lock();
-        if inner.index.remove(&name).is_some() {
+        // The tombstone goes first: an object whose tombstone failed to
+        // reach the log stays live here, as it will after a reopen.
+        if inner.index.contains_key(&name) {
             Self::append(&mut inner, self.sync, obs.as_deref(), name, 0, 1, &[])?;
+            inner.index.remove(&name);
         }
         Ok(())
     }
@@ -594,6 +631,48 @@ mod tests {
         let path = temp_log();
         let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
         crate::contract::exercise_store_contract(&store);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_partial_record() {
+        let path = temp_log();
+        let g = gen();
+        let (a, b, c) = (g.next_name(), g.next_name(), g.next_name());
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        store.put(a, b"alpha").unwrap();
+        let end = store.log_bytes();
+        store.inner.lock().fail_after = Some(HEADER_LEN + 3);
+        assert!(store.put(b, b"beta-payload").is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), end);
+        assert_eq!(store.latest(b).unwrap(), None);
+        // The next record lands where the index says it does.
+        store.put(c, b"gamma").unwrap();
+        assert_eq!(&store.latest(c).unwrap().unwrap().1[..], b"gamma");
+        drop(store);
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(&store.latest(a).unwrap().unwrap().1[..], b"alpha");
+        assert_eq!(&store.latest(c).unwrap().unwrap().1[..], b"gamma");
+        assert_eq!(store.latest(b).unwrap(), None);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_tombstone_keeps_the_object() {
+        let path = temp_log();
+        let a = gen().next_name();
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        store.put(a, b"alpha").unwrap();
+        store.inner.lock().fail_after = Some(HEADER_LEN / 2);
+        assert!(store.delete(a).is_err());
+        assert_eq!(&store.latest(a).unwrap().unwrap().1[..], b"alpha");
+        drop(store);
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(&store.latest(a).unwrap().unwrap().1[..], b"alpha");
+        store.delete(a).unwrap();
+        drop(store);
+        let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(store.latest(a).unwrap(), None);
         std::fs::remove_file(&path).ok();
     }
 
