@@ -4,7 +4,13 @@
 //! minimal re-implementation of the API surface it actually uses:
 //! [`Bytes`] (a cheaply-clonable immutable byte buffer), [`BytesMut`], and
 //! the [`BufMut`] write trait. Semantics match the real crate for this
-//! subset; `Bytes::clone` is O(1) via a shared `Arc<[u8]>`.
+//! subset; `Bytes::clone` is O(1) via a shared `Arc<Vec<u8>>`.
+//!
+//! A `Bytes` keeps the vector it was made from: `From<Vec<u8>>` and
+//! [`BytesMut::freeze`] move the allocation in without copying it, and
+//! [`Bytes::copy_from_slice`] copies once. Spare capacity is handed back
+//! with `shrink_to_fit` (an in-place `realloc` on glibc), so a small
+//! `Bytes` never pins a large buffer.
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +23,7 @@ use std::sync::Arc;
 /// A cheaply clonable, immutable slice of bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -38,10 +44,11 @@ impl Bytes {
         Bytes::from_vec(src.to_vec())
     }
 
-    fn from_vec(v: Vec<u8>) -> Self {
+    fn from_vec(mut v: Vec<u8>) -> Self {
+        v.shrink_to_fit();
         let end = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -414,6 +421,33 @@ mod tests {
         assert_eq!(&m[..], &[4, 5, 6]);
         m.advance(3);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![5u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(16..).as_ptr(), ptr.wrapping_add(16));
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.put_slice(&[7u8; 4096]);
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn a_small_bytes_does_not_keep_a_large_capacity() {
+        let mut v = Vec::with_capacity(1 << 20);
+        v.extend_from_slice(b"tiny");
+        let b = Bytes::from(v);
+        assert_eq!(&b[..], b"tiny");
+        assert!(b.data.capacity() < 64, "{}", b.data.capacity());
+
+        let mut m = BytesMut::with_capacity(1 << 20);
+        m.put_slice(b"tiny");
+        assert!(m.freeze().data.capacity() < 64);
     }
 
     #[test]
