@@ -29,9 +29,11 @@
 //! * Every read is verified: a payload that no longer matches the CRC it
 //!   was written with (kept in the index for the latest record, read from
 //!   the record's header otherwise) is reported as [`StoreError::Corrupt`]
-//!   rather than handed to reincarnation. The slicing-by-16 kernel in
-//!   [`crate::crc`] makes the check cheap enough to run on every checkpoint
-//!   and read.
+//!   rather than handed to reincarnation. The four-lane slicing-by-16
+//!   kernel in [`crate::crc`] makes the check cheap enough to run on every
+//!   checkpoint and read, and `put` computes its CRC before it takes the
+//!   store lock, so a large checkpoint's checksum holds up no other
+//!   caller.
 //! * Deletions append a tombstone record (`tomb = 1`), so the log remains
 //!   append-only; `compact` rewrites live records to a fresh log.
 
@@ -370,27 +372,18 @@ impl DiskStore {
         version <= e.version && (self.retain == 0 || version + self.retain as u64 > e.version)
     }
 
-    /// Appends one record, computing the payload CRC exactly once, and
-    /// returns where the payload landed together with that CRC.
+    /// Appends the record that `h` heads, whose `len` and `crc` the
+    /// caller computed from `payload`, and returns where the payload
+    /// landed together with its CRC.
     fn append(
         inner: &mut Inner,
         sync: SyncPolicy,
         obs: Option<&StoreObs>,
-        name: ObjName,
-        version: u64,
-        tomb: u8,
+        h: Header,
         payload: &[u8],
     ) -> Result<Indexed, StoreError> {
-        let crc = crc32(payload);
-        let len = payload.len() as u32;
-        let header = Header {
-            name,
-            version,
-            tomb,
-            len,
-            crc,
-        }
-        .encode();
+        debug_assert_eq!(h.len as usize, payload.len());
+        let header = h.encode();
         let mut write = || -> io::Result<()> {
             let write_start = now_ns();
             inner.write(&mut [IoSlice::new(&header), IoSlice::new(payload)])?;
@@ -414,8 +407,12 @@ impl DiskStore {
             return Err(e.into());
         }
         let offset = inner.end + HEADER_LEN as u64;
-        inner.end = offset + u64::from(len);
-        Ok(Indexed { offset, len, crc })
+        inner.end = offset + u64::from(h.len);
+        Ok(Indexed {
+            offset,
+            len: h.len,
+            crc: h.crc,
+        })
     }
 
     /// Reads the payload `idx` points at and checks it against the CRC
@@ -503,20 +500,22 @@ impl DiskStore {
 impl CheckpointStore for DiskStore {
     fn put(&self, name: ObjName, image: &[u8]) -> Result<u64, StoreError> {
         let obs = self.obs.read().clone();
+        // The CRC needs no store state: compute it before taking the lock,
+        // so a large checkpoint does not hold up other puts and reads.
+        let crc = crc32(image);
         let mut inner = self.inner.lock();
         let (version, life) = match inner.index.get(&name) {
             Some(e) => (e.version + 1, e.life),
             None => (1, inner.end),
         };
-        let at = Self::append(
-            &mut inner,
-            self.sync,
-            obs.as_deref(),
+        let h = Header {
             name,
             version,
-            0,
-            image,
-        )?;
+            tomb: 0,
+            len: image.len() as u32,
+            crc,
+        };
+        let at = Self::append(&mut inner, self.sync, obs.as_deref(), h, image)?;
         inner.index.insert(name, Entry { version, at, life });
         Ok(version)
     }
@@ -581,7 +580,14 @@ impl CheckpointStore for DiskStore {
         // The tombstone goes first: an object whose tombstone failed to
         // reach the log stays live here, as it will after a reopen.
         if inner.index.contains_key(&name) {
-            Self::append(&mut inner, self.sync, obs.as_deref(), name, 0, 1, &[])?;
+            let h = Header {
+                name,
+                version: 0,
+                tomb: 1,
+                len: 0,
+                crc: crc32(&[]),
+            };
+            Self::append(&mut inner, self.sync, obs.as_deref(), h, &[])?;
             inner.index.remove(&name);
         }
         Ok(())

@@ -14,10 +14,9 @@
 //!   truncates torn tails; the reproduction's equivalent of the
 //!   file-server node's 300 MB disk (§3). Its memory holds one index
 //!   entry per live object; older versions are read back from the log.
-//!   Every record carries a CRC-32
-//!   (slicing-by-16, [`crc`]) that is checked on every read, so a damaged
-//!   record surfaces as [`StoreError::Corrupt`] instead of feeding
-//!   reincarnation.
+//!   Every record carries a CRC-32 (slicing-by-16 in four lanes,
+//!   [`crc`]) that is checked on every read, so a damaged record surfaces
+//!   as [`StoreError::Corrupt`] instead of feeding reincarnation.
 //! * [`ReplicatedStore`] — a k-way replicated composite implementing the
 //!   §4.4 notion of *reliability levels*: "Different reliability levels may
 //!   cause different actions when a checkpoint is issued."
