@@ -47,9 +47,28 @@ impl ObjectImage {
     pub fn data_size(&self) -> usize {
         self.data.iter().map(|(k, v)| k.len() + v.len()).sum()
     }
+
+    /// The exact length of the image's encoding: each string and byte
+    /// string is a `u32` length and its bytes, a capability is a `u128`
+    /// name and `u32` rights, and `frozen` and `version` take 1 and 8.
+    pub fn encoded_len(&self) -> usize {
+        let data: usize = self.data.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+        let caps: usize = self.caps.iter().map(|(k, _)| 4 + k.len() + 20).sum();
+        4 + self.type_name.len() + 4 + data + 4 + caps + 1 + 8
+    }
 }
 
 impl WireEncode for ObjectImage {
+    /// Encodes into a buffer sized once from [`ObjectImage::encoded_len`]:
+    /// a checkpoint's image is written without regrowing the buffer and
+    /// becomes the `Bytes` without another copy.
+    fn encode_to_bytes(&self) -> Bytes {
+        let mut w = Writer::with_capacity(self.encoded_len());
+        self.encode(&mut w);
+        debug_assert_eq!(w.len(), self.encoded_len());
+        w.finish()
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.put_str(&self.type_name);
         w.put_u32(self.data.len() as u32);
@@ -99,7 +118,7 @@ impl WireDecode for ObjectImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_capability::{NameGenerator, NodeId};
+    use eden_capability::{NameGenerator, NodeId, Rights};
     use proptest::prelude::*;
 
     #[test]
@@ -144,6 +163,33 @@ mod tests {
             };
             let buf = img.encode_to_bytes();
             prop_assert_eq!(ObjectImage::decode_from_bytes(&buf).unwrap(), img);
+        }
+
+        #[test]
+        fn encoded_len_is_exact(
+            type_name in "[a-z]{0,10}",
+            data in proptest::collection::vec(("[a-z]{0,8}", proptest::collection::vec(0u8.., 0..300)), 0..8),
+            caps in proptest::collection::vec(("[a-z]{0,8}", 0u32..), 0..4),
+            frozen in proptest::bool::ANY,
+            version in 0u64..,
+        ) {
+            let g = NameGenerator::with_epoch(NodeId(1), 7);
+            let img = ObjectImage {
+                type_name,
+                data: data.into_iter().map(|(k, v)| (k, Bytes::from(v))).collect(),
+                caps: caps
+                    .into_iter()
+                    .map(|(k, bits)| (k, Capability::with_rights(g.next_name(), Rights::from_bits(bits))))
+                    .collect(),
+                frozen,
+                version,
+            };
+            let buf = img.encode_to_bytes();
+            prop_assert_eq!(img.encoded_len(), buf.len());
+            // The sized buffer writes the bytes the generic encoder writes.
+            let mut w = Writer::new();
+            img.encode(&mut w);
+            prop_assert_eq!(buf, w.finish());
         }
 
         #[test]
