@@ -247,7 +247,9 @@ pub struct VprocStats {
     pub queued: usize,
     /// Queue capacity before `Overloaded` shedding starts.
     pub queue_cap: usize,
-    /// Tasks executed to completion since boot.
+    /// Tasks started since boot: counted when a worker dequeues a task
+    /// or a processor is lent, before the task runs, so a reply the task
+    /// sends is never seen ahead of its count.
     pub executed: u64,
     /// Tasks refused because the queue was full.
     pub rejected: u64,
@@ -453,6 +455,7 @@ impl VirtualProcessorPool {
         };
         WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&self.shared)));
         self.shared.busy.inc();
+        self.shared.executed.inc();
         self.shared.task_wait.record(0);
         if let Some(trace) = trace {
             self.shared
@@ -496,8 +499,8 @@ impl VirtualProcessorPool {
 }
 
 /// A processor of the complement lent to a thread outside the pool by
-/// [`VirtualProcessorPool::lend`]; dropping it gives the processor back
-/// and counts the task it ran as executed.
+/// [`VirtualProcessorPool::lend`], which counts the task it runs as
+/// executed; dropping it gives the processor back.
 pub struct Lent {
     shared: Arc<Shared>,
     wid: u16,
@@ -509,7 +512,6 @@ impl Drop for Lent {
     fn drop(&mut self) {
         WORKER_OF.with(|w| *w.borrow_mut() = None);
         self.shared.busy.dec();
-        self.shared.executed.inc();
         if std::thread::panicking() {
             self.shared.panicked.inc();
         }
@@ -569,12 +571,12 @@ fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
             );
         }
         shared.busy.inc();
+        shared.executed.inc();
         // Panic isolation: one panicking task must not kill its worker.
         // (Operation panics are already caught in `run_invocation`; this
         // is the backstop for every other task the kernel queues.)
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(task.job));
         shared.busy.dec();
-        shared.executed.inc();
         if outcome.is_err() {
             shared.panicked.inc();
         }
@@ -856,6 +858,43 @@ mod tests {
         let stats = p.stats();
         assert_eq!((stats.lent, stats.executed), (0, 2));
         assert!(p.lend(None).is_none(), "a stopped pool lends nothing");
+    }
+
+    #[test]
+    fn a_task_counts_as_executed_before_it_returns() {
+        let p = pool(1, 64);
+        let replied = Arc::new(crate::waiter::Waiter::new());
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (r, g) = (replied.clone(), gate.clone());
+        p.submit(move || {
+            // The task's reply goes out, then the task runs on.
+            r.complete(());
+            let mut open = g.0.lock();
+            while !*open {
+                g.1.wait(&mut open);
+            }
+        })
+        .unwrap();
+        assert_eq!(replied.wait(Duration::from_secs(5)), Some(()));
+        assert_eq!(p.stats().executed, 1, "a replied task is counted");
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+        p.shutdown();
+        assert_eq!(p.stats().executed, 1);
+    }
+
+    #[test]
+    fn a_lent_processor_counts_its_task_while_held() {
+        let p = pool(1, 64);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.stats().idle == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let cpu = p.lend(None).expect("an idle pool lends its processor");
+        assert_eq!(p.stats().executed, 1, "counted when lent");
+        drop(cpu);
+        assert_eq!(p.stats().executed, 1, "and not again when returned");
+        p.shutdown();
     }
 
     #[test]
