@@ -348,6 +348,13 @@ impl Node {
         self.inner.location.cache.lock().get(&name).copied()
     }
 
+    /// The node this node forwards `name`'s invocations to, if it moved
+    /// the object away (§4.3's forwarding address).
+    pub fn forwarding_address(&self, name: ObjName) -> Option<NodeId> {
+        let forwards = self.inner.location.forwards.read();
+        forwards.get(&name).map(|&(fwd, _)| fwd)
+    }
+
     /// Number of live location hints (bounded by
     /// [`NodeConfig::location_cache_cap`](super::NodeConfig::location_cache_cap)).
     pub fn location_cache_len(&self) -> usize {

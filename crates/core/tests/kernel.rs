@@ -766,16 +766,27 @@ fn counter_checkpointed_at_node_2(home: usize) -> (Cluster, Capability) {
 /// `NoSuchObject`, and the search finds the checkpoint at node 2.
 fn moved_then_crashed(invoke: Invoker) -> (Status, Vec<Value>) {
     let (cluster, cap) = counter_checkpointed_at_node_2(0);
-    cluster.node(0).move_object(cap, NodeId(1)).unwrap();
+    let (node0, node1) = (cluster.node(0), cluster.node(1));
+    // The move and the crash each finish after the call that asks for
+    // them returns: node 0 leaves its forwarding address when node 1's
+    // ack arrives, and node 1 tears the object down after the crash
+    // operation has replied. Each step waits for the one before.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while !cluster.node(1).is_local(cap.name()) {
-        assert!(Instant::now() < deadline, "the move never landed");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    cluster.node(1).invoke(cap, "crash", &[]).unwrap();
-    assert!(!cluster.node(1).is_local(cap.name()));
-    assert_eq!(cluster.node(0).location_hint(cap.name()), Some(NodeId(1)));
-    let answer = invoke(cluster.node(0), cap, "get");
+    let wait_until = |done: &dyn Fn() -> bool, what: &str| {
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    node0.move_object(cap, NodeId(1)).unwrap();
+    wait_until(
+        &|| node1.is_local(cap.name()) && node0.forwarding_address(cap.name()).is_some(),
+        "the move never completed",
+    );
+    node1.invoke(cap, "crash", &[]).unwrap();
+    wait_until(&|| !node1.is_local(cap.name()), "the crash never completed");
+    assert_eq!(node0.forwarding_address(cap.name()), Some(NodeId(1)));
+    let answer = invoke(node0, cap, "get");
     assert!(
         cluster.node(2).is_local(cap.name()),
         "reincarnated at node 2"
