@@ -28,11 +28,12 @@
 //!   or forward the capability into another checked call *before* any
 //!   store, transport, or dispatch effect on that path.
 //! * **L3 `wire-exhaustiveness`** — `match` statements whose arms match
-//!   wire `Status` variants or `TAG_*` constants (in `eden-wire` and
-//!   `eden-core`) must not use a `_ =>` wildcard arm, so a new tag (like
-//!   PR 3's `Overloaded`, tag 11) breaks at lint time instead of being
-//!   silently swallowed at runtime. A *named* binding arm (`tag =>`,
-//!   `other =>`) stays legal — decoders need one for the error path.
+//!   wire `Status`/`MemberStatus` or directory `DirState`/
+//!   `DirRegisterKind` variants (in `eden-wire`, `eden-core` and
+//!   `eden-directory`) must not use a `_ =>` wildcard arm, so a new
+//!   variant (like `Status::Overloaded`, tag 11) breaks at lint time
+//!   instead of being silently swallowed at runtime. A *named* binding
+//!   arm (`other =>`) stays legal for an error path.
 //! * **L4 `panic-hygiene`** — no `.unwrap()` / `.expect(…)` directly on
 //!   lock acquisitions or channel ends (`lock`, `read`, `write`, `recv`,
 //!   `send`, `join`, …) in non-test kernel code.
@@ -148,9 +149,9 @@ impl Rule {
                  `// eden-lint: allow(capability-discipline)` on the `pub fn` line."
             }
             Rule::WireExhaustiveness => {
-                "Matches over wire Status/TAG_*/directory enums must enumerate variants; a \
+                "Matches over wire Status/directory enums must enumerate variants; a \
                  `_ =>` wildcard silently swallows new wire tags at runtime instead of \
-                 failing at lint time. Bind a name (`tag =>`) for the error path. Escape: \
+                 failing at lint time. Bind a name (`other =>`) for the error path. Escape: \
                  `// eden-lint: allow(wire-exhaustiveness)` on the wildcard arm."
             }
             Rule::PanicHygiene => {

@@ -1,7 +1,7 @@
-//! L3 `wire-exhaustiveness`: matches over wire `Status`/`TAG_*`/
-//! directory enums must enumerate their variants — no `_ =>` wildcards,
-//! so a new wire tag breaks at lint time instead of being silently
-//! swallowed at runtime.
+//! L3 `wire-exhaustiveness`: matches over wire `Status` and directory
+//! enums must enumerate their variants — no `_ =>` wildcards, so a new
+//! wire variant breaks at lint time instead of being silently swallowed
+//! at runtime.
 
 use crate::lexer::{matching_brace, word_occurrences, SourceModel};
 use crate::{Finding, Rule};
@@ -42,7 +42,6 @@ pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>)
         let is_wire_match = arms.iter().any(|(pat, _)| {
             // "Status::" also covers "MemberStatus::".
             pat.contains("Status::")
-                || pat.contains("TAG_")
                 || pat.contains("DirState::")
                 || pat.contains("DirRegisterKind::")
         });
@@ -58,7 +57,7 @@ pub(crate) fn check(rel_path: &str, model: &SourceModel, out: &mut Vec<Finding>)
                     rule: Rule::WireExhaustiveness,
                     file: rel_path.to_string(),
                     line: model.line_of(open + 1 + rel_off),
-                    message: "wildcard `_ =>` arm in a match over wire Status/tag variants; \
+                    message: "wildcard `_ =>` arm in a match over wire Status variants; \
                               enumerate the variants (or bind a name for the error path) so \
                               new wire tags fail loudly"
                         .to_string(),

@@ -1,18 +1,10 @@
-// Fixture: L3 wire-exhaustiveness violations (scanned as
-// crates/wire/src/status.rs): wildcard arms in matches over Status
-// variants and over TAG_ decode constants.
+// Fixture: L3 wire-exhaustiveness violation (scanned as
+// crates/wire/src/status.rs): a wildcard arm in a match over Status
+// variants.
 
 fn retryable(status: &Status) -> bool {
     match status {
         Status::Timeout | Status::Overloaded => true,
         _ => false,
-    }
-}
-
-fn decode(tag: u8) -> Option<Status> {
-    match tag {
-        TAG_OK => Some(Status::Ok),
-        TAG_TIMEOUT => Some(Status::Timeout),
-        _ => None,
     }
 }

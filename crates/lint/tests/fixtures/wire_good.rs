@@ -1,7 +1,7 @@
 // Fixture: L3 wire-exhaustiveness clean file (scanned as
-// crates/wire/src/status.rs): a fully enumerated Status match, a decode
-// with a *named* binding arm for the error path (legal), and a
-// non-wire match where a wildcard is fine.
+// crates/wire/src/status.rs): a fully enumerated Status match, a Status
+// match with a *named* binding arm for the remaining variants (legal),
+// and a non-wire match where a wildcard is fine.
 
 fn label(status: &Status) -> &'static str {
     match status {
@@ -11,11 +11,10 @@ fn label(status: &Status) -> &'static str {
     }
 }
 
-fn decode(tag: u8) -> Result<Status, CodecError> {
-    match tag {
-        TAG_OK => Ok(Status::Ok),
-        TAG_TIMEOUT => Ok(Status::Timeout),
-        tag => Err(CodecError::BadTag { what: "Status", tag }),
+fn describe(status: &Status) -> String {
+    match status {
+        Status::Ok => "ok".to_string(),
+        other => format!("failed: {other:?}"),
     }
 }
 

@@ -134,11 +134,11 @@ fn capability_discipline_accepts_checks_and_delegation() {
 }
 
 #[test]
-fn wire_exhaustiveness_flags_wildcards_over_status_and_tags() {
+fn wire_exhaustiveness_flags_wildcards_over_status() {
     let findings = scan_fixture("wire_bad.rs", "crates/wire/src/status.rs");
     assert_eq!(
         count(&findings, Rule::WireExhaustiveness, false),
-        2,
+        1,
         "{findings:?}"
     );
 }
