@@ -3,8 +3,8 @@
 #
 #   ./scripts/ci.sh            tier-1 gate: fmt, clippy, release build,
 #                              workspace tests, rustdoc, bench compile, perfbench
-#                              check, eden-lint, cargo-deny (if installed),
-#                              telemetry smoke
+#                              check and smoke, eden-lint, cargo-deny (if
+#                              installed), telemetry smoke
 #   ./scripts/ci.sh lint       eden-lint only (human output + JSON artifact)
 #   ./scripts/ci.sh loom       concurrency models under --cfg loom
 #   ./scripts/ci.sh tsan       workspace tests under ThreadSanitizer
@@ -87,6 +87,23 @@ case "${1:-all}" in
     # implements `CheckpointStore` and `Endpoint`: check it, tests
     # included, so a trait change that breaks the benchmark fails here.
     cargo check --offline --all-targets --manifest-path perfbench/Cargo.toml
+    # Perfbench smoke: a 2 s run of each gated workload from the release
+    # build. mesh_mixed checks every read against its checkpoint model,
+    # so this gates the store and codec path end to end. Each result line
+    # must read correct with no failed operation; both outputs (the
+    # provenance and the result line) are archived.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    mkdir -p target/artifacts
+    for workload in mesh_mixed tcp_pipelined; do
+      out=target/artifacts/perfbench_smoke_$workload.jsonl
+      cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$out"
+      if ! grep '"correct"' "$out" | grep '"correct": true' | grep -q '"failed": 0,'; then
+        echo "perfbench smoke: $workload was not correct or had failures ($out)" >&2
+        exit 1
+      fi
+      echo "perfbench smoke: $workload ok (archived: $out)"
+    done
     run_lint
     if command -v cargo-deny >/dev/null 2>&1; then
       cargo deny check
