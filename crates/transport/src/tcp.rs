@@ -17,11 +17,16 @@
 //! (`eden-tcp-rdr-<node>-<i>`) multiplexing every inbound connection
 //! over non-blocking sockets: the accept loop hands each new stream to
 //! a reader round-robin, and each reader rotates over its connections,
-//! draining everything available per pass and decoding complete frames
-//! zero-copy ([`Frame::decode_shared`] slices the per-connection
-//! receive buffer). Everything decoded in one pass is pushed to the
-//! kernel as a single `Vec<Frame>` batch — one channel operation per
-//! wakeup, however many frames the senders coalesced — which
+//! draining everything available per pass and decoding complete frames.
+//! Each frame's payload is copied once out of the per-connection receive
+//! buffer into a `Bytes` of its own, which [`Frame::decode_shared`] then
+//! slices without further copies. The copy stays on purpose: a server
+//! keeps the results of its last 4,096 served invocations to re-send
+//! lost replies, so frames sliced from a shared read buffer would each
+//! pin a whole buffer for as long as their results are kept.
+//! Everything decoded in one pass is pushed to the kernel as a single
+//! `Vec<Frame>` batch — one channel operation per wakeup, however many
+//! frames the senders coalesced — which
 //! [`Endpoint::recv_batch`] hands through intact. Thread count is
 //! [`TcpTuning::reader_threads`] at most, flat as peers scale; the
 //! seed's thread-per-connection reader (and its leak of accepted
@@ -405,9 +410,11 @@ fn pump_conn(
             }
         }
     }
-    // Decode every complete frame accumulated so far. Each payload
-    // becomes one shared `Bytes` that `decode_shared` slices without
-    // further copies; the buffer compacts once per pass, not per frame.
+    // Decode every complete frame accumulated so far. Each payload is
+    // copied into one `Bytes` of its own (see the module doc for why it
+    // does not slice the read buffer), which `decode_shared` slices
+    // without further copies; the buffer compacts once per pass, not per
+    // frame.
     let mut consumed = 0usize;
     loop {
         let avail = conn.buf.len() - consumed;
