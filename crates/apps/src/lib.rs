@@ -21,6 +21,7 @@
 //!   subtype family inheriting display code and location operations.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod calendar;
 pub mod counter;

@@ -9,6 +9,7 @@
 //! downstream code, not a kernel back door.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod table;
 pub mod types;

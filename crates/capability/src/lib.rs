@@ -23,6 +23,7 @@
 //! invocation parameters.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod clist;
 pub mod name;

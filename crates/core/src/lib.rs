@@ -68,6 +68,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod behavior;
 pub mod cluster;

@@ -41,6 +41,10 @@ pub mod shim {
     pub use parking_lot::{Condvar, Mutex};
     #[cfg(not(loom))]
     pub use std::thread;
+    // The dependency is unconditional (see Cargo.toml); this marks it
+    // used for `unused_crate_dependencies` when the cfg is off.
+    #[cfg(not(loom))]
+    use loom as _;
 }
 
 /// A counting semaphore for invocation processes and behaviors within one

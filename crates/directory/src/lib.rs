@@ -21,6 +21,7 @@
 //! compat fallback — so no distributed agreement is needed anywhere.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod membership;
 pub mod ring;

@@ -32,6 +32,7 @@
 //!   transactions) so downstream code reads like file-system code.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod dir;
 pub mod efs;

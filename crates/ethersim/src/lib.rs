@@ -26,6 +26,7 @@
 //! against (saturating at 1/e versus CSMA/CD's >0.9 for long frames).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod aloha;
 pub mod analytic;

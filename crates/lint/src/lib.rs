@@ -64,6 +64,7 @@
 //! bodies inside library files.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 mod lexer;
 mod model;

@@ -23,10 +23,12 @@
 //!   resolves to *every* same-crate function with that name
 //!   (over-approximation), and cross-crate calls are invisible
 //!   (under-approximation). A method called on a struct field
-//!   (`self.x.f.m(…)`) is narrowed through the field's declared type:
-//!   only the same-crate `impl`s of that type count, so a field whose
-//!   type is foreign (an `Arc<Gauge>` from another crate) reaches
-//!   nothing. Trait-object fields keep the by-name resolution.
+//!   (`self.x.f.m(…)`, or on its guard, `self.x.f.lock().m(…)`) is
+//!   narrowed through the field's declared type, seen through `Arc`,
+//!   `Mutex` and the like: only the same-crate `impl`s of that type
+//!   count, so a field whose type is foreign (an `Arc<Gauge>` from
+//!   another crate, a `Mutex<Receiver<Frame>>`) reaches nothing.
+//!   Trait-object fields keep the by-name resolution.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -529,11 +531,19 @@ fn extract_fns(model: &SourceModel, all_lock_fields: &BTreeSet<String>) -> Vec<F
     fns
 }
 
-/// The field a method call at `at` is made on: `f` in `x.f.m(…)`. A
+/// The field a method call at `at` is made on: `f` in `x.f.m(…)`, and
+/// in `x.f.lock().m(…)`, whose method belongs to the guarded value. A
 /// bare local or `self` receiver (`x.m(…)`) is not a field.
 fn receiver_field(code: &str, at: usize) -> Option<&str> {
     let lead = code[..at].trim_end();
-    let dot = lead.strip_suffix('.')?.len();
+    let mut dot = lead.strip_suffix('.')?.len();
+    let guard = LOCK_METHODS.iter().find_map(|m| {
+        let lead = code[..dot].trim_end().strip_suffix("()")?;
+        lead.strip_suffix(m)?.trim_end().strip_suffix('.')
+    });
+    if let Some(guarded) = guard {
+        dot = guarded.len();
+    }
     let field = ident_before(code, dot)?;
     let before = code[..dot].trim_end();
     let before = before[..before.len() - field.len()].trim_end();
@@ -592,9 +602,10 @@ fn skip_generics(text: &str) -> &str {
 }
 
 /// The type whose methods a value of type `ty` exposes: the last path
-/// segment, seen through references and the `Arc`/`Rc`/`Box` smart
-/// pointers. `None` for trait objects and `impl Trait`, whose methods
-/// belong to implementors the declaration does not name.
+/// segment, seen through references, the `Arc`/`Rc`/`Box` smart
+/// pointers and the `Mutex`/`RwLock` a guard derefs through. `None`
+/// for trait objects and `impl Trait`, whose methods belong to
+/// implementors the declaration does not name.
 fn head_type(ty: &str) -> Option<String> {
     // `&'a mut T`, `&T` → `T`.
     let ty = ty.trim().trim_start_matches('&');
@@ -618,7 +629,7 @@ fn head_type(ty: &str) -> Option<String> {
         return None;
     }
     let rest = &ty[path_end..];
-    if matches!(last, "Arc" | "Rc" | "Box") && rest.starts_with('<') {
+    if matches!(last, "Arc" | "Rc" | "Box" | "Mutex" | "RwLock") && rest.starts_with('<') {
         let inner = &rest[1..rest.rfind('>').unwrap_or(rest.len())];
         return head_type(inner);
     }
@@ -952,6 +963,31 @@ mod tests {
         let f = &w.files[0].fns[0];
         assert_eq!(f.locks.len(), 1);
         assert_eq!(f.locks[0].field, "directory");
+    }
+
+    #[test]
+    fn a_call_on_a_guard_resolves_through_the_guarded_type() {
+        let src = "struct Rx;\n\
+                   struct S { rx: Mutex<Receiver<u32>>, inner: Mutex<Rx>, b: Mutex<u32> }\n\
+                   impl Rx {\n\
+                   fn recv(&self) {}\n}\n\
+                   impl S {\n\
+                   fn recv(&self) {\n    self.b.lock();\n}\n\
+                   fn f(&self) {\n    self.rx.lock().recv();\n    self.inner\n        .lock()\n        .recv();\n}\n}\n";
+        let w = ws(src);
+        let file = &w.files[0];
+        let f = file.fns.iter().find(|f| f.name == "f").expect("fn f");
+        let impls = |c: &CallSite| -> Vec<Option<String>> {
+            w.callees(file, c)
+                .into_iter()
+                .map(|(fi, gi)| w.files[fi].fns[gi].impl_type.clone())
+                .collect()
+        };
+        // A foreign guarded type reaches nothing; a local one only its
+        // own impl, not every same-named function.
+        assert_eq!(f.calls.len(), 2, "{:?}", f.calls);
+        assert!(impls(&f.calls[0]).is_empty());
+        assert_eq!(impls(&f.calls[1]), vec![Some("Rx".to_string())]);
     }
 
     #[test]

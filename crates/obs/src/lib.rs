@@ -43,6 +43,7 @@
 //! under load.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod clock;
 pub mod critpath;

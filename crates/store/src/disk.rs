@@ -31,9 +31,10 @@
 //!   the record's header otherwise) is reported as [`StoreError::Corrupt`]
 //!   rather than handed to reincarnation. The four-lane slicing-by-16
 //!   kernel in [`crate::crc`] makes the check cheap enough to run on every
-//!   checkpoint and read, and `put` computes its CRC before it takes the
-//!   store lock, so a large checkpoint's checksum holds up no other
-//!   caller.
+//!   checkpoint and read. `put` computes its CRC before it takes the
+//!   store lock, and a read of an object's latest version checks its CRC
+//!   after releasing it, so a large checkpoint's checksum holds up no
+//!   other caller.
 //! * Deletions append a tombstone record (`tomb = 1`), so the log remains
 //!   append-only; `compact` rewrites live records to a fresh log.
 
@@ -226,6 +227,21 @@ fn index_record(index: &mut Index, start: u64, h: &Header) {
     );
 }
 
+/// Checks a payload read at `idx` against the CRC recorded when it was
+/// written. Reads call this after releasing the store lock, so a large
+/// payload's checksum holds up no other caller.
+fn verify(
+    payload: Vec<u8>,
+    idx: Indexed,
+    name: ObjName,
+    version: u64,
+) -> Result<Bytes, StoreError> {
+    if crc32(&payload) != idx.crc {
+        return Err(StoreError::Corrupt { name, version });
+    }
+    Ok(Bytes::from(payload))
+}
+
 /// `write_all` over several buffers, one vectored write per attempt.
 fn write_all_vectored(file: &mut File, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
     while !bufs.is_empty() {
@@ -415,23 +431,15 @@ impl DiskStore {
         })
     }
 
-    /// Reads the payload `idx` points at and checks it against the CRC
-    /// recorded when it was written.
-    fn read_at(
-        inner: &mut Inner,
-        name: ObjName,
-        version: u64,
-        idx: Indexed,
-    ) -> Result<Bytes, StoreError> {
+    /// Reads the payload `idx` points at, unchecked: the caller passes
+    /// it to [`verify`] once the store lock is released.
+    fn read_at(inner: &mut Inner, idx: Indexed) -> io::Result<Vec<u8>> {
         let mut payload = vec![0u8; idx.len as usize];
         // Appends use the cursor implicitly (O_APPEND), so an explicit seek
         // for reading is safe here.
         inner.file.seek(SeekFrom::Start(idx.offset))?;
         inner.file.read_exact(&mut payload)?;
-        if crc32(&payload) != idx.crc {
-            return Err(StoreError::Corrupt { name, version });
-        }
-        Ok(Bytes::from(payload))
+        Ok(payload)
     }
 
     /// Rewrites the log keeping only retained records, reclaiming space
@@ -521,12 +529,14 @@ impl CheckpointStore for DiskStore {
     }
 
     fn latest(&self, name: ObjName) -> Result<Option<(u64, Bytes)>, StoreError> {
-        let mut inner = self.inner.lock();
-        let Some(e) = inner.index.get(&name).copied() else {
-            return Ok(None);
+        let (e, payload) = {
+            let mut inner = self.inner.lock();
+            let Some(e) = inner.index.get(&name).copied() else {
+                return Ok(None);
+            };
+            (e, Self::read_at(&mut inner, e.at)?)
         };
-        let payload = Self::read_at(&mut inner, name, e.version, e.at)?;
-        Ok(Some((e.version, payload)))
+        Ok(Some((e.version, verify(payload, e.at, name, e.version)?)))
     }
 
     fn get(&self, name: ObjName, version: u64) -> Result<Option<Bytes>, StoreError> {
@@ -535,7 +545,9 @@ impl CheckpointStore for DiskStore {
             return Ok(None);
         };
         if version == e.version {
-            return Ok(Some(Self::read_at(&mut inner, name, version, e.at)?));
+            let payload = Self::read_at(&mut inner, e.at)?;
+            drop(inner);
+            return verify(payload, e.at, name, version).map(Some);
         }
         if !self.retained(&e, version) {
             return Ok(None);

@@ -29,6 +29,7 @@
 //! assigned by the store at `put` time.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod crc;
 pub mod disk;

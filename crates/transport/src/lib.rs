@@ -6,13 +6,14 @@
 //! broadcast (which the location service uses for its `WhereIs` search).
 //! This crate supplies that contract three ways:
 //!
-//! * [`LoopbackMesh`] — an in-process mesh over crossbeam channels, with
-//!   optional per-frame latency models, seeded random loss, and link
-//!   partitioning for failure experiments. This is the default harness
-//!   fabric: a whole five-node Eden (Figure 1) runs in one process.
-//! * [`TcpMesh`] — length-prefixed frames over `std::net` TCP with a
-//!   thread per connection, for *multi-process* Eden clusters on one
-//!   machine (or a real LAN).
+//! * [`LoopbackMesh`] — an in-process mesh over `std::sync::mpsc`
+//!   channels, with optional per-frame latency models, seeded random
+//!   loss, and link partitioning for failure experiments. This is the
+//!   default harness fabric: a whole five-node Eden (Figure 1) runs in
+//!   one process.
+//! * [`TcpMesh`] — length-prefixed frames over `std::net` TCP, with a
+//!   writer thread per destination and a fixed pool of reader threads,
+//!   for *multi-process* Eden clusters on one machine (or a real LAN).
 //! * The `eden-ethersim` crate is the third face of the
 //!   network: the same Ethernet, modelled offline for the E7 experiments.
 //!   Its calibrated latency figures can be fed back into
@@ -31,6 +32,7 @@
 //! always read the same numbers.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod latency;
 pub mod mesh;

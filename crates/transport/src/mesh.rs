@@ -1,7 +1,7 @@
 //! The in-process loopback mesh.
 //!
 //! A [`LoopbackMesh`] connects any number of endpoints inside one process
-//! with crossbeam channels, optionally shaping traffic with a
+//! with `std::sync::mpsc` channels, optionally shaping traffic with a
 //! [`LatencyModel`], seeded random loss, and directed link partitions.
 //! The failure controls exist for the reliability experiments: §4.4's
 //! checkpoint/reincarnation machinery is exercised by killing nodes and
@@ -9,10 +9,10 @@
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use eden_capability::NodeId;
 use eden_obs::{now_ns, Histogram, ObsRegistry};
 use eden_wire::{Dest, Frame, Message};
@@ -94,10 +94,17 @@ impl Ord for Delayed {
     }
 }
 
+/// Frames waiting out their delay, with the sequence number the next
+/// one gets: equal delivery times keep their send order.
+#[derive(Default)]
+struct DelayHeap {
+    frames: BinaryHeap<Delayed>,
+    next_seq: u64,
+}
+
 struct DelayLine {
-    heap: Mutex<BinaryHeap<Delayed>>,
+    heap: Mutex<DelayHeap>,
     cv: Condvar,
-    next_seq: Mutex<u64>,
 }
 
 /// A node's observability registry, with its `net.delivery` histogram
@@ -142,11 +149,10 @@ impl MeshCore {
         if delay.is_zero() {
             self.deliver(dst, frame, size, enqueue_ns);
         } else {
-            let mut seq_guard = self.delay.next_seq.lock();
-            let seq = *seq_guard;
-            *seq_guard += 1;
-            drop(seq_guard);
-            self.delay.heap.lock().push(Delayed {
+            let mut heap = self.delay.heap.lock();
+            let seq = heap.next_seq;
+            heap.next_seq += 1;
+            heap.frames.push(Delayed {
                 deliver_at: Instant::now() + delay,
                 seq,
                 dst,
@@ -154,6 +160,7 @@ impl MeshCore {
                 size,
                 enqueue_ns,
             });
+            drop(heap);
             self.delay.cv.notify_one();
         }
     }
@@ -212,7 +219,10 @@ pub struct LoopbackMesh {
 pub struct MeshEndpoint {
     node: NodeId,
     core: Arc<MeshCore>,
-    rx: Receiver<Frame>,
+    /// The inbox. A node's two receive threads share it; the receive
+    /// role lets only one of them receive at a time, so the lock is
+    /// uncontended.
+    rx: Mutex<Receiver<Frame>>,
     stats: Arc<TransportCounters>,
     detached: AtomicBool,
 }
@@ -226,14 +236,13 @@ impl LoopbackMesh {
     /// A mesh of `n` endpoints with traffic shaping.
     pub fn with_options(n: usize, options: MeshOptions) -> Self {
         let delay = Arc::new(DelayLine {
-            heap: Mutex::new(BinaryHeap::new()),
+            heap: Mutex::default(),
             cv: Condvar::new(),
-            next_seq: Mutex::new(0),
         });
         let mut inboxes = HashMap::new();
         let mut receivers = Vec::with_capacity(n);
         for i in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             inboxes.insert(NodeId(i as u16), tx);
             receivers.push(rx);
         }
@@ -254,7 +263,7 @@ impl LoopbackMesh {
                 Arc::new(MeshEndpoint {
                     node: NodeId(i as u16),
                     core: core.clone(),
-                    rx,
+                    rx: Mutex::new(rx),
                     stats: core.stats[i].clone(),
                     detached: AtomicBool::new(false),
                 })
@@ -276,9 +285,9 @@ impl LoopbackMesh {
                                 return;
                             }
                             let now = Instant::now();
-                            match heap.peek() {
+                            match heap.frames.peek() {
                                 Some(d) if d.deliver_at <= now => {
-                                    due.push(heap.pop().expect("peeked"));
+                                    due.push(heap.frames.pop().expect("peeked"));
                                     // Drain everything due before releasing.
                                     continue;
                                 }
@@ -397,11 +406,11 @@ impl Endpoint for MeshEndpoint {
     }
 
     fn recv(&self) -> Result<Frame, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Closed)
+        self.rx.lock().recv().map_err(|_| TransportError::Closed)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
-        match self.rx.recv_timeout(timeout) {
+        match self.rx.lock().recv_timeout(timeout) {
             Ok(f) => Ok(Some(f)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
@@ -412,19 +421,15 @@ impl Endpoint for MeshEndpoint {
         // The inbox is a plain frame channel; batching here is just a
         // non-blocking drain after the first (blocking) pop.
         let max = max.max(1);
-        let mut out = Vec::new();
-        match self.rx.recv_timeout(timeout) {
-            Ok(f) => out.push(f),
-            Err(RecvTimeoutError::Timeout) => return Ok(out),
+        let rx = self.rx.lock();
+        let first = match rx.recv_timeout(timeout) {
+            Ok(f) => f,
+            Err(RecvTimeoutError::Timeout) => return Ok(Vec::new()),
             Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
-        }
-        while out.len() < max {
-            match self.rx.try_recv() {
-                Ok(f) => out.push(f),
-                Err(_) => break,
-            }
-        }
-        Ok(out)
+        };
+        Ok(std::iter::once(first)
+            .chain(rx.try_iter().take(max - 1))
+            .collect())
     }
 
     fn peers(&self) -> Vec<NodeId> {

@@ -47,11 +47,11 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use eden_capability::NodeId;
 use eden_obs::{InboundDropReason, KernelEvent, ObsRegistry};
 use eden_wire::{Dest, Frame, WireDecode, WireEncode};
@@ -136,16 +136,26 @@ impl TcpInner {
     }
 }
 
+/// The receive side of a [`TcpMesh`]. The channel and the rest of a
+/// popped batch sit under one lock: a receiver that spilled its batch's
+/// rest after another had popped a newer batch would break per-sender
+/// order.
+struct Inbox {
+    /// The readers' per-pass batches.
+    rx: Receiver<Vec<Frame>>,
+    /// Frames of a popped batch not yet handed out.
+    pending: VecDeque<Frame>,
+}
+
 /// A TCP-backed [`Endpoint`].
 ///
 /// See `examples/multiprocess_net.rs` for a whole cluster of these, one
 /// per OS process.
 pub struct TcpMesh {
     inner: Arc<TcpInner>,
-    rx: Receiver<Vec<Frame>>,
-    /// Frames from a popped batch not yet consumed by the single-frame
-    /// `recv`/`recv_timeout` compatibility API.
-    pending: Mutex<VecDeque<Frame>>,
+    /// A node's two receive threads share it; the receive role lets
+    /// only one of them receive at a time, so the lock is uncontended.
+    inbox: Mutex<Inbox>,
     local_addr: SocketAddr,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -158,7 +168,7 @@ impl TcpMesh {
         let local_addr = listener
             .local_addr()
             .map_err(|e| TransportError::Io(e.to_string()))?;
-        let (rx_tx, rx) = unbounded();
+        let (rx_tx, rx) = channel();
         let stats = Arc::new(TransportCounters::default());
         let reader_cap = config.tuning.reader_threads.max(1);
         let pipeline =
@@ -194,7 +204,7 @@ impl TcpMesh {
                         .inbound_accepted
                         .fetch_add(1, Ordering::Relaxed);
                     if readers.len() < reader_cap {
-                        let (conn_tx, conn_rx) = unbounded();
+                        let (conn_tx, conn_rx) = channel();
                         let reader_inner = accept_inner.clone();
                         let spawned = std::thread::Builder::new()
                             .name(format!(
@@ -220,8 +230,10 @@ impl TcpMesh {
 
         Ok(TcpMesh {
             inner,
-            rx,
-            pending: Mutex::new(VecDeque::new()),
+            inbox: Mutex::new(Inbox {
+                rx,
+                pending: VecDeque::new(),
+            }),
             local_addr,
             accept_thread: Mutex::new(Some(accept_thread)),
         })
@@ -280,16 +292,6 @@ impl TcpMesh {
             }
         }
         Ok(meshes)
-    }
-
-    /// Moves up to `max` frames from `batch` into `out`, spilling the
-    /// rest to the pending buffer (arrival order preserved).
-    fn absorb(&self, out: &mut Vec<Frame>, batch: Vec<Frame>, max: usize) {
-        let take = batch.len().min(max.saturating_sub(out.len()));
-        let mut it = batch.into_iter();
-        out.extend(it.by_ref().take(take));
-        let mut pending = self.pending.lock();
-        pending.extend(it);
     }
 }
 
@@ -482,60 +484,42 @@ impl Endpoint for TcpMesh {
     }
 
     fn recv(&self) -> Result<Frame, TransportError> {
-        if let Some(f) = self.pending.lock().pop_front() {
-            return Ok(f);
+        let mut inbox = self.inbox.lock();
+        if inbox.pending.is_empty() {
+            let batch = inbox.rx.recv().map_err(|_| TransportError::Closed)?;
+            inbox.pending.extend(batch);
         }
-        let batch = self.rx.recv().map_err(|_| TransportError::Closed)?;
-        let mut it = batch.into_iter();
-        let first = it.next().expect("readers never send empty batches");
-        self.pending.lock().extend(it);
-        Ok(first)
+        Ok(inbox
+            .pending
+            .pop_front()
+            .expect("readers never send empty batches"))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
-        if let Some(f) = self.pending.lock().pop_front() {
-            return Ok(Some(f));
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(batch) => {
-                let mut it = batch.into_iter();
-                let first = it.next().expect("readers never send empty batches");
-                self.pending.lock().extend(it);
-                Ok(Some(first))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
+        Ok(self.recv_batch(1, timeout)?.pop())
     }
 
     fn recv_batch(&self, max: usize, timeout: Duration) -> Result<Vec<Frame>, TransportError> {
         let max = max.max(1);
-        let mut out = Vec::new();
-        {
-            let mut pending = self.pending.lock();
-            while out.len() < max {
-                match pending.pop_front() {
-                    Some(f) => out.push(f),
-                    None => break,
-                }
-            }
-        }
-        if out.is_empty() {
-            match self.rx.recv_timeout(timeout) {
-                Ok(batch) => self.absorb(&mut out, batch, max),
-                Err(RecvTimeoutError::Timeout) => return Ok(out),
+        let mut guard = self.inbox.lock();
+        let inbox = &mut *guard;
+        if inbox.pending.is_empty() {
+            match inbox.rx.recv_timeout(timeout) {
+                Ok(batch) => inbox.pending.extend(batch),
+                Err(RecvTimeoutError::Timeout) => return Ok(Vec::new()),
                 Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
             }
         }
         // Opportunistically top up from batches already queued, without
         // blocking again.
-        while out.len() < max {
-            match self.rx.try_recv() {
-                Ok(batch) => self.absorb(&mut out, batch, max),
+        while inbox.pending.len() < max {
+            match inbox.rx.try_recv() {
+                Ok(batch) => inbox.pending.extend(batch),
                 Err(_) => break,
             }
         }
-        Ok(out)
+        let take = inbox.pending.len().min(max);
+        Ok(inbox.pending.drain(..take).collect())
     }
 
     fn peers(&self) -> Vec<NodeId> {

@@ -43,13 +43,13 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use eden_capability::NodeId;
 use eden_obs::trace::stage;
 use eden_obs::{now_ns, Gauge, Histogram, ObsRegistry, TraceCtx};
@@ -63,9 +63,10 @@ use crate::TransportError;
 /// small-frame kernel traffic on a LAN; everything is per-endpoint.
 #[derive(Debug, Clone)]
 pub struct TcpTuning {
-    /// Per-peer bounded send-queue capacity, in frames. A full queue
-    /// sheds new frames (counted in `stats().frames_dropped` and
-    /// `frames_shed`) rather than blocking the caller.
+    /// Per-peer bounded send-queue capacity, in frames (0 holds one
+    /// frame, as 1 does). A full queue sheds new frames (counted in
+    /// `stats().frames_dropped` and `frames_shed`) rather than blocking
+    /// the caller.
     pub queue_cap: usize,
     /// Coalescing budget: a writer packs queued frames into one write
     /// syscall until the batch reaches this many bytes. A single frame
@@ -115,13 +116,21 @@ struct QueuedFrame {
 }
 
 /// One peer's half of the pipeline: the queue feeding its writer, and
-/// the progress marker the stall watchdog reads (nanosecond timestamp
-/// of the last observed queue movement — dequeue, or enqueue onto an
-/// empty queue).
+/// the marks its writer shares with the enqueue side.
 struct PeerWriter {
-    tx: Sender<QueuedFrame>,
-    progress_ns: Arc<std::sync::atomic::AtomicU64>,
+    tx: SyncSender<QueuedFrame>,
+    marks: Arc<QueueMarks>,
     handle: Option<JoinHandle<()>>,
+}
+
+/// What the stall watchdog reads of one peer's queue.
+struct QueueMarks {
+    /// Frames in the queue, counted like `tcp.send_queue`: up before the
+    /// enqueue, down on dequeue or on a failed enqueue.
+    depth: AtomicU64,
+    /// Nanosecond timestamp of the last observed queue movement —
+    /// dequeue, or enqueue onto an empty queue.
+    progress_ns: AtomicU64,
 }
 
 /// The send side of a [`TcpMesh`]: peer table, per-peer writers, and
@@ -231,29 +240,31 @@ impl SendPipeline {
         // created under this lock: concurrent first-sends to a cold
         // peer cannot race two dials (the seed duplicate-dial leak).
         let writer = writers.entry(dst).or_insert_with(|| {
-            let (tx, rx) = bounded(self.tuning.queue_cap);
-            let progress_ns = Arc::new(std::sync::atomic::AtomicU64::new(now_ns()));
-            let writer_progress = Arc::clone(&progress_ns);
+            // A zero-capacity std channel is a rendezvous; the queue
+            // always holds at least one frame.
+            let (tx, rx) = sync_channel(self.tuning.queue_cap.max(1));
+            let marks = Arc::new(QueueMarks {
+                depth: AtomicU64::new(0),
+                progress_ns: AtomicU64::new(now_ns()),
+            });
+            let writer_marks = Arc::clone(&marks);
             let pipe = Arc::clone(self);
             let handle = std::thread::Builder::new()
                 .name(format!("eden-tcp-write-{}-{}", self.node, dst))
-                .spawn(move || writer_loop(&pipe, dst, &rx, &writer_progress))
+                .spawn(move || writer_loop(&pipe, dst, &rx, &writer_marks))
                 .ok();
-            PeerWriter {
-                tx,
-                progress_ns,
-                handle,
-            }
+            PeerWriter { tx, marks, handle }
         });
         let enqueued_ns = now_ns();
-        if writer.tx.is_empty() {
+        let marks = &writer.marks;
+        // Counted before the frame is visible to the writer, so its
+        // decrement can never run first and drive a count negative.
+        if marks.depth.fetch_add(1, Ordering::Relaxed) == 0 {
             // An enqueue onto an empty queue counts as progress, so a
             // long-idle peer does not look stalled the instant traffic
             // resumes (the watchdog measures non-drain time, not idle).
-            writer.progress_ns.store(enqueued_ns, Ordering::Relaxed);
+            marks.progress_ns.store(enqueued_ns, Ordering::Relaxed);
         }
-        // Counted before the frame is visible to the writer, so its
-        // decrement can never run first and drive the gauge negative.
         self.send_queue.inc();
         let sent = writer.tx.try_send(QueuedFrame {
             payload,
@@ -261,6 +272,7 @@ impl SendPipeline {
             trace,
         });
         if let Err(e) = sent {
+            marks.depth.fetch_sub(1, Ordering::Relaxed);
             self.send_queue.dec();
             match e {
                 TrySendError::Full(_) => self.stats.shed(),
@@ -276,10 +288,10 @@ impl SendPipeline {
         self.writers
             .lock()
             .iter()
-            .filter(|(_, w)| !w.tx.is_empty())
-            .map(|(&dst, w)| {
-                let last = w.progress_ns.load(Ordering::Relaxed);
-                (dst, now.saturating_sub(last), w.tx.len() as u64)
+            .filter_map(|(&dst, w)| {
+                let depth = w.marks.depth.load(Ordering::Relaxed);
+                let last = w.marks.progress_ns.load(Ordering::Relaxed);
+                (depth > 0).then(|| (dst, now.saturating_sub(last), depth))
             })
             .collect()
     }
@@ -306,7 +318,7 @@ fn writer_loop(
     pipe: &Arc<SendPipeline>,
     dst: NodeId,
     rx: &Receiver<QueuedFrame>,
-    progress: &std::sync::atomic::AtomicU64,
+    marks: &QueueMarks,
 ) {
     let tuning = pipe.tuning.clone();
     let mut conn: Option<TcpStream> = None;
@@ -326,6 +338,7 @@ fn writer_loop(
                     shed += 1;
                 }
                 pipe.stats.frames_dropped.add(shed);
+                marks.depth.fetch_sub(shed, Ordering::Relaxed);
                 pipe.send_queue.add(-(shed as i64));
                 return;
             }
@@ -398,7 +411,8 @@ fn writer_loop(
             }
         }
         let dequeue_ns = now_ns();
-        progress.store(dequeue_ns, Ordering::Relaxed);
+        marks.progress_ns.store(dequeue_ns, Ordering::Relaxed);
+        marks.depth.fetch_sub(frames, Ordering::Relaxed);
         let obs = pipe.obs().filter(|_| !traced.is_empty());
         if let Some(reg) = obs {
             // Retroactive queue-residency spans: [enqueue, dequeue],

@@ -1,6 +1,6 @@
 //! Integration tests for the TCP send pipeline: duplicate-dial
-//! regression, slow-peer isolation, full-queue shedding, and the
-//! shutdown drain.
+//! regression, slow-peer isolation, full-queue shedding, the stall
+//! probe's queue depth, and the shutdown drain.
 //!
 //! Dead/slow peers are simulated with the *backlog trick*: bind a
 //! listener, never accept, and pre-fill its accept backlog with held
@@ -147,6 +147,48 @@ fn full_queue_sheds_instead_of_blocking() {
     );
     assert!(s.frames_dropped >= s.frames_shed);
     assert!(s.queue_depth <= 8, "queue depth {} > cap", s.queue_depth);
+}
+
+#[test]
+fn writer_probe_reports_a_stuck_peers_depth_until_it_drains() {
+    let stuck = stuck_peer();
+    let mut config = TcpMeshConfig::new(NodeId(0), "127.0.0.1:0".parse().unwrap());
+    config.tuning = TcpTuning {
+        queue_cap: 4,
+        connect_timeout: Duration::from_millis(100),
+        dial_backoff_min: Duration::from_millis(10),
+        ..TcpTuning::default()
+    };
+    config.peers.insert(NodeId(1), stuck.addr);
+    let a = TcpMesh::bind(config).expect("bind");
+    let b = TcpMesh::bind(TcpMeshConfig::new(
+        NodeId(1),
+        "127.0.0.1:0".parse().unwrap(),
+    ))
+    .expect("bind");
+    assert!(a.writer_probe().is_empty(), "no writer, nothing queued");
+
+    // The writer never connects, so it never dequeues: the queue holds
+    // its capacity and the rest shed without counting toward the depth.
+    for i in 0..10 {
+        a.send(Frame::to(NodeId(0), NodeId(1), ping(i))).unwrap();
+    }
+    let probe = a.writer_probe();
+    assert_eq!(probe.len(), 1, "one stuck peer: {probe:?}");
+    assert_eq!((probe[0].0, probe[0].2), (NodeId(1), 4));
+    assert_eq!(a.stats().frames_shed, 6);
+
+    // Point node 1 at a live endpoint: the next dial connects and the
+    // queue drains, counted down at dequeue, before the frames arrive.
+    a.add_peer(NodeId(1), b.local_addr());
+    for i in 0..4 {
+        let frame = b
+            .recv_timeout(Duration::from_secs(5))
+            .expect("recv")
+            .expect("queued frame delivered after the redial");
+        assert_eq!(frame.msg, ping(i));
+    }
+    assert!(a.writer_probe().is_empty(), "drained queue reported");
 }
 
 #[test]

@@ -27,6 +27,7 @@
 //! codec. A new message is one row; a tag used twice fails to compile.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod codec;
 #[cfg(test)]

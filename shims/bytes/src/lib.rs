@@ -13,6 +13,7 @@
 //! `Bytes` never pins a large buffer.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::borrow::Borrow;
 use std::fmt;

@@ -7,6 +7,7 @@
 //! Each benchmark prints its median and mean per-iteration time.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -21,6 +21,7 @@
 //! `LOOM_MAX_BRANCHES` knob has no analogue here).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -6,6 +6,7 @@
 //! recovered transparently (parking_lot has no poisoning).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -10,6 +10,7 @@
 //! failing inputs are printed instead.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod arbitrary;
 pub mod bool;

@@ -7,6 +7,7 @@
 //! simulation and tests; this is not a cryptographic generator.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -43,6 +43,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub use eden_apps as apps;
 pub use eden_capability as capability;
