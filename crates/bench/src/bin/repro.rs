@@ -3,6 +3,7 @@
 //! ```sh
 //! cargo run -p eden-bench --bin repro --release            # everything
 //! cargo run -p eden-bench --bin repro --release -- e7 e8   # a subset
+//! cargo run -p eden-bench --bin repro --release -- micro    # per-op substrate costs
 //! ```
 
 use eden_bench::*;
@@ -65,5 +66,8 @@ fn main() {
     }
     if want("e16") {
         exp_e16_pipeline::run().print();
+    }
+    if want("micro") {
+        exp_micro::run().print();
     }
 }

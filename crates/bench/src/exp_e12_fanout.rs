@@ -127,11 +127,6 @@ pub fn fanout_run(workers: usize) -> FanoutRun {
     }
 }
 
-/// Batch seconds for the pooled configuration (Criterion entry point).
-pub fn fanout_batch_seconds(workers: usize) -> f64 {
-    fanout_run(workers).secs
-}
-
 /// The pre-pool baseline: the same 64-client fan-out, but every
 /// invocation spawns a fresh OS thread (as `run_invocation` once did)
 /// and the client joins it for the reply. Returns (invokes/s, seconds,

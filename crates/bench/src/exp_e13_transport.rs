@@ -139,7 +139,7 @@ fn await_delivery(receivers: &[&TcpMesh], per_peer: u64) {
 
 /// Throughput of the emulated seed path: frames/s over the full
 /// flood-and-drain, plus the payload size used.
-pub fn baseline_throughput() -> (f64, usize) {
+fn baseline_throughput() -> (f64, usize) {
     let receivers = TcpMesh::bind_local_cluster(PEERS as usize).expect("receivers");
     let peers: Vec<(NodeId, SocketAddr)> = receivers
         .iter()
@@ -166,7 +166,7 @@ pub fn baseline_throughput() -> (f64, usize) {
 
 /// Throughput of the send pipeline, plus the batch count it needed
 /// (fewer batches than frames = coalescing happened).
-pub fn pipeline_throughput() -> (f64, u64) {
+fn pipeline_throughput() -> (f64, u64) {
     // A deep queue so the flood measures coalescing, not shedding: the
     // run is only valid if every frame is delivered (asserted below).
     let tuning = TcpTuning {

@@ -19,7 +19,7 @@ const INVOCATIONS_PER_CLIENT: usize = 8;
 const HOLD_MS: u64 = 5;
 
 /// Measures throughput (ops/s) for one class limit.
-pub fn throughput_for_limit(limit: usize) -> f64 {
+fn throughput_for_limit(limit: usize) -> f64 {
     let cluster = bench_cluster_with(
         1,
         NodeConfig {

@@ -63,12 +63,6 @@ fn batch_seconds(vprocs: usize, cpu_bound: bool) -> f64 {
     secs
 }
 
-/// Batch time for the fixed-service-time workload (used by the
-/// Criterion bench too).
-pub fn held_batch_seconds(vprocs: usize) -> f64 {
-    batch_seconds(vprocs, false)
-}
-
 /// Runs F2 and returns the table.
 pub fn run() -> Table {
     let cores = std::thread::available_parallelism()

@@ -1,9 +1,9 @@
 //! The experiment harness behind EXPERIMENTS.md.
 //!
-//! Each submodule implements one experiment from DESIGN.md §5 and
-//! returns a [`Table`]; the `repro` binary prints them, and the Criterion
-//! benches in `benches/` reuse the same workload builders for
-//! statistically careful micro-measurements.
+//! Each submodule implements one experiment from DESIGN.md §5a and
+//! returns a [`Table`]; the `repro` binary prints them. `exp_micro`
+//! times the wire codec, the store CRC and the obs primitives per
+//! operation.
 //!
 //! Everything here runs on the public API only — the harness is
 //! downstream code, not a kernel back door.
@@ -31,6 +31,7 @@ pub mod exp_e8_efs_cc;
 pub mod exp_e9_replication;
 pub mod exp_f1_topology;
 pub mod exp_f2_vprocs;
+pub mod exp_micro;
 
 pub use table::Table;
 

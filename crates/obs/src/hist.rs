@@ -410,6 +410,31 @@ mod tests {
         assert_eq!(h.snapshot().count, n);
     }
 
+    #[test]
+    fn sampled_off_queue_span_is_fast_enough() {
+        // With sampling off a frame carries no TraceCtx, so the
+        // queue-residency span the vproc pool and the transport writer
+        // record at dequeue must cost one branch: far under 1 µs.
+        use crate::trace::stage;
+        use crate::{now_ns, ObsRegistry, TraceCtx};
+        let obs = ObsRegistry::new(0);
+        let start_ns = now_ns();
+        let n = 100_000u32;
+        let start = std::time::Instant::now();
+        for _ in 0..n {
+            let trace: Option<TraceCtx> = std::hint::black_box(None);
+            if let Some(ctx) = trace {
+                obs.record_span_staged("vproc-wait", stage::VPROC_QUEUE, ctx, start_ns, now_ns());
+            }
+        }
+        let per = start.elapsed() / n;
+        assert!(
+            per < std::time::Duration::from_micros(1),
+            "sampled-off queue span took {per:?}/event (budget 1 µs)"
+        );
+        assert!(obs.traces().spans().is_empty());
+    }
+
     proptest! {
         #[test]
         fn bucket_mid_stays_in_bucket(v in 0u64..) {

@@ -2,9 +2,9 @@
 # CI entry point.
 #
 #   ./scripts/ci.sh            tier-1 gate: fmt, clippy, release build,
-#                              workspace tests, rustdoc, bench compile, perfbench
-#                              check and smoke, eden-lint, cargo-deny (if
-#                              installed), telemetry smoke
+#                              workspace tests, rustdoc, `repro micro` (archived),
+#                              perfbench check and smoke, eden-lint, cargo-deny
+#                              (if installed), telemetry smoke
 #   ./scripts/ci.sh lint       eden-lint only (human output + JSON artifact)
 #   ./scripts/ci.sh loom       concurrency models under --cfg loom
 #   ./scripts/ci.sh tsan       workspace tests under ThreadSanitizer
@@ -82,7 +82,11 @@ case "${1:-all}" in
     cargo test --workspace -q
     # Rustdoc with warnings denied keeps every intra-doc link resolving.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-    cargo bench --no-run
+    # Per-operation costs of the wire codec, the store CRC and the obs
+    # primitives, archived so each commit's numbers sit in an artifact.
+    mkdir -p target/artifacts
+    cargo run --release -p eden-bench --bin repro -- micro > target/artifacts/repro_micro.txt
+    cat target/artifacts/repro_micro.txt
     # perfbench is a package of its own outside the workspace, and it
     # implements `CheckpointStore` and `Endpoint`: check it, tests
     # included, so a trait change that breaks the benchmark fails here.
