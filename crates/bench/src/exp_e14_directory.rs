@@ -25,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId};
-use eden_kernel::{Cluster, NodeConfig};
+use eden_kernel::{Cluster, GossipConfig, NodeConfig};
 use eden_wire::MemberStatus;
 
 use crate::artifact_path;
@@ -33,7 +33,7 @@ use crate::table::Table;
 
 /// Cluster sizes measured.
 const SIZES: [usize; 3] = [8, 16, 64];
-/// The seed's broadcast collection window (NodeConfig default).
+/// The broadcast collection window (the kernel's `LOCATE_WINDOW`).
 const LOCATE_WINDOW_MS: u64 = 250;
 
 /// One variant's measurements at one cluster size.
@@ -55,9 +55,11 @@ fn build(n: usize, directory: bool) -> Cluster {
     eden_apps::with_apps(Cluster::builder().nodes(n).node_config(NodeConfig {
         enable_directory: directory,
         remote_try_timeout: Duration::from_millis(200),
-        gossip_interval: Duration::from_millis(40),
-        gossip_probe_timeout: Duration::from_millis(120),
-        gossip_suspect_timeout: Duration::from_millis(400),
+        gossip: GossipConfig {
+            probe_interval: Duration::from_millis(40),
+            probe_timeout: Duration::from_millis(120),
+            suspect_timeout: Duration::from_millis(400),
+        },
         ..NodeConfig::default()
     }))
     .build()

@@ -16,36 +16,19 @@ use parking_lot::Mutex;
 use crate::node::{Node, NodeConfig};
 use crate::types::{TypeManager, TypeRegistry};
 
-/// Cluster-wide configuration.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Number of node machines.
-    pub nodes: usize,
-    /// Per-node kernel configuration.
-    pub node_config: NodeConfig,
-    /// Network shaping.
-    pub mesh_options: MeshOptions,
-    /// When set, each node gets a [`DiskStore`] log under this directory;
-    /// otherwise checkpoints live in per-node [`MemStore`]s.
-    pub disk_dir: Option<PathBuf>,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            nodes: 2,
-            node_config: NodeConfig::default(),
-            mesh_options: MeshOptions::default(),
-            disk_dir: None,
-        }
-    }
-}
-
 type TypeFactory = Box<dyn Fn() -> Box<dyn TypeManager> + Send + Sync>;
 
 /// Builds a [`Cluster`].
 pub struct ClusterBuilder {
-    config: ClusterConfig,
+    /// Number of node machines.
+    nodes: usize,
+    /// Per-node kernel configuration.
+    node_config: NodeConfig,
+    /// Network shaping.
+    mesh_options: MeshOptions,
+    /// When set, each node gets a [`DiskStore`] log under this directory;
+    /// otherwise checkpoints live in per-node [`MemStore`]s.
+    disk_dir: Option<PathBuf>,
     factories: Vec<TypeFactory>,
 }
 
@@ -53,28 +36,28 @@ impl ClusterBuilder {
     /// Number of node machines (ids `0..n`).
     #[must_use]
     pub fn nodes(mut self, n: usize) -> Self {
-        self.config.nodes = n;
+        self.nodes = n;
         self
     }
 
     /// Per-node kernel configuration.
     #[must_use]
     pub fn node_config(mut self, config: NodeConfig) -> Self {
-        self.config.node_config = config;
+        self.node_config = config;
         self
     }
 
     /// Network traffic shaping (latency, loss, seed).
     #[must_use]
     pub fn mesh(mut self, options: MeshOptions) -> Self {
-        self.config.mesh_options = options;
+        self.mesh_options = options;
         self
     }
 
     /// Store checkpoints on disk under `dir` (one log per node).
     #[must_use]
     pub fn disk_stores(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.disk_dir = Some(dir.into());
+        self.disk_dir = Some(dir.into());
         self
     }
 
@@ -97,20 +80,17 @@ impl ClusterBuilder {
     /// unwritable disk directory) — construction errors in a test
     /// harness.
     pub fn build(self) -> Cluster {
-        assert!(self.config.nodes >= 1, "a cluster needs at least one node");
-        let mesh = Arc::new(LoopbackMesh::with_options(
-            self.config.nodes,
-            self.config.mesh_options,
-        ));
-        let mut nodes = Vec::with_capacity(self.config.nodes);
-        for i in 0..self.config.nodes {
+        assert!(self.nodes >= 1, "a cluster needs at least one node");
+        let mesh = Arc::new(LoopbackMesh::with_options(self.nodes, self.mesh_options));
+        let mut nodes = Vec::with_capacity(self.nodes);
+        for i in 0..self.nodes {
             let registry = Arc::new(TypeRegistry::new());
             for factory in &self.factories {
                 registry
                     .register(Arc::from(factory()))
                     .expect("type registration failed");
             }
-            let store: Arc<dyn CheckpointStore> = match &self.config.disk_dir {
+            let store: Arc<dyn CheckpointStore> = match &self.disk_dir {
                 Some(dir) => Arc::new(
                     DiskStore::open(
                         dir.join(format!("node-{i}.log")),
@@ -122,7 +102,7 @@ impl ClusterBuilder {
             };
             let endpoint = mesh.endpoint(i);
             nodes.push(Node::new(
-                self.config.node_config.clone(),
+                self.node_config.clone(),
                 endpoint,
                 store,
                 registry,
@@ -131,7 +111,7 @@ impl ClusterBuilder {
         Cluster {
             nodes,
             mesh,
-            down: Mutex::new(vec![false; self.config.nodes]),
+            down: Mutex::new(vec![false; self.nodes]),
         }
     }
 }
@@ -147,7 +127,10 @@ impl Cluster {
     /// Starts a builder.
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder {
-            config: ClusterConfig::default(),
+            nodes: 2,
+            node_config: NodeConfig::default(),
+            mesh_options: MeshOptions::default(),
+            disk_dir: None,
             factories: Vec::new(),
         }
     }
@@ -188,8 +171,8 @@ impl Cluster {
     /// their next invocation.
     pub fn kill(&self, i: usize) {
         // Claim the flag in its own scope: `shutdown()` joins the node's
-        // threads, and holding `down` across that join would stall every
-        // concurrent `is_down` probe for the whole teardown.
+        // threads, and holding `down` across that join would stall a
+        // concurrent `kill` of another node for the whole teardown.
         {
             let mut down = self.down.lock();
             if down[i] {
@@ -199,11 +182,6 @@ impl Cluster {
         }
         self.mesh.kill(eden_capability::NodeId(i as u16));
         self.nodes[i].shutdown();
-    }
-
-    /// Whether node `i` has been killed.
-    pub fn is_down(&self, i: usize) -> bool {
-        self.down.lock()[i]
     }
 
     /// Stops every kernel and the mesh.

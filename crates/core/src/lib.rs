@@ -86,10 +86,10 @@ pub mod types;
 pub mod vproc;
 pub mod waiter;
 
-pub use cluster::{Cluster, ClusterBuilder, ClusterConfig};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use ctx::OpCtx;
+pub use eden_directory::GossipConfig;
 pub use error::{EdenError, Result};
-pub use lru::LruMap;
 pub use metrics::KernelMetrics;
 pub use node::{node_object_cap, node_object_name, Node, NodeConfig, ObjectInfo, ReliabilityLevel};
 pub use object::ObjStatus;

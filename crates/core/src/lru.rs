@@ -2,7 +2,7 @@
 //!
 //! The location hint cache must not grow with the number of objects a
 //! node has ever heard about (the ROADMAP targets millions of objects),
-//! so it is bounded by `NodeConfig::location_cache_cap` and evicts the
+//! so it is bounded by the kernel's `LOCATION_CACHE_CAP` and evicts the
 //! hint that has gone longest without a lookup. Recency is tracked with
 //! monotonically increasing stamps and a lazily compacted queue rather
 //! than a linked list: inserts and hits are O(1) amortized, eviction pops

@@ -87,7 +87,7 @@ mod watchdog;
 pub(crate) use invoke::Started;
 pub(crate) use request::Ticket;
 
-use location::LocationService;
+use location::{LocationService, LOCATION_CACHE_CAP};
 use recv::ServedRequests;
 use request::Registered;
 
@@ -98,7 +98,10 @@ const RECEIVERS: usize = 2;
 /// An invocation `pump` moved to running, awaiting `Node::dispatch`.
 type Ready = (Arc<ObjectSlot>, PendingInvocation);
 
-/// Kernel tuning parameters.
+/// Kernel tuning parameters: the settings a caller chooses. Values no
+/// caller varies (the locate window, the move timeout, the per-object
+/// process cap and the hint-cache bound) are constants of the section
+/// that uses them.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// The node machine's processors (its GDPs, §3): the worker threads
@@ -111,17 +114,9 @@ pub struct NodeConfig {
     /// Budget for one remote request/reply exchange before trying the
     /// next location candidate.
     pub remote_try_timeout: Duration,
-    /// How long a broadcast location query collects answers when no
-    /// active holder responds immediately.
-    pub locate_window: Duration,
-    /// Budget for a move transfer to be acknowledged.
-    pub move_timeout: Duration,
     /// Forwarding budget on invocation requests (bounds forwarding
     /// chains left by repeated moves).
     pub hop_limit: u8,
-    /// Hard cap on concurrent invocation processes within one object,
-    /// over and above per-class limits.
-    pub max_processes_per_object: usize,
     /// Retransmission interval for unanswered remote invocations. The
     /// same invocation id is re-sent, and the serving kernel dedupes,
     /// giving at-most-once execution per holder over a lossy network.
@@ -144,33 +139,20 @@ pub struct NodeConfig {
     pub vproc_queue_cap: usize,
     /// Enables the sharded location directory and its gossip membership:
     /// each object name hashes to a *home* node that tracks the current
-    /// holder, so a locate miss costs one round trip to the home instead
-    /// of a broadcast plus the locate window. Off reproduces the seed
-    /// kernel exactly (broadcast `WhereIs` is the only search).
+    /// holder, so an object the hints miss costs one round trip to its
+    /// home instead of a broadcast plus the locate window. When the
+    /// directory names no live holder, the broadcast `WhereIs` search
+    /// still follows (directory state is a hint, not ground truth). Off
+    /// reproduces the seed kernel exactly (broadcast is the only search).
     pub enable_directory: bool,
-    /// Compatibility switch: when the directory cannot name a live
-    /// holder, fall back to the seed's broadcast search. Disabling it
-    /// makes misses cheap but surrenders the broadcast safety net
-    /// (directory state is a hint, not ground truth).
-    pub enable_broadcast_fallback: bool,
-    /// Bound on the location hint cache; past it the least recently used
-    /// hint is evicted (counted in `location_cache_evictions`).
-    pub location_cache_cap: usize,
-    /// Gossip protocol period: one direct liveness probe per period.
-    pub gossip_interval: Duration,
-    /// Budget for a probed peer to ack (directly or via relays) before
-    /// it becomes a suspect.
-    pub gossip_probe_timeout: Duration,
-    /// How long a suspect may stay unrefuted before gossip declares it
-    /// dead and the directory withholds its registrations.
-    pub gossip_suspect_timeout: Duration,
-    /// Runs the per-node stall watchdog thread (`eden-watchdog-<id>`),
-    /// which probes the virtual-processor pool, the transport's writer
-    /// queues and the in-flight remote invocations, and dumps a
-    /// structured diagnostic snapshot to the flight recorder when
-    /// something exceeds its deadline.
-    pub enable_watchdog: bool,
-    /// How often the watchdog probes.
+    /// Gossip membership timings (probe period, probe timeout, suspicion
+    /// timeout), used when the directory is on.
+    pub gossip: GossipConfig,
+    /// How often the per-node stall watchdog thread
+    /// (`eden-watchdog-<id>`) probes the virtual-processor pool, the
+    /// transport's writer queues and the in-flight remote invocations;
+    /// it dumps a structured diagnostic snapshot to the flight recorder
+    /// when something exceeds its deadline.
     pub watchdog_interval: Duration,
     /// Age past which a busy virtual processor, a head-of-queue task or
     /// a non-draining writer queue counts as stalled.
@@ -186,22 +168,14 @@ impl Default for NodeConfig {
             virtual_processors: 2,
             default_invoke_timeout: Duration::from_secs(5),
             remote_try_timeout: Duration::from_secs(2),
-            locate_window: Duration::from_millis(250),
-            move_timeout: Duration::from_secs(2),
             hop_limit: 8,
-            max_processes_per_object: 64,
             retransmit_interval: Duration::from_millis(150),
             enable_location_cache: true,
             enable_retransmission: true,
             trace_sampling: TraceSampling::Always,
             vproc_queue_cap: 1024,
             enable_directory: true,
-            enable_broadcast_fallback: true,
-            location_cache_cap: 4096,
-            gossip_interval: Duration::from_millis(100),
-            gossip_probe_timeout: Duration::from_millis(200),
-            gossip_suspect_timeout: Duration::from_millis(600),
-            enable_watchdog: true,
+            gossip: GossipConfig::default(),
             watchdog_interval: Duration::from_millis(50),
             watchdog_stall_deadline: Duration::from_secs(1),
             slow_invocation_budget: Duration::from_secs(2),
@@ -332,16 +306,14 @@ impl Node {
         endpoint.attach_obs(obs.clone());
         store.attach_obs(obs.clone());
         let directory = config.enable_directory.then(|| {
-            let gossip = GossipConfig {
-                probe_interval: config.gossip_interval,
-                probe_timeout: config.gossip_probe_timeout,
-                suspect_timeout: config.gossip_suspect_timeout,
-                ..GossipConfig::default()
-            };
             let peers = endpoint.peers();
-            Mutex::new(DirectoryService::new(id, &peers, gossip, Instant::now()))
+            Mutex::new(DirectoryService::new(
+                id,
+                &peers,
+                config.gossip,
+                Instant::now(),
+            ))
         });
-        let cache_cap = config.location_cache_cap;
         let inner = Arc::new(NodeInner {
             id,
             vprocs: VirtualProcessorPool::new(
@@ -357,7 +329,7 @@ impl Node {
             destroyed: Mutex::new(HashSet::new()),
             served: Mutex::new(ServedRequests::default()),
             location: LocationService {
-                cache: Mutex::new(LruMap::new(cache_cap)),
+                cache: Mutex::new(LruMap::new(LOCATION_CACHE_CAP)),
                 forwards: RwLock::new(HashMap::new()),
                 queries: Mutex::new(HashMap::new()),
             },
@@ -394,14 +366,12 @@ impl Node {
                 .expect("spawn receive loop");
             node.inner.recv_threads.lock().push(handle);
         }
-        if node.inner.config.enable_watchdog {
-            let dog = node.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("eden-watchdog-{id}"))
-                .spawn(move || dog.watchdog_loop())
-                .expect("spawn watchdog");
-            *node.inner.watchdog_thread.lock() = Some(handle);
-        }
+        let dog = node.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("eden-watchdog-{id}"))
+            .spawn(move || dog.watchdog_loop())
+            .expect("spawn watchdog");
+        *node.inner.watchdog_thread.lock() = Some(handle);
         node
     }
 

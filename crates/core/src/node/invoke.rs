@@ -22,6 +22,10 @@ use crate::pipeline::PendingCall;
 use crate::vproc::{blocking, BatchTask, Lent};
 use crate::waiter::Waiter;
 
+/// Hard cap on concurrent invocation processes within one object, over
+/// and above per-class limits.
+const MAX_PROCESSES_PER_OBJECT: usize = 64;
+
 /// The teardown `pump` found due: a crash or destroy was requested and
 /// no invocation runs any more.
 enum Teardown {
@@ -458,7 +462,7 @@ impl Node {
             return None; // No dispatch while a move is pending.
         }
         let mut i = 0;
-        while i < coord.queue.len() && coord.running < self.inner.config.max_processes_per_object {
+        while i < coord.queue.len() && coord.running < MAX_PROCESSES_PER_OBJECT {
             let next = &coord.queue[i].resolved;
             let in_service = coord.class_in_service.get(&next.op.class).map_or(0, |n| *n);
             if in_service >= next.limit {

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NodeId, ObjName};
 use eden_directory::{DirOutput, DirectoryService, MemberEvent};
@@ -32,11 +32,18 @@ use crate::object::ObjectSlot;
 use crate::vproc::blocking;
 use crate::waiter::{LocationAnswer, QueryCollector};
 
+/// Bound on the location hint cache; past it the least recently used
+/// hint is evicted (counted in `location_cache_evictions`).
+pub(super) const LOCATION_CACHE_CAP: usize = 4096;
+
+/// How long a broadcast location query collects answers when no active
+/// holder responds immediately; also the budget of a directory query.
+const LOCATE_WINDOW: Duration = Duration::from_millis(250);
+
 /// This node's location tables.
 pub(super) struct LocationService {
     /// Last known holder of an object (hints; may be stale). Bounded by
-    /// [`NodeConfig::location_cache_cap`](super::NodeConfig::location_cache_cap)
-    /// with LRU eviction.
+    /// [`LOCATION_CACHE_CAP`] with LRU eviction.
     pub(super) cache: Mutex<LruMap<ObjName, NodeId>>,
     /// Where objects this node moved away now live, each with the time
     /// (`now_ns`) from which that address is known: the move's
@@ -164,7 +171,6 @@ pub(crate) struct Search {
     me: NodeId,
     peers: Vec<NodeId>,
     directory: bool,
-    broadcast: bool,
     stage: Stage,
     /// Candidates of the current stage not yet offered, best last.
     queue: Vec<(NodeId, Kind)>,
@@ -179,21 +185,14 @@ pub(crate) struct Search {
 impl Search {
     /// A search run by `me` among `peers`, starting from `hints`. With
     /// `directory`, a directory query follows the hints; a broadcast
-    /// follows when the directory is off or `broadcast_fallback` is on.
-    pub(crate) fn new(
-        me: NodeId,
-        peers: Vec<NodeId>,
-        hints: Hints,
-        directory: bool,
-        broadcast_fallback: bool,
-    ) -> Search {
+    /// follows either way, since a directory miss is only a hint.
+    pub(crate) fn new(me: NodeId, peers: Vec<NodeId>, hints: Hints, directory: bool) -> Search {
         let mut queue: Vec<(NodeId, Kind)> = hints.in_order().collect();
         queue.reverse();
         Search {
             me,
             peers,
             directory,
-            broadcast: !directory || broadcast_fallback,
             stage: Stage::Hints,
             queue,
             tried: Vec::new(),
@@ -218,11 +217,11 @@ impl Search {
                     self.stage = Stage::Directory;
                     return Step::AskDirectory;
                 }
-                Stage::Hints | Stage::Directory if self.broadcast => {
+                Stage::Hints | Stage::Directory => {
                     self.stage = Stage::Broadcast;
                     return Step::Broadcast;
                 }
-                Stage::Hints | Stage::Directory | Stage::Broadcast => {
+                Stage::Broadcast => {
                     self.stage = Stage::LastResort;
                     let last = self.dead.iter().rev().map(|&n| (n, Kind::Direct));
                     self.queue.extend(last);
@@ -355,12 +354,6 @@ impl Node {
         forwards.get(&name).map(|&(fwd, _)| fwd)
     }
 
-    /// Number of live location hints (bounded by
-    /// [`NodeConfig::location_cache_cap`](super::NodeConfig::location_cache_cap)).
-    pub fn location_cache_len(&self) -> usize {
-        self.inner.location.cache.lock().len()
-    }
-
     pub(super) fn cache_insert(&self, name: ObjName, holder: NodeId) {
         let evicted = self.inner.location.cache.lock().insert(name, holder);
         for _ in 0..evicted {
@@ -385,15 +378,6 @@ impl Node {
             .directory
             .as_ref()
             .and_then(|d| d.lock().home(name))
-    }
-
-    /// Number of directory entries homed on this node's shard.
-    pub fn directory_shard_len(&self) -> usize {
-        self.inner
-            .directory
-            .as_ref()
-            .map(|d| d.lock().shard_len())
-            .unwrap_or(0)
     }
 
     /// Whether gossip currently believes `node` is dead.
@@ -497,7 +481,7 @@ impl Node {
     /// the home). Returns the registered holder on a hit; `None` on a
     /// miss, a withheld (suspect) answer, or an unreachable home.
     pub fn directory_locate(&self, name: ObjName) -> Option<NodeId> {
-        let deadline = Instant::now() + self.inner.config.locate_window;
+        let deadline = Instant::now() + LOCATE_WINDOW;
         self.directory_locate_before(name, deadline, None)
     }
 
@@ -519,7 +503,7 @@ impl Node {
             dir.lock().answer_query(name)
         } else {
             let left = deadline.saturating_duration_since(Instant::now());
-            let budget = self.inner.config.locate_window.min(left);
+            let budget = LOCATE_WINDOW.min(left);
             let reply = self.request(home, budget, |query_id| Message::DirQuery {
                 query_id,
                 name,
@@ -583,7 +567,6 @@ impl Node {
             self.inner.endpoint.peers(),
             self.hints(name),
             self.inner.directory.is_some(),
-            self.inner.config.enable_broadcast_fallback,
         );
         // Hint assembly (forwarding table + LRU cache + birth hint):
         // usually nanoseconds, but visible in the report when lock
@@ -752,7 +735,7 @@ impl Node {
                 reply_to: self.inner.id,
             },
         ));
-        let answers = blocking(|| collector.wait(self.inner.config.locate_window));
+        let answers = blocking(|| collector.wait(LOCATE_WINDOW));
         queries.lock().remove(&query_id);
         answers
     }
@@ -843,7 +826,7 @@ mod tests {
         }
         assert_eq!(Search::classify(&Status::NoSuchObject), Outcome::NotHere);
         assert_eq!(Search::classify(&Status::Timeout), Outcome::Silent);
-        let mut search = Search::new(ME, peers(), hints(None, None, 1), true, true);
+        let mut search = Search::new(ME, peers(), hints(None, None, 1), true);
         assert_eq!(search.next(alive), try_node(1, false));
         assert!(search.answered(&Status::Ok));
         assert!(!search.answered(&Status::NoSuchObject));
@@ -852,7 +835,7 @@ mod tests {
 
     #[test]
     fn candidates_come_in_order_each_once() {
-        let mut search = Search::new(ME, peers(), hints(Some(1), Some(2), 3), true, true);
+        let mut search = Search::new(ME, peers(), hints(Some(1), Some(2), 3), true);
         assert_eq!(search.next(alive), try_node(1, false));
         assert_eq!(search.next(alive), try_node(2, true));
         assert_eq!(search.next(alive), try_node(3, false));
@@ -868,7 +851,7 @@ mod tests {
 
     #[test]
     fn self_non_peers_and_tried_nodes_are_skipped() {
-        let mut search = Search::new(ME, peers(), hints(Some(0), Some(9), 3), true, true);
+        let mut search = Search::new(ME, peers(), hints(Some(0), Some(9), 3), true);
         search.exclude(NodeId(3));
         assert_eq!(search.next(alive), Step::AskDirectory);
         search.directory_answered(Some(NodeId(4)));
@@ -886,7 +869,7 @@ mod tests {
 
     #[test]
     fn broadcast_answers_rank_active_then_replica_then_passive() {
-        let mut search = Search::new(ME, peers(), hints(None, None, 0), false, false);
+        let mut search = Search::new(ME, peers(), hints(None, None, 0), false);
         assert_eq!(search.next(alive), Step::Broadcast);
         search.broadcast_answered(&[
             answer(1, HeldState::Passive),
@@ -902,16 +885,8 @@ mod tests {
     }
 
     #[test]
-    fn a_directory_only_miss_is_final() {
-        let mut search = Search::new(ME, peers(), hints(None, None, 0), true, false);
-        assert_eq!(search.next(alive), Step::AskDirectory);
-        search.directory_answered(None);
-        assert_eq!(search.next(alive), Step::Fail(Status::NoSuchObject));
-    }
-
-    #[test]
     fn a_candidate_is_offered_without_leaving_the_stage() {
-        let mut search = Search::new(ME, peers(), hints(Some(2), Some(3), 1), true, false);
+        let mut search = Search::new(ME, peers(), hints(Some(2), Some(3), 1), true);
         assert_eq!(search.candidate(alive), Some((NodeId(2), false)));
         assert_eq!(search.candidate(alive), Some((NodeId(3), true)));
         assert_eq!(search.next(alive), try_node(1, false));
@@ -923,7 +898,7 @@ mod tests {
     #[test]
     fn a_node_gossip_calls_dead_is_tried_last_not_dropped() {
         let dead = |n: NodeId| n == NodeId(1);
-        let mut search = Search::new(ME, peers(), hints(None, Some(2), 1), true, true);
+        let mut search = Search::new(ME, peers(), hints(None, Some(2), 1), true);
         assert_eq!(search.next(dead), try_node(2, true));
         assert!(!search.answered(&Status::NoSuchObject));
         assert_eq!(search.next(dead), Step::AskDirectory);
@@ -935,7 +910,7 @@ mod tests {
 
         // A node gossip calls dead that answers the broadcast is asked
         // in the broadcast's order.
-        let mut search = Search::new(ME, peers(), hints(None, None, 1), true, true);
+        let mut search = Search::new(ME, peers(), hints(None, None, 1), true);
         assert_eq!(search.next(dead), Step::AskDirectory);
         search.directory_answered(None);
         assert_eq!(search.next(dead), Step::Broadcast);
@@ -947,18 +922,22 @@ mod tests {
     #[test]
     fn silence_from_a_node_gossip_calls_dead_fails_retriably() {
         let dead = |n: NodeId| n == NodeId(1);
-        let mut search = Search::new(ME, peers(), hints(None, None, 1), true, false);
+        let mut search = Search::new(ME, peers(), hints(None, None, 1), true);
         assert_eq!(search.next(dead), Step::AskDirectory);
         search.directory_answered(None);
+        assert_eq!(search.next(dead), Step::Broadcast);
+        search.broadcast_answered(&[]);
         assert_eq!(search.next(dead), try_node(1, false));
         assert!(!search.answered(&Status::Timeout));
         assert_eq!(search.next(dead), Step::Fail(Status::NodeUnreachable));
 
         // A node that answers `NoSuchObject` is alive after all, and the
         // object is not there.
-        let mut search = Search::new(ME, peers(), hints(None, None, 1), true, false);
+        let mut search = Search::new(ME, peers(), hints(None, None, 1), true);
         assert_eq!(search.next(dead), Step::AskDirectory);
         search.directory_answered(None);
+        assert_eq!(search.next(dead), Step::Broadcast);
+        search.broadcast_answered(&[]);
         assert_eq!(search.next(dead), try_node(1, false));
         search.answered(&Status::NoSuchObject);
         assert_eq!(search.next(dead), Step::Fail(Status::NoSuchObject));

@@ -4,6 +4,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use eden_capability::{Capability, NodeId, ObjName, Rights};
 use eden_obs::{now_ns, KernelEvent};
@@ -13,6 +14,9 @@ use super::Node;
 use crate::error::{EdenError, Result};
 use crate::object::{ObjStatus, ObjectSlot};
 use crate::repr::Representation;
+
+/// Budget for a move transfer to be acknowledged.
+const MOVE_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl Node {
     /// Requests that a local active object move to `dst` (rights already
@@ -53,8 +57,7 @@ impl Node {
             let repr = slot.repr.read();
             repr.to_image(&slot.type_name, slot.is_frozen(), slot.checkpoint_version())
         };
-        let budget = self.inner.config.move_timeout;
-        let ack = self.request(dst, budget, |xfer_id| Message::MoveTransfer {
+        let ack = self.request(dst, MOVE_TIMEOUT, |xfer_id| Message::MoveTransfer {
             xfer_id,
             name: slot.name,
             image,

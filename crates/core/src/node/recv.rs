@@ -96,7 +96,7 @@ impl Node {
         // Gossip rides the receive loop (no thread of its own): the
         // state machine's timers are checked between frames, at most
         // every half protocol period and at least every recv timeout.
-        let tick_every = (self.inner.config.gossip_interval / 2)
+        let tick_every = (self.inner.config.gossip.probe_interval / 2)
             .clamp(Duration::from_millis(5), Duration::from_millis(50));
         let mut ready = Vec::new();
         loop {

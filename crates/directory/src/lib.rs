@@ -178,11 +178,6 @@ impl DirectoryService {
         self.membership.snapshot()
     }
 
-    /// Entries homed at this node (observability).
-    pub fn shard_len(&self) -> usize {
-        self.shard.len()
-    }
-
     /// Applies liveness events to the ring and shard: rebuilds the ring
     /// when the member set changes, purges registrations of dead holders,
     /// and emits re-registration frames for entries that re-homed.

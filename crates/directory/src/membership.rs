@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use eden_capability::NodeId;
 use eden_wire::{MemberStatus, MemberUpdate, Message};
 
-/// Timing and fan-out knobs of the gossip protocol.
+/// Timing of the gossip protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct GossipConfig {
     /// Protocol period: one direct probe is launched per interval.
@@ -32,12 +32,6 @@ pub struct GossipConfig {
     pub probe_timeout: Duration,
     /// How long a suspect may remain unrefuted before it is declared dead.
     pub suspect_timeout: Duration,
-    /// How many relays an indirect probe round enlists.
-    pub indirect_probes: usize,
-    /// How many times each rumor is piggybacked before it retires.
-    pub rumor_fanout: u32,
-    /// Upper bound on rumors attached to a single gossip frame.
-    pub piggyback_max: usize,
 }
 
 impl Default for GossipConfig {
@@ -46,12 +40,16 @@ impl Default for GossipConfig {
             probe_interval: Duration::from_millis(100),
             probe_timeout: Duration::from_millis(200),
             suspect_timeout: Duration::from_millis(600),
-            indirect_probes: 2,
-            rumor_fanout: 6,
-            piggyback_max: 16,
         }
     }
 }
+
+/// How many relays an indirect probe round enlists.
+const INDIRECT_PROBES: usize = 2;
+/// How many times each rumor is piggybacked before it retires.
+const RUMOR_FANOUT: u32 = 6;
+/// Upper bound on rumors attached to a single gossip frame.
+const PIGGYBACK_MAX: usize = 16;
 
 /// A liveness transition another subsystem may care about (the kernel
 /// purges hints and re-registers directory entries on these).
@@ -151,7 +149,7 @@ impl Membership {
                     .iter()
                     .filter(|(n, m)| **n != probe.target && m.status != MemberStatus::Dead)
                     .map(|(n, _)| *n)
-                    .take(self.cfg.indirect_probes)
+                    .take(INDIRECT_PROBES)
                     .collect();
                 for relay in relays {
                     let updates = self.piggyback();
@@ -380,7 +378,7 @@ impl Membership {
     fn enqueue_rumor(&mut self, update: MemberUpdate) {
         // A newer rumor about the same node supersedes the queued one.
         self.rumors.retain(|(u, _)| u.node != update.node);
-        self.rumors.push((update, self.cfg.rumor_fanout));
+        self.rumors.push((update, RUMOR_FANOUT));
     }
 
     /// Rumors to attach to an outgoing gossip frame; always leads with a
@@ -392,7 +390,7 @@ impl Membership {
             status: MemberStatus::Alive,
         }];
         for (update, remaining) in self.rumors.iter_mut() {
-            if batch.len() >= self.cfg.piggyback_max {
+            if batch.len() >= PIGGYBACK_MAX {
                 break;
             }
             batch.push(*update);

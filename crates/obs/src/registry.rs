@@ -340,11 +340,6 @@ impl SpanGuard<'_> {
         self.ctx
     }
 
-    /// Sets the critical-path stage the span's duration is attributed to.
-    pub fn set_stage(&mut self, stage: &'static str) {
-        self.stage = stage;
-    }
-
     /// Ends the span now.
     pub fn finish(mut self) {
         self.finish_inner();

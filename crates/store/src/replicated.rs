@@ -49,11 +49,6 @@ impl ReplicatedStore {
         ReplicatedStore::new(replicas, q)
     }
 
-    /// Number of composed replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Direct access to one replica (failure-injection tests).
     pub fn replica(&self, i: usize) -> &Arc<dyn CheckpointStore> {
         &self.replicas[i]

@@ -302,7 +302,10 @@ impl LoopbackMesh {
                                     if !due.is_empty() {
                                         break;
                                     }
-                                    delay.cv.wait_for(&mut heap, Duration::from_millis(50));
+                                    // `shutdown` sets `closed` under this
+                                    // lock, so its wake-up cannot fall
+                                    // between the check above and the wait.
+                                    delay.cv.wait(&mut heap);
                                 }
                             }
                         }
@@ -358,9 +361,14 @@ impl LoopbackMesh {
 
     /// Shuts the whole mesh down.
     pub fn shutdown(&self) {
-        self.core.closed.store(true, Ordering::Release);
+        {
+            // Under the heap lock, so an idle pump is either before its
+            // check of `closed` or already waiting when the notify lands.
+            let _heap = self.core.delay.heap.lock();
+            self.core.closed.store(true, Ordering::Release);
+            self.core.delay.cv.notify_all();
+        }
         self.core.inboxes.write().clear();
-        self.core.delay.cv.notify_all();
         if let Some(h) = self.delay_thread.lock().take() {
             let _ = h.join();
         }
@@ -632,6 +640,33 @@ mod tests {
             Err(TransportError::Closed)
         );
         assert_eq!(a.recv(), Err(TransportError::Closed));
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_or_waiting_delay_pump() {
+        // The meshes run on a thread of their own, so a `shutdown` that
+        // hangs fails the test instead of hanging it.
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                LoopbackMesh::new(2).shutdown();
+            }
+            let mesh = LoopbackMesh::with_options(
+                2,
+                MeshOptions {
+                    latency: LatencyModel::Constant(Duration::from_secs(60)),
+                    ..Default::default()
+                },
+            );
+            let a = mesh.endpoint(0);
+            a.send(Frame::to(NodeId(0), NodeId(1), ping(1))).unwrap();
+            mesh.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+            "a mesh shutdown did not return"
+        );
     }
 
     #[test]

@@ -68,10 +68,6 @@ pub struct TcpTuning {
     /// `stats().frames_dropped` and `frames_shed`) rather than blocking
     /// the caller.
     pub queue_cap: usize,
-    /// Coalescing budget: a writer packs queued frames into one write
-    /// syscall until the batch reaches this many bytes. A single frame
-    /// larger than the budget still goes out (alone).
-    pub max_batch_bytes: usize,
     /// TCP connect timeout for each background dial attempt.
     pub connect_timeout: Duration,
     /// Delay before the first redial after a failure; doubles per
@@ -92,7 +88,6 @@ impl Default for TcpTuning {
     fn default() -> Self {
         TcpTuning {
             queue_cap: 1024,
-            max_batch_bytes: 256 << 10,
             connect_timeout: Duration::from_millis(500),
             dial_backoff_min: Duration::from_millis(50),
             dial_backoff_max: Duration::from_secs(2),
@@ -100,6 +95,11 @@ impl Default for TcpTuning {
         }
     }
 }
+
+/// Coalescing budget: a writer packs queued frames into one write
+/// syscall until the batch reaches this many bytes. A single frame
+/// larger than the budget still goes out (alone).
+const MAX_BATCH_BYTES: usize = 256 << 10;
 
 /// Longest single nap of a writer waiting out its dial backoff, so
 /// shutdown is observed promptly even under a long backoff.
@@ -328,7 +328,7 @@ fn writer_loop(
     // Traced frames whose queue residency overlaps it report the
     // overlap as a `dial` span instead of undifferentiated queue wait.
     let mut last_dial: Option<(u64, u64)> = None;
-    let mut batch = BytesMut::with_capacity(tuning.max_batch_bytes.min(64 << 10));
+    let mut batch = BytesMut::with_capacity(MAX_BATCH_BYTES.min(64 << 10));
     loop {
         let Some(stream) = conn.as_mut() else {
             if pipe.closed.load(Ordering::Acquire) {
@@ -401,7 +401,7 @@ fn writer_loop(
         };
         take(first, &mut batch);
         let mut frames: u64 = 1;
-        while batch.len() < tuning.max_batch_bytes {
+        while batch.len() < MAX_BATCH_BYTES {
             match rx.try_recv() {
                 Ok(f) => {
                     take(f, &mut batch);

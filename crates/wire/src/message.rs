@@ -334,17 +334,6 @@ wire_enum! {
     }
 }
 
-impl Message {
-    /// True for the membership-protocol frames (probes, acks, rumors) that
-    /// ride the mesh continuously in the background.
-    pub fn is_gossip(&self) -> bool {
-        matches!(
-            self,
-            Message::GossipPing { .. } | Message::GossipAck { .. } | Message::GossipPingReq { .. }
-        )
-    }
-}
-
 /// One unit of network delivery: source, destination, message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use eden::apps::counter::CounterType;
 use eden::capability::NodeId;
-use eden::kernel::{node_object_cap, Node, NodeConfig, TypeRegistry};
+use eden::kernel::{node_object_cap, GossipConfig, Node, NodeConfig, TypeRegistry};
 use eden::obs::{critical_path, SpanRecord};
 use eden::store::MemStore;
 use eden::transport::{Endpoint, TcpMesh, TcpMeshConfig, TcpTuning};
@@ -98,7 +98,10 @@ fn critpath_attributes_slow_peer_delay_to_the_transport_queue() {
     // Long gossip suspicion window: the stalled link must not get
     // node 0 declared dead before the repair lands.
     let config = NodeConfig {
-        gossip_suspect_timeout: Duration::from_secs(30),
+        gossip: GossipConfig {
+            suspect_timeout: Duration::from_secs(30),
+            ..GossipConfig::default()
+        },
         ..NodeConfig::default()
     };
     let nodes: Vec<Node> = meshes

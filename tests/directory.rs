@@ -10,16 +10,18 @@ use std::time::{Duration, Instant};
 
 use eden::apps::with_apps;
 use eden::capability::NodeId;
-use eden::kernel::{Cluster, NodeConfig};
+use eden::kernel::{Cluster, GossipConfig, NodeConfig};
 use eden::wire::{MemberStatus, Value};
 
 /// A cluster with gossip fast enough for test-scale failure detection.
 fn fast_gossip(n: usize) -> Cluster {
     with_apps(Cluster::builder().nodes(n).node_config(NodeConfig {
         remote_try_timeout: Duration::from_millis(150),
-        gossip_interval: Duration::from_millis(25),
-        gossip_probe_timeout: Duration::from_millis(60),
-        gossip_suspect_timeout: Duration::from_millis(250),
+        gossip: GossipConfig {
+            probe_interval: Duration::from_millis(25),
+            probe_timeout: Duration::from_millis(60),
+            suspect_timeout: Duration::from_millis(250),
+        },
         ..NodeConfig::default()
     }))
     .build()
