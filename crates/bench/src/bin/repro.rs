@@ -29,7 +29,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("e10", || vec![exp_e10_failover::run()]),
     ("e11", || vec![exp_e11_ablation::run()]),
     ("e12", || vec![exp_e12_fanout::run()]),
-    ("e13", || vec![exp_e13_transport::run()]),
     ("e14", || vec![exp_e14_directory::run()]),
     ("e16", || vec![exp_e16_pipeline::run()]),
     ("micro", || vec![exp_micro::run()]),

@@ -17,7 +17,6 @@ pub mod types;
 pub mod exp_e10_failover;
 pub mod exp_e11_ablation;
 pub mod exp_e12_fanout;
-pub mod exp_e13_transport;
 pub mod exp_e14_directory;
 pub mod exp_e16_pipeline;
 pub mod exp_e1_latency;

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_capability::Capability;
+use eden_obs::thread::{self, Role};
 use eden_wire::Value;
 use parking_lot::{Condvar, Mutex};
 
@@ -143,13 +144,8 @@ pub(crate) fn spawn_behavior(
     // Behaviors are *detached, long-lived* caretaker processes (§4.2):
     // routing one through the bounded virtual-processor pool would pin a
     // pool worker for the object's whole lifetime, starving invocation
-    // processing. A dedicated thread is the correct resource model here,
-    // so the pool-discipline lint is suppressed rather than obeyed.
-    std::thread::Builder::new()
-        .name(format!("eden-behavior-{label}"))
-        // eden-lint: allow(pool-discipline)
-        .spawn(move || body(ctx))
-        .expect("spawn behavior thread");
+    // processing, so each runs on a thread of its own.
+    thread::spawn(Role::Behavior, label, move || body(ctx)).expect("spawn behavior thread");
 }
 
 #[cfg(test)]

@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 
 use eden_capability::{Capability, NameGenerator, NodeId, ObjName, Rights};
 use eden_directory::{DirectoryService, GossipConfig};
+use eden_obs::thread::{self, Role};
 use eden_obs::{now_ns, KernelEvent, ObsRegistry, TraceCtx, TraceSampling};
 use eden_store::CheckpointStore;
 use eden_transport::Endpoint;
@@ -360,17 +361,15 @@ impl Node {
         let node = Node { inner };
         for i in 0..RECEIVERS {
             let recv_node = node.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("eden-recv-{id}-{i}"))
-                .spawn(move || recv_node.recv_loop())
-                .expect("spawn receive loop");
+            let handle = thread::spawn(Role::Recv, format_args!("{id}-{i}"), move || {
+                recv_node.recv_loop()
+            })
+            .expect("spawn receive loop");
             node.inner.recv_threads.lock().push(handle);
         }
         let dog = node.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("eden-watchdog-{id}"))
-            .spawn(move || dog.watchdog_loop())
-            .expect("spawn watchdog");
+        let handle =
+            thread::spawn(Role::Watchdog, id, move || dog.watchdog_loop()).expect("spawn watchdog");
         *node.inner.watchdog_thread.lock() = Some(handle);
         node
     }

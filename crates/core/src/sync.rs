@@ -25,26 +25,41 @@ use crate::vproc::blocking;
 /// The sync primitives the kernel's concurrency-sensitive paths build
 /// on, swappable at compile time for model checking.
 ///
-/// Normally these are `parking_lot` and `std::thread`. Under
-/// `RUSTFLAGS="--cfg loom"` (the `scripts/ci.sh loom` target) they
-/// become the `loom` crate's instrumented equivalents, so the
+/// Normally these are `parking_lot` and [`eden_obs::thread::spawn`].
+/// Under `RUSTFLAGS="--cfg loom"` (the `scripts/ci.sh loom` target)
+/// they become the `loom` crate's instrumented equivalents, so the
 /// [`VirtualProcessorPool`](crate::vproc::VirtualProcessorPool) and the
 /// intra-object primitives in this module run under the model checker's
 /// schedule exploration without any source changes. The two APIs are
 /// kept parking_lot-shaped (`lock()` returns the guard directly).
 pub mod shim {
+    #[cfg(not(loom))]
+    pub use eden_obs::thread::spawn;
     #[cfg(loom)]
     pub use loom::sync::{Condvar, Mutex};
-    #[cfg(loom)]
-    pub use loom::thread;
     #[cfg(not(loom))]
     pub use parking_lot::{Condvar, Mutex};
-    #[cfg(not(loom))]
-    pub use std::thread;
     // The dependency is unconditional (see Cargo.toml); this marks it
     // used for `unused_crate_dependencies` when the cfg is off.
     #[cfg(not(loom))]
     use loom as _;
+
+    /// [`eden_obs::thread::spawn`] on loom's thread builder: the same
+    /// name, with the thread seeded into the model's schedule.
+    #[cfg(loom)]
+    pub fn spawn<F, T>(
+        role: eden_obs::thread::Role,
+        tag: impl std::fmt::Display,
+        body: F,
+    ) -> std::io::Result<std::thread::JoinHandle<T>>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        loom::thread::Builder::new()
+            .name(role.thread_name(tag))
+            .spawn(body)
+    }
 }
 
 /// A counting semaphore for invocation processes and behaviors within one
@@ -238,6 +253,7 @@ impl MessagePort {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 mod tests {
     use super::*;
     use std::sync::Arc;

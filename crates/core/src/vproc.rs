@@ -43,20 +43,23 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eden_capability::NodeId;
+use eden_obs::thread::Role;
 use eden_obs::{now_ns, stage, Counter, Gauge, Histogram, ObsRegistry, TraceCtx};
 
 use crate::sync::shim::{self, Condvar, Mutex};
 
 thread_local! {
     /// The pool whose worker loop owns this thread, or that lent it a
-    /// processor, so [`blocking`] yields the processor of the calling
-    /// worker's own pool — and does nothing on other threads (a client
-    /// thread waiting inside `Node::invoke` holds no processor). Empty
-    /// inside a blocking scope, so a nested scope does not yield twice.
-    static WORKER_OF: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
+    /// processor, with the worker's stall-probe id, so [`blocking`]
+    /// yields the processor of the calling worker's own pool — and does
+    /// nothing on other threads (a client thread waiting inside
+    /// `Node::invoke` holds no processor). Empty inside a blocking
+    /// scope, so a nested scope does not yield twice.
+    static WORKER_OF: RefCell<Option<(Arc<Shared>, u16)>> = const { RefCell::new(None) };
 }
 
 /// Runs `f` — a wait whose completion may itself need a processor (a
@@ -65,13 +68,17 @@ thread_local! {
 /// given back: the worker counts as blocked, and a spare is injected if
 /// queued work would otherwise stall. See the module docs. On a thread
 /// that is not a pool worker, `f` runs unadorned.
+///
+/// The stall probe does not count the wait as busy time: the worker's
+/// task reads as busy again from the moment the wait ends.
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
-    let Some(shared) = WORKER_OF.with(|w| w.borrow_mut().take()) else {
+    let Some((shared, wid)) = WORKER_OF.with(|w| w.borrow_mut().take()) else {
         return f();
     };
     let spawn_spare = {
         let mut st = shared.state.lock();
         st.blocked += 1;
+        st.busy_since.insert(wid, None);
         // A worker parked while the pool was over its complement may now
         // run the queue; otherwise a spare may have to.
         if st.idle > 0 && !st.queue.is_empty() {
@@ -83,14 +90,18 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
         shared.spawn_spare();
     }
     /// Takes the processor back when the wait ends, even by unwinding.
-    struct Unblock(Arc<Shared>);
+    struct Unblock(Arc<Shared>, u16);
     impl Drop for Unblock {
         fn drop(&mut self) {
-            self.0.state.lock().blocked -= 1;
-            WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&self.0)));
+            let Unblock(shared, wid) = self;
+            let mut st = shared.state.lock();
+            st.blocked -= 1;
+            st.busy_since.insert(*wid, Some(now_ns()));
+            drop(st);
+            WORKER_OF.with(|w| *w.borrow_mut() = Some((Arc::clone(shared), *wid)));
         }
     }
-    let _unblock = Unblock(shared);
+    let _unblock = Unblock(shared, wid);
     f()
 }
 
@@ -130,8 +141,10 @@ struct State {
     lent: usize,
     /// Per-worker busy-since timestamps (worker id → ns), maintained
     /// around task execution and lending so the stall watchdog can spot
-    /// a worker wedged in one task past the deadline.
-    busy_since: std::collections::BTreeMap<u16, u64>,
+    /// a worker wedged in one task past the deadline. `None` while the
+    /// worker waits inside [`blocking`]: it holds its id but no
+    /// processor, so it is not busy.
+    busy_since: std::collections::BTreeMap<u16, Option<u64>>,
     stop: bool,
 }
 
@@ -196,9 +209,9 @@ impl Shared {
         // Spare ids live above the base range so a probe can tell them
         // apart, and below the lent range.
         let wid = (self.workers as u64 + n).min(LENT_IDS as u64 - 1) as u16;
-        let spawned = shim::thread::Builder::new()
-            .name(format!("eden-vproc-{}-s{n}", self.node))
-            .spawn(move || worker_loop(shared, true, wid));
+        let spawned = shim::spawn(Role::Vproc, format_args!("{}-s{n}", self.node), move || {
+            worker_loop(shared, true, wid)
+        });
         if spawned.is_err() {
             // Could not create the thread: release the reserved slot.
             self.state.lock().live -= 1;
@@ -263,7 +276,7 @@ pub struct VprocStats {
 /// tasks; see the module docs for the scheduling model.
 pub struct VirtualProcessorPool {
     shared: Arc<Shared>,
-    base: Mutex<Vec<shim::thread::JoinHandle<()>>>,
+    base: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl VirtualProcessorPool {
@@ -304,10 +317,10 @@ impl VirtualProcessorPool {
         let mut base = pool.base.lock();
         for i in 0..workers {
             let shared = pool.shared.clone();
-            let handle = shim::thread::Builder::new()
-                .name(format!("eden-vproc-{node}-{i}"))
-                .spawn(move || worker_loop(shared, false, i as u16))
-                .expect("spawn virtual-processor worker");
+            let handle = shim::spawn(Role::Vproc, format_args!("{node}-{i}"), move || {
+                worker_loop(shared, false, i as u16)
+            })
+            .expect("spawn virtual-processor worker");
             base.push(handle);
         }
         drop(base);
@@ -407,7 +420,7 @@ impl VirtualProcessorPool {
             busiest: st
                 .busy_since
                 .iter()
-                .map(|(&wid, &since)| (wid, now.saturating_sub(since)))
+                .filter_map(|(&wid, &since)| Some((wid, now.saturating_sub(since?))))
                 .max_by_key(|&(_, age)| age),
         }
     }
@@ -450,10 +463,10 @@ impl VirtualProcessorPool {
             let wid = (LENT_IDS..u16::MAX)
                 .find(|id| !st.busy_since.contains_key(id))
                 .unwrap_or(u16::MAX - 1);
-            st.busy_since.insert(wid, now);
+            st.busy_since.insert(wid, Some(now));
             wid
         };
-        WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&self.shared)));
+        WORKER_OF.with(|w| *w.borrow_mut() = Some((Arc::clone(&self.shared), wid)));
         self.shared.busy.inc();
         self.shared.executed.inc();
         self.shared.task_wait.record(0);
@@ -523,7 +536,7 @@ impl Drop for Lent {
 }
 
 fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
-    WORKER_OF.with(|w| *w.borrow_mut() = Some(Arc::clone(&shared)));
+    WORKER_OF.with(|w| *w.borrow_mut() = Some((Arc::clone(&shared), wid)));
     loop {
         let dequeued_ns;
         let task = {
@@ -550,7 +563,7 @@ fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
             };
             dequeued_ns = now_ns();
             if task.is_some() {
-                st.busy_since.insert(wid, dequeued_ns);
+                st.busy_since.insert(wid, Some(dequeued_ns));
             }
             task
         };
@@ -588,6 +601,7 @@ fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -816,6 +830,48 @@ mod tests {
         let after = p.stall_probe();
         assert_eq!(after.queued, 0);
         assert!(after.busiest.is_none(), "probe after drain: {after:?}");
+    }
+
+    #[test]
+    fn a_worker_waiting_in_blocking_is_not_busy() {
+        type Gate = Arc<(Mutex<bool>, Condvar)>;
+        fn pass(gate: &Gate) {
+            let mut open = gate.0.lock();
+            while !*open {
+                gate.1.wait(&mut open);
+            }
+        }
+        fn open(gate: &Gate) {
+            *gate.0.lock() = true;
+            gate.1.notify_all();
+        }
+        let p = pool(1, 64);
+        let (wait, work): (Gate, Gate) = Default::default();
+        let (w, k) = (wait.clone(), work.clone());
+        p.submit(move || {
+            blocking(|| pass(&w));
+            pass(&k);
+        })
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.stats().blocked == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let probe = p.stall_probe();
+        assert!(probe.busiest.is_none(), "waiting, not busy: {probe:?}");
+
+        // Past the wait the task is busy again, timed from the wait's end.
+        let opened_ns = now_ns();
+        open(&wait);
+        while p.stats().blocked > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (wid, busy_ns) = p.stall_probe().busiest.expect("busy after the wait");
+        assert_eq!(wid, 0);
+        assert!(busy_ns <= now_ns() - opened_ns, "busy for {busy_ns} ns");
+        open(&work);
+        p.shutdown();
     }
 
     #[test]

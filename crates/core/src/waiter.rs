@@ -173,6 +173,7 @@ impl Default for QueryCollector {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 mod tests {
     use super::*;
     use std::sync::Arc;

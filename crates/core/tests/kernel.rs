@@ -1,5 +1,6 @@
 //! End-to-end kernel tests: every §4 mechanism exercised through the
 //! public API on in-process clusters.
+#![allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,5 +1,6 @@
 //! Extended lifecycle tests: pull-activation at a non-checksite node,
 //! introspection, ablation switches, and moves under continuous load.
+#![allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

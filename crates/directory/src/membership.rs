@@ -13,8 +13,8 @@
 //!
 //! The state machine is deterministic and thread-free: every entry point
 //! takes an explicit `now` and returns the frames to transmit, so the
-//! kernel's existing receive loop can drive it (no new threads — see the
-//! eden-lint pool-discipline rule) and unit tests can single-step time.
+//! kernel's existing receive loop can drive it (no new threads — see
+//! `eden_obs::thread`) and unit tests can single-step time.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -13,11 +13,10 @@ use std::collections::HashMap;
 use crate::Rule;
 
 /// A lexed view of one file: `code` and `comments` are byte-for-byte the
-/// same length as `raw`, with the other class of text blanked to spaces
-/// (string and char literal *contents* are blanked in `code` too), so
-/// byte offsets line up across all three views.
+/// same length as the source, with the other class of text blanked to
+/// spaces (string and char literal *contents* are blanked in `code`
+/// too), so byte offsets line up across the source and both views.
 pub(crate) struct SourceModel {
-    pub(crate) raw: String,
     pub(crate) code: String,
     pub(crate) comments: String,
     /// Byte offset at which each line starts.
@@ -201,7 +200,6 @@ impl SourceModel {
         }
         let test_lines = mark_test_lines(&code, &line_starts);
         SourceModel {
-            raw: raw.to_string(),
             code,
             comments,
             line_starts,
@@ -498,11 +496,12 @@ mod tests {
 
     #[test]
     fn lexer_blanks_strings_and_comments() {
-        let m = SourceModel::new("let a = \"thread::spawn\"; // thread::spawn\nlet b = 'x';\n");
+        let src = "let a = \"thread::spawn\"; // thread::spawn\nlet b = 'x';\n";
+        let m = SourceModel::new(src);
         assert!(!m.code.contains("thread::spawn"));
         assert!(m.comments.contains("thread::spawn"));
-        assert_eq!(m.raw.len(), m.code.len());
-        assert_eq!(m.raw.len(), m.comments.len());
+        assert_eq!(src.len(), m.code.len());
+        assert_eq!(src.len(), m.comments.len());
     }
 
     #[test]

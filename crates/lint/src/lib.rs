@@ -2,51 +2,51 @@
 //!
 //! The Eden argument (paper §2, §4.1–4.2) rests on discipline the Rust
 //! type system does not enforce for us: every kernel entry point must
-//! verify capability rights before acting, all kernel work must flow
-//! through the bounded virtual-processor pool rather than ad-hoc
-//! threads, and wire-tag dispatch must fail loudly when a new tag
-//! appears. Following Lampson's advice to make such invariants
-//! *checkable* rather than conventional, this crate parses the whole
-//! workspace (a purpose-built lexer — the build image has no network
-//! access for `syn`) and enforces seven rules.
+//! verify capability rights before acting, a pool worker must yield its
+//! processor before it blocks, and wire-tag dispatch must fail loudly
+//! when a new tag appears. Following Lampson's advice to make such
+//! invariants *checkable* rather than conventional, this crate parses
+//! the whole workspace (a purpose-built lexer — the build image has no
+//! network access for `syn`) and enforces six rules.
 //!
-//! Rules 1–5 are per-file token rules; rules 6–7 are *graph* rules
+//! Rules 1–4 are per-file token rules; rules 5–6 are *graph* rules
 //! built on a per-function model of the workspace (lock-guard
 //! acquisitions with hold spans, an approximate intra-crate call
 //! graph and blocking-call sites — see `model` for the soundness
 //! caveats):
 //!
-//! * **L1 `pool-discipline`** — no `thread::spawn` /
-//!   `thread::Builder::…spawn` in `eden-core` outside `vproc.rs` and
-//!   the allowlisted `eden-recv` receive loop and `eden-watchdog`
-//!   stall watchdog spawned in `node.rs`. Everything else must go through
-//!   `VirtualProcessorPool`.
-//! * **L2 `capability-discipline`** — every *public* kernel entry point
+//! * **L1 `capability-discipline`** — every *public* kernel entry point
 //!   in `node.rs`, the `node/` section files or `object.rs` that
 //!   accepts a `Capability` must either
 //!   call a rights check (`permits` / `check_rights` / `require_rights`)
 //!   or forward the capability into another checked call *before* any
 //!   store, transport, or dispatch effect on that path.
-//! * **L3 `wire-exhaustiveness`** — `match` statements whose arms match
+//! * **L2 `wire-exhaustiveness`** — `match` statements whose arms match
 //!   wire `Status`/`MemberStatus` or directory `DirState`/
 //!   `DirRegisterKind` variants (in `eden-wire`, `eden-core` and
 //!   `eden-directory`) must not use a `_ =>` wildcard arm, so a new
 //!   variant (like `Status::Overloaded`, tag 11) breaks at lint time
 //!   instead of being silently swallowed at runtime. A *named* binding
 //!   arm (`other =>`) stays legal for an error path.
-//! * **L4 `panic-hygiene`** — no `.unwrap()` / `.expect(…)` directly on
+//! * **L3 `panic-hygiene`** — no `.unwrap()` / `.expect(…)` directly on
 //!   lock acquisitions or channel ends (`lock`, `read`, `write`, `recv`,
 //!   `send`, `join`, …) in non-test kernel code.
-//! * **L5 `metric-discipline`** — telemetry flows through the obs
+//! * **L4 `metric-discipline`** — telemetry flows through the obs
 //!   registry: no ad-hoc metric-named atomic counters in `eden-core` or
 //!   `eden-transport`.
-//! * **L6 `lock-order`** — the "lock A held while acquiring lock B"
+//! * **L5 `lock-order`** — the "lock A held while acquiring lock B"
 //!   graph across eden-kernel/eden-transport/eden-directory must agree
 //!   with the total order in `lint-lock-order.toml`: no reentrant
 //!   edges, no inversions, no unranked locks in nested acquisitions.
-//! * **L7 `blocking-discipline`** — blocking operations reachable from
+//! * **L6 `blocking-discipline`** — blocking operations reachable from
 //!   a pool `submit(…)` closure must be wrapped in the pool's
 //!   `blocking(…)` spare-injection guard.
+//!
+//! Where clippy can check an invariant, clippy does. Each kernel and
+//! transport thread starts through `eden_obs::thread::spawn`, which
+//! names it for its role: the `clippy.toml` of `eden-kernel`,
+//! `eden-transport` and `eden-obs` lists `std::thread::spawn` and
+//! `std::thread::Builder::spawn` under `disallowed-methods`.
 //!
 //! The wire schema needs no rule of its own: each wire enum is one
 //! `wire_enum!` table in `eden-wire` that generates the enum and both
@@ -56,7 +56,7 @@
 //! Findings can be suppressed with a `// eden-lint: allow(<rule>)`
 //! comment on the offending line or on the line directly above it;
 //! suppressed findings are still counted and reported. The graph rules
-//! (6–7) only honor suppressions that carry a written rationale after
+//! (5–6) only honor suppressions that carry a written rationale after
 //! the closing paren — `// eden-lint: allow(lock-order): <why>`.
 //!
 //! Test code is exempt everywhere: files under `tests/`, `benches/`,
@@ -74,30 +74,27 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::path::Path;
 
-/// The seven invariants eden-lint enforces.
+/// The six invariants eden-lint enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// L1: kernel work flows through the virtual-processor pool.
-    PoolDiscipline,
-    /// L2: rights are checked before a capability-bearing entry point
+    /// L1: rights are checked before a capability-bearing entry point
     /// reaches the store, the transport, or dispatch.
     CapabilityDiscipline,
-    /// L3: no `_ =>` wildcards in matches over wire `Status`/tag enums.
+    /// L2: no `_ =>` wildcards in matches over wire `Status`/tag enums.
     WireExhaustiveness,
-    /// L4: no `unwrap`/`expect` on locks or channel ends in kernel code.
+    /// L3: no `unwrap`/`expect` on locks or channel ends in kernel code.
     PanicHygiene,
-    /// L5: metrics go through the obs registry, not ad-hoc atomics.
+    /// L4: metrics go through the obs registry, not ad-hoc atomics.
     MetricDiscipline,
-    /// L6: nested lock acquisitions follow the sanctioned total order.
+    /// L5: nested lock acquisitions follow the sanctioned total order.
     LockOrder,
-    /// L7: no blocking calls on pool workers outside `blocking(…)`.
+    /// L6: no blocking calls on pool workers outside `blocking(…)`.
     BlockingDiscipline,
 }
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 7] = [
-        Rule::PoolDiscipline,
+    pub const ALL: [Rule; 6] = [
         Rule::CapabilityDiscipline,
         Rule::WireExhaustiveness,
         Rule::PanicHygiene,
@@ -109,7 +106,6 @@ impl Rule {
     /// The stable kebab-case name used in reports and suppressions.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::PoolDiscipline => "pool-discipline",
             Rule::CapabilityDiscipline => "capability-discipline",
             Rule::WireExhaustiveness => "wire-exhaustiveness",
             Rule::PanicHygiene => "panic-hygiene",
@@ -124,7 +120,7 @@ impl Rule {
         Rule::ALL.iter().copied().find(|r| r.name() == name)
     }
 
-    /// Whether this is a workspace graph rule (6–7), whose suppressions
+    /// Whether this is a workspace graph rule (5–6), whose suppressions
     /// must carry a written rationale.
     pub fn is_graph_rule(self) -> bool {
         matches!(self, Rule::LockOrder | Rule::BlockingDiscipline)
@@ -134,14 +130,6 @@ impl Rule {
     /// and the JSON report.
     pub fn explanation(self) -> &'static str {
         match self {
-            Rule::PoolDiscipline => {
-                "Kernel work must flow through VirtualProcessorPool::submit so the node's \
-                 concurrency stays bounded and observable; direct thread::spawn in eden-core \
-                 is limited to the pool itself, the eden-recv loop and the eden-watchdog \
-                 thread, and eden-transport threads must carry an eden-mesh-*/eden-tcp-* \
-                 name for attribution. Escape: `// eden-lint: allow(pool-discipline)` on or \
-                 above the spawn line."
-            }
             Rule::CapabilityDiscipline => {
                 "Every public kernel entry point taking a Capability must verify rights \
                  (permits/check_rights/require_rights) or delegate the capability into a \
@@ -433,7 +421,7 @@ fn skip_path(rel_path: &str) -> bool {
     })
 }
 
-/// Scans one file's source with the per-file rules (1–5), applying
+/// Scans one file's source with the per-file rules (1–4), applying
 /// every rule whose path scope matches `rel_path` (workspace-relative,
 /// forward slashes). The graph rules need the whole file set — use
 /// [`scan_files`] or [`scan_workspace`] for those.
@@ -443,7 +431,6 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
     }
     let model = lexer::SourceModel::new(source);
     let mut findings = Vec::new();
-    rules::pool::check(rel_path, &model, &mut findings);
     rules::capability::check(rel_path, &model, &mut findings);
     rules::wire_exhaustive::check(rel_path, &model, &mut findings);
     rules::panic::check(rel_path, &model, &mut findings);
@@ -467,12 +454,12 @@ pub struct Analysis {
     pub lock_dot: String,
 }
 
-/// Scans a file set (`(rel_path, source)` pairs) with all seven rules.
+/// Scans a file set (`(rel_path, source)` pairs) with all six rules.
 pub fn scan_files(files: &[(String, String)], spec: &LockOrderSpec) -> Report {
     analyze_files(files, spec).report
 }
 
-/// Scans a file set with all seven rules and renders the lock graph.
+/// Scans a file set with all six rules and renders the lock graph.
 pub fn analyze_files(files: &[(String, String)], spec: &LockOrderSpec) -> Analysis {
     let mut report = Report::default();
     let in_scope: Vec<(String, String)> = files

@@ -1,4 +1,4 @@
-//! L7 `blocking-discipline`: a virtual-processor worker must not block
+//! L6 `blocking-discipline`: a virtual-processor worker must not block
 //! the processor. Blocking operations (`recv_timeout`, `wait`,
 //! `wait_timeout`, `sleep`, `fsync`, `connect`, `dial`, `join`) that
 //! are lexically inside a `submit(…)`/`submit_traced(…)` closure, or

@@ -1,4 +1,4 @@
-//! L2 `capability-discipline`: rights checks precede effects on
+//! L1 `capability-discipline`: rights checks precede effects on
 //! capability-bearing public kernel entry points.
 
 use crate::lexer::{

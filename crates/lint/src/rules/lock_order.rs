@@ -1,4 +1,4 @@
-//! L6 `lock-order`: the "lock A held while acquiring lock B" graph
+//! L5 `lock-order`: the "lock A held while acquiring lock B" graph
 //! across eden-kernel, eden-transport and eden-directory must agree
 //! with the sanctioned total order in `lint-lock-order.toml`.
 //!

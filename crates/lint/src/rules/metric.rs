@@ -1,4 +1,4 @@
-//! L5 `metric-discipline`: telemetry flows through the obs registry. An
+//! L4 `metric-discipline`: telemetry flows through the obs registry. An
 //! atomic integer field or static with a metric-shaped name (`*_count`,
 //! `*_sent`, `*_total`, …) in kernel or transport code is a parallel
 //! metrics system: it is invisible to Prometheus export, metric

@@ -1,4 +1,4 @@
-//! L4 `panic-hygiene`: no panicking accessors on locks or channel ends
+//! L3 `panic-hygiene`: no panicking accessors on locks or channel ends
 //! in kernel code.
 
 use crate::lexer::{ident_before, open_paren_of, word_occurrences, SourceModel};

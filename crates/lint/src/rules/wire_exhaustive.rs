@@ -1,4 +1,4 @@
-//! L3 `wire-exhaustiveness`: matches over wire `Status` and directory
+//! L2 `wire-exhaustiveness`: matches over wire `Status` and directory
 //! enums must enumerate their variants — no `_ =>` wildcards, so a new
 //! wire variant breaks at lint time instead of being silently swallowed
 //! at runtime.

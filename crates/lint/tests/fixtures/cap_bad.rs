@@ -1,4 +1,4 @@
-// Fixture: L2 capability-discipline violations (scanned as
+// Fixture: L1 capability-discipline violations (scanned as
 // crates/core/src/node.rs). Both entry points reach transport/store
 // effects without a rights check or checked delegation.
 

@@ -1,4 +1,4 @@
-// Fixture: L2 capability-discipline clean file (scanned as
+// Fixture: L1 capability-discipline clean file (scanned as
 // crates/core/src/node.rs): a rights check before the effect, a
 // delegation of the capability into a checked entry point, a
 // capability-free helper, and a pub(crate) fn (out of scope).

@@ -1,4 +1,4 @@
-// Fixture: L4 panic-hygiene violations (scanned as crates/core/src/x.rs).
+// Fixture: L3 panic-hygiene violations (scanned as crates/core/src/x.rs).
 
 fn drain(state: &Mutex<Vec<u64>>, rx: &Receiver<u64>, tx: &Sender<u64>) {
     let mut queue = state.lock().unwrap();

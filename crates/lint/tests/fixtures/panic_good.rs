@@ -1,4 +1,4 @@
-// Fixture: L4 panic-hygiene clean file (scanned as crates/core/src/x.rs).
+// Fixture: L3 panic-hygiene clean file (scanned as crates/core/src/x.rs).
 // Poison recovery, error propagation, unwraps on non-lock calls, and
 // test code are all legal.
 
@@ -8,7 +8,7 @@ fn drain(state: &Mutex<Vec<u64>>, rx: &Receiver<u64>) -> Option<u64> {
 }
 
 fn first(args: &[u64]) -> u64 {
-    // unwrap on a slice accessor is outside L4's lock/channel scope.
+    // unwrap on a slice accessor is outside L3's lock/channel scope.
     args.first().copied().unwrap()
 }
 

@@ -2,11 +2,6 @@
 // One violation per rule, each covered by an eden-lint allow comment —
 // same-line and line-above forms both count.
 
-fn caretaker() {
-    // eden-lint: allow(pool-discipline)
-    std::thread::spawn(|| {});
-}
-
 impl Node {
     // eden-lint: allow(capability-discipline) — covers the fn line below
     pub fn replicate(&self, cap: Capability) -> Result<()> {

@@ -1,4 +1,4 @@
-// Fixture: L3 wire-exhaustiveness violation (scanned as
+// Fixture: L2 wire-exhaustiveness violation (scanned as
 // crates/wire/src/status.rs): a wildcard arm in a match over Status
 // variants.
 

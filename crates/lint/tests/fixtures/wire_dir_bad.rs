@@ -1,4 +1,4 @@
-// Fixture: L3 wire-exhaustiveness violations over the directory wire
+// Fixture: L2 wire-exhaustiveness violations over the directory wire
 // enums (scanned as crates/directory/src/shard.rs): wildcard arms in
 // matches over DirState and DirRegisterKind variants.
 

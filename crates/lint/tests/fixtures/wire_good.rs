@@ -1,4 +1,4 @@
-// Fixture: L3 wire-exhaustiveness clean file (scanned as
+// Fixture: L2 wire-exhaustiveness clean file (scanned as
 // crates/wire/src/status.rs): a fully enumerated Status match, a Status
 // match with a *named* binding arm for the remaining variants (legal),
 // and a non-wire match where a wildcard is fine.

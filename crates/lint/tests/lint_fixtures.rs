@@ -1,4 +1,4 @@
-//! Fixture suite for the seven eden-lint rules: each rule has at least
+//! Fixture suite for the six eden-lint rules: each rule has at least
 //! one known-good and one known-bad snippet with exact expected finding
 //! counts, plus suppression fixtures proving `eden-lint: allow(...)`
 //! comments cover (and count) findings — with a mandatory rationale for
@@ -25,7 +25,7 @@ fn scan_fixture(fixture: &str, virtual_path: &str) -> Vec<Finding> {
     scan_source(virtual_path, &fixture_source(fixture))
 }
 
-/// Loads fixtures as a virtual workspace and runs all seven rules.
+/// Loads fixtures as a virtual workspace and runs all six rules.
 fn scan_graph(fixtures: &[(&str, &str)], spec: &LockOrderSpec) -> Vec<Finding> {
     let files: Vec<(String, String)> = fixtures
         .iter()
@@ -39,51 +39,6 @@ fn count(findings: &[Finding], rule: Rule, suppressed: bool) -> usize {
         .iter()
         .filter(|f| f.rule == rule && f.suppressed == suppressed)
         .count()
-}
-
-#[test]
-fn pool_discipline_flags_direct_spawns() {
-    let findings = scan_fixture("pool_bad.rs", "crates/core/src/worker.rs");
-    assert_eq!(
-        count(&findings, Rule::PoolDiscipline, false),
-        2,
-        "{findings:?}"
-    );
-    // Both the bare spawn and the Builder chain, at their spawn sites.
-    assert_eq!(findings[0].line, 4);
-    assert_eq!(findings[1].line, 12);
-}
-
-#[test]
-fn pool_discipline_ignores_comments_strings_and_tests() {
-    let findings = scan_fixture("pool_good.rs", "crates/core/src/worker.rs");
-    assert_eq!(findings.len(), 0, "{findings:?}");
-}
-
-#[test]
-fn pool_discipline_is_scoped_to_eden_core() {
-    // The same bad file outside crates/core is out of scope.
-    let findings = scan_fixture("pool_bad.rs", "crates/apps/src/worker.rs");
-    assert_eq!(count(&findings, Rule::PoolDiscipline, false), 0);
-    // And vproc.rs itself is the allowlisted implementation site.
-    let findings = scan_fixture("pool_bad.rs", "crates/core/src/vproc.rs");
-    assert_eq!(count(&findings, Rule::PoolDiscipline, false), 0);
-}
-
-#[test]
-fn pool_discipline_requires_named_transport_threads() {
-    let findings = scan_fixture("pool_transport.rs", "crates/transport/src/tcp.rs");
-    // The named spawns pass — including the reader pool's
-    // `eden-tcp-rdr-*` threads — while the anonymous spawn and the
-    // unnamed Builder chain are flagged.
-    assert_eq!(
-        count(&findings, Rule::PoolDiscipline, false),
-        2,
-        "{findings:?}"
-    );
-    assert!(findings
-        .iter()
-        .all(|f| f.message.contains("eden-mesh-*/eden-tcp-*")));
 }
 
 #[test]
@@ -111,20 +66,6 @@ fn capability_discipline_covers_the_node_section_files() {
     };
     assert_eq!(lines(&section).len(), 2, "{section:?}");
     assert_eq!(lines(&section), lines(&root));
-}
-
-#[test]
-fn pool_discipline_allows_node_threads_only_where_the_node_spawns_them() {
-    let src = "fn boot(id: u16) {\n    let _ = std::thread::Builder::new()\n        \
-               .name(format!(\"eden-recv-{id}\"))\n        .spawn(|| {});\n}\n";
-    let root = scan_source("crates/core/src/node.rs", src);
-    assert_eq!(count(&root, Rule::PoolDiscipline, false), 0, "{root:?}");
-    let section = scan_source("crates/core/src/node/recv.rs", src);
-    assert_eq!(
-        count(&section, Rule::PoolDiscipline, false),
-        1,
-        "{section:?}"
-    );
 }
 
 #[test]

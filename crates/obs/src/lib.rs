@@ -41,6 +41,10 @@
 //! for the flight recorder. Root-span creation is governed by a
 //! configurable [`TraceSampling`] policy so tracing cost stays bounded
 //! under load.
+//!
+//! [`thread::spawn`] starts every kernel and transport thread, named
+//! for its [`thread::Role`], so dumps and the thread census can
+//! attribute each one.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
@@ -52,6 +56,7 @@ pub mod hist;
 pub mod metric;
 pub mod recorder;
 pub mod registry;
+pub mod thread;
 pub mod trace;
 
 pub use clock::now_ns;

@@ -166,6 +166,7 @@ macro_rules! metrics {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_capability::NodeId;
+use eden_obs::thread::{self, Role};
 use eden_obs::{now_ns, Histogram, ObsRegistry};
 use eden_wire::{Dest, Frame, Message};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -272,50 +273,48 @@ impl LoopbackMesh {
 
         // The delay-line pump: delivers shaped frames when their time comes.
         let pump_core = core.clone();
-        let handle = std::thread::Builder::new()
-            .name("eden-mesh-delay".into())
-            .spawn(move || {
-                let delay = pump_core.delay.clone();
-                loop {
-                    let mut due: Vec<Delayed> = Vec::new();
-                    {
-                        let mut heap = delay.heap.lock();
-                        loop {
-                            if pump_core.closed.load(Ordering::Acquire) {
-                                return;
+        let handle = thread::spawn(Role::MeshDelay, "", move || {
+            let delay = pump_core.delay.clone();
+            loop {
+                let mut due: Vec<Delayed> = Vec::new();
+                {
+                    let mut heap = delay.heap.lock();
+                    loop {
+                        if pump_core.closed.load(Ordering::Acquire) {
+                            return;
+                        }
+                        let now = Instant::now();
+                        match heap.frames.peek() {
+                            Some(d) if d.deliver_at <= now => {
+                                due.push(heap.frames.pop().expect("peeked"));
+                                // Drain everything due before releasing.
+                                continue;
                             }
-                            let now = Instant::now();
-                            match heap.frames.peek() {
-                                Some(d) if d.deliver_at <= now => {
-                                    due.push(heap.frames.pop().expect("peeked"));
-                                    // Drain everything due before releasing.
-                                    continue;
+                            Some(d) => {
+                                if !due.is_empty() {
+                                    break;
                                 }
-                                Some(d) => {
-                                    if !due.is_empty() {
-                                        break;
-                                    }
-                                    let wait = d.deliver_at - now;
-                                    delay.cv.wait_for(&mut heap, wait);
+                                let wait = d.deliver_at - now;
+                                delay.cv.wait_for(&mut heap, wait);
+                            }
+                            None => {
+                                if !due.is_empty() {
+                                    break;
                                 }
-                                None => {
-                                    if !due.is_empty() {
-                                        break;
-                                    }
-                                    // `shutdown` sets `closed` under this
-                                    // lock, so its wake-up cannot fall
-                                    // between the check above and the wait.
-                                    delay.cv.wait(&mut heap);
-                                }
+                                // `shutdown` sets `closed` under this
+                                // lock, so its wake-up cannot fall
+                                // between the check above and the wait.
+                                delay.cv.wait(&mut heap);
                             }
                         }
                     }
-                    for d in due {
-                        pump_core.deliver(d.dst, d.frame, d.size, d.enqueue_ns);
-                    }
                 }
-            })
-            .expect("spawn delay pump");
+                for d in due {
+                    pump_core.deliver(d.dst, d.frame, d.size, d.enqueue_ns);
+                }
+            }
+        })
+        .expect("spawn delay pump");
 
         LoopbackMesh {
             core,
@@ -471,6 +470,7 @@ impl Endpoint for MeshEndpoint {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests start their own threads")]
 mod tests {
     use super::*;
 

@@ -53,6 +53,7 @@ use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use eden_capability::NodeId;
+use eden_obs::thread::{self, Role};
 use eden_obs::{InboundDropReason, KernelEvent, ObsRegistry};
 use eden_wire::{Dest, Frame, WireDecode, WireEncode};
 use parking_lot::Mutex;
@@ -184,49 +185,44 @@ impl TcpMesh {
         });
 
         let accept_inner = inner.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("eden-tcp-accept-{}", config.node))
-            .spawn(move || {
-                // Reader intake channels, created lazily: the first
-                // `reader_cap` connections each bring a reader up; every
-                // connection after that joins an existing reader
-                // round-robin. A mostly-client endpoint thus runs one
-                // reader; a 64-peer server still runs `reader_cap`.
-                let mut readers: Vec<Sender<TcpStream>> = Vec::new();
-                let mut next = 0usize;
-                for stream in listener.incoming() {
-                    if accept_inner.closed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    stream.set_nodelay(true).ok();
-                    accept_inner
-                        .inbound_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    if readers.len() < reader_cap {
-                        let (conn_tx, conn_rx) = channel();
-                        let reader_inner = accept_inner.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name(format!(
-                                "eden-tcp-rdr-{}-{}",
-                                reader_inner.node,
-                                readers.len()
-                            ))
-                            .spawn(move || reader_loop(&reader_inner, &conn_rx));
-                        if let Ok(handle) = spawned {
-                            accept_inner.reader_threads.lock().push(handle);
-                            readers.push(conn_tx);
-                        }
-                    }
-                    if readers.is_empty() {
-                        continue; // Spawn failed; drop the connection.
-                    }
-                    let slot = next % readers.len();
-                    next = next.wrapping_add(1);
-                    let _ = readers[slot].send(stream);
+        let accept_thread = thread::spawn(Role::TcpAccept, config.node, move || {
+            // Reader intake channels, created lazily: the first
+            // `reader_cap` connections each bring a reader up; every
+            // connection after that joins an existing reader
+            // round-robin. A mostly-client endpoint thus runs one
+            // reader; a 64-peer server still runs `reader_cap`.
+            let mut readers: Vec<Sender<TcpStream>> = Vec::new();
+            let mut next = 0usize;
+            for stream in listener.incoming() {
+                if accept_inner.closed.load(Ordering::Acquire) {
+                    break;
                 }
-            })
-            .map_err(|e| TransportError::Io(e.to_string()))?;
+                let Ok(stream) = stream else { continue };
+                stream.set_nodelay(true).ok();
+                accept_inner
+                    .inbound_accepted
+                    .fetch_add(1, Ordering::Relaxed);
+                if readers.len() < reader_cap {
+                    let (conn_tx, conn_rx) = channel();
+                    let reader_inner = accept_inner.clone();
+                    let tag = format!("{}-{}", reader_inner.node, readers.len());
+                    let spawned = thread::spawn(Role::TcpReader, tag, move || {
+                        reader_loop(&reader_inner, &conn_rx)
+                    });
+                    if let Ok(handle) = spawned {
+                        accept_inner.reader_threads.lock().push(handle);
+                        readers.push(conn_tx);
+                    }
+                }
+                if readers.is_empty() {
+                    continue; // Spawn failed; drop the connection.
+                }
+                let slot = next % readers.len();
+                next = next.wrapping_add(1);
+                let _ = readers[slot].send(stream);
+            }
+        })
+        .map_err(|e| TransportError::Io(e.to_string()))?;
 
         Ok(TcpMesh {
             inner,

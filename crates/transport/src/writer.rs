@@ -19,8 +19,7 @@
 //! * **Frame coalescing.** The writer drains its queue in bursts and
 //!   packs all pending length-prefixed frames into a single buffer
 //!   written with one syscall — one `write` for N frames instead of
-//!   2·N, which is the dominant lever for small-frame throughput
-//!   (see EXPERIMENTS.md E13).
+//!   2·N, which is the dominant lever for small-frame throughput.
 //!
 //! * **Dial state machine.** Disconnected ⇄ Connected. Dialing happens
 //!   on the writer thread with exponential backoff plus jitter
@@ -51,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use eden_capability::NodeId;
+use eden_obs::thread::{self, Role};
 use eden_obs::trace::stage;
 use eden_obs::{now_ns, Gauge, Histogram, ObsRegistry, TraceCtx};
 use parking_lot::Mutex;
@@ -249,10 +249,11 @@ impl SendPipeline {
             });
             let writer_marks = Arc::clone(&marks);
             let pipe = Arc::clone(self);
-            let handle = std::thread::Builder::new()
-                .name(format!("eden-tcp-write-{}-{}", self.node, dst))
-                .spawn(move || writer_loop(&pipe, dst, &rx, &writer_marks))
-                .ok();
+            let tag = format!("{}-{dst}", self.node);
+            let handle = thread::spawn(Role::TcpWriter, tag, move || {
+                writer_loop(&pipe, dst, &rx, &writer_marks)
+            })
+            .ok();
             PeerWriter { tx, marks, handle }
         });
         let enqueued_ns = now_ns();
